@@ -76,40 +76,6 @@ def resample(values: np.ndarray, x) -> np.ndarray | float:
     return out[0] if np.ndim(x) == 0 else out
 
 
-class AffineResampler:
-    """Resampling of grid values at a fixed affine image of the grid.
-
-    Precomputes the barycentric kernel for the points beta(nodes(n)), where
-    beta maps [-1, 1] onto [lo, hi] (reversed when decreasing).  Application
-    is then a single matvec, and is exactly linear in the sample vector.
-    Anchoring at values[0] keeps constant vectors bitwise exact.
-    """
-
-    def __init__(self, n: int, lo: float, hi: float, decreasing: bool):
-        xs = nodes(n)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = mid - half * xs if decreasing else mid + half * xs
-        d = pts[:, None] - xs[None, :]
-        hit = d == 0.0
-        self._k = bary_weights(n) / np.where(hit, 1.0, d)
-        self._den = self._k.sum(axis=1)
-        self._exact = hit.any(axis=1)
-        self._exact_idx = hit.argmax(axis=1)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        anchor = values[0]
-        out = anchor + (self._k @ (values - anchor)) / self._den
-        if self._exact.any():
-            out[self._exact] = values[self._exact_idx[self._exact]]
-        return out
-
-
-@lru_cache(maxsize=16384)
-def affine_resampler(n: int, lo: float, hi: float, decreasing: bool) -> AffineResampler:
-    return AffineResampler(n, lo, hi, decreasing)
-
-
 def integrate_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the antiderivative vanishing at -1."""
     return _C.chebint(coeffs, lbnd=-1)

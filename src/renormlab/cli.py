@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,22 +88,16 @@ def _cmd_fixed_point(args) -> int:
         if not args.out:
             raise ConfigError("--alpha-sweep writes per-alpha files; --out is required")
         configs = [_config(args, alpha=a) for a in alphas]
-
-        def run(cfg: SolverConfig) -> str:
-            path = _alpha_path(args.out, cfg.alpha)
-            _emit(_report_json(find_fixed_point(cfg)), path)
-            return path
-
-        workers = max(1, int(os.environ.get("RENORMLAB_THREADS", "4")))
         failures = 0
-        with ThreadPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-            futures = [(cfg.alpha, pool.submit(run, cfg)) for cfg in configs]
-            for alpha, fut in futures:
-                try:
-                    print(f"alpha {alpha:g}: wrote {fut.result()}")
-                except NonConvergence as exc:
-                    print(f"alpha {alpha:g}: {exc}", file=sys.stderr)
-                    failures += 1
+        for cfg in configs:
+            path = _alpha_path(args.out, cfg.alpha)
+            try:
+                _emit(_report_json(find_fixed_point(cfg)), path)
+            except NonConvergence as exc:
+                print(f"alpha {cfg.alpha:g}: {exc}", file=sys.stderr)
+                failures += 1
+            else:
+                print(f"alpha {cfg.alpha:g}: wrote {path}")
         return 2 if failures else 0
 
     report = find_fixed_point(_config(args))
@@ -178,7 +171,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fixed-point", help="solve for a truncation fixed point")
     _add_common(p)
     p.add_argument("--alpha-sweep", type=str,
-                   help="comma list of alphas solved in parallel, one output file each")
+                   help="comma list of alphas solved in turn, one output file each")
     p.set_defaults(handler=_cmd_fixed_point)
 
     p = sub.add_parser("orbit", help="solve for a periodic orbit of length k")

@@ -6,14 +6,14 @@ order recovers a single diffeomorphism.  A geometry assigns to every index a
 pair of oriented intervals plus one root interval; it drives the geometric
 renormalization operator, which zooms each node into its intervals, pushes
 it one level down the relabelled tree, and installs a fresh folding branch
-at the root.  Truncated to a fixed depth the operator is affine with a small
-linear part, so iterating it from the identity lands on its unique fixed
-point, the pure decomposition of the geometry.
+at the root.  Truncated to a fixed depth the operator is affine and its
+linear part is nilpotent: every node moves one level down and the deepest
+level is dropped, so after depth + 1 steps nothing of the start survives.
+Its unique fixed point, the pure decomposition of the geometry, is
+therefore built exactly by one top-down pass.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .diffspace import (
     linear_combination,
     zoom,
 )
-from .errors import DepthMismatch, DomainError, GeometryError, NonConvergence
+from .errors import DepthMismatch, DomainError, GeometryError
 
 # Admissibility margin: every geometry interval must have half-length <= this.
 KAPPA_MARGIN = 0.95
@@ -114,22 +114,22 @@ def decomposition_linear_combination(a: float, da: Decomposition,
     )
 
 
+def _compose_descending(dec: Decomposition, paths, check: bool) -> NonlinearityProfile:
+    # paths run in descending time order, so each later node goes innermost
+    result = dec.nodes[paths[0]]
+    for w in paths[1:]:
+        result = compose(result, dec.nodes[w], check=check)
+    return result
+
+
 def compose_all(dec: Decomposition, *, check: bool = True) -> NonlinearityProfile:
     """Compose every node in descending time order (largest time outermost)."""
-    result = None
-    for w in dec.times.indices_descending():
-        node = dec.nodes[w]
-        result = node if result is None else compose(result, node, check=check)
-    return result
+    return _compose_descending(dec, dec.times.indices_descending(), check)
 
 
 def partial_composition(dec: Decomposition, tau: str, *, check: bool = True) -> NonlinearityProfile:
     """Compose the nodes with index at or above tau, descending."""
-    result = None
-    for w in dec.times.suffix_set(tau):
-        node = dec.nodes[w]
-        result = node if result is None else compose(result, node, check=check)
-    return result
+    return _compose_descending(dec, dec.times.suffix_set(tau), check)
 
 
 class Geometry:
@@ -284,32 +284,20 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     return Decomposition(times, nodes)
 
 
-def pure_decomposition(g: Geometry, alpha: float, tol: float = 1e-10, *,
-                       start: Decomposition | None = None,
-                       grid: int | None = None,
-                       return_trace: bool = False):
+def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decomposition:
     """Fixed point of the depth-truncated geometric renormalization.
 
-    Iterates the operator from the identity decomposition (or ``start``)
-    until successive iterates differ by at most tol in the decomposition
-    norm.  Each step contracts by the geometry's kappa, and the truncated
-    operator fills one level per step, so convergence is certain; the
-    iteration budget 10*log(1/tol)/log(1/kappa) is a generous guard.
+    The root is the zoomed folding branch over g.side_root; every node w
+    below it is zoomed into g.s1[w] to give node 1w and into g.s2[w] to give
+    node 2w, one level at a time.  This is bit for bit what depth + 1 steps
+    of geometric_renormalize produce from any start on the same grid.
     """
-    kappa = g.contraction_factor
-    if not kappa < 1.0:
+    if not g.contraction_factor < 1.0:
         raise GeometryError("geometry contraction factor must be below 1")
-    if start is None:
-        start = identity_decomposition(g.depth, grid if grid is not None else 64)
-    budget = max(g.depth + 4, math.ceil(10.0 * math.log(1.0 / tol) / math.log(1.0 / kappa)))
-    current = start
-    deltas = []
-    for _ in range(budget):
-        nxt = geometric_renormalize(g, alpha, current)
-        delta = decomposition_distance(nxt, current)
-        deltas.append(delta)
-        current = nxt
-        if delta <= tol:
-            return (current, deltas) if return_trace else current
-    raise NonConvergence(
-        f"pure decomposition did not reach tol {tol:.1e} in {budget} steps", deltas)
+    times = timetree.DecompositionTimes(g.depth)
+    nodes = {timetree.ROOT: branch_zoom(alpha, g.side_root, grid)}
+    for level in range(g.depth):
+        for w in times.level_indices(level):
+            nodes["1" + w] = zoom(nodes[w], g.s1[w])
+            nodes["2" + w] = zoom(nodes[w], g.s2[w])
+    return Decomposition(times, nodes)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cheb
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, NonConvergence, ResolutionError
 
 DEFAULT_DEGREE = 64
 
@@ -84,8 +84,12 @@ class NonlinearityProfile:
             g = np.exp(_cheb.chebval(_cheb.nodes(m), e_c))
             i_c = _cheb.integrate_coeffs(_cheb.to_coeffs(g))
             i_lo = _cheb.chebval(-1.0, i_c)
-            i_hi = _cheb.chebval(1.0, i_c)
-            self._quad = (e_c, i_c, i_lo, i_hi - i_lo)
+            span = _cheb.chebval(1.0, i_c) - i_lo
+            if not np.isfinite(span):
+                raise ResolutionError(
+                    f"exp(int eta) overflows: nonlinearity sup {self.nonlinearity_norm:.3g} "
+                    f"cannot be normalised at degree {self.degree}")
+            self._quad = (e_c, i_c, i_lo, span)
         return self._quad
 
     def _eval(self, x):
@@ -109,7 +113,10 @@ class NonlinearityProfile:
         return _cheb.resample(self.eta_values, x)
 
     def inverse(self, y):
-        """phi^{-1}(y) by a bracketed Newton iteration; scalar or array y."""
+        """phi^{-1}(y) by a bracketed Newton iteration; scalar or array y.
+
+        Raises NonConvergence if the iteration budget runs out.
+        """
         yv = _check_unit(y, "inverse argument")
         arr = np.atleast_1d(yv)
         lo = np.full_like(arr, -1.0)
@@ -127,6 +134,10 @@ class NonlinearityProfile:
                 x = xn
                 break
             x = xn
+        else:
+            raise NonConvergence(
+                f"inverse did not converge in 100 Newton steps "
+                f"(widest bracket {float(np.max(hi - lo)):.1e})")
         return x[0] if np.ndim(yv) == 0 else x
 
     def to_dict(self) -> dict:
@@ -246,9 +257,9 @@ def zoom(phi: NonlinearityProfile, interval: OrientedInterval) -> NonlinearityPr
     (where beta is decreasing), +1 otherwise.  The sup-norm therefore
     contracts by exactly the half-length factor.
     """
-    r = _cheb.affine_resampler(phi.degree, interval.lo, interval.hi, interval.flag == "-")
     sign = 1.0 if interval.flag == "+" else -1.0
-    return NonlinearityProfile(sign * interval.half_length * r(phi.eta_values))
+    return NonlinearityProfile(
+        sign * interval.half_length * _cheb.resample(phi.eta_values, interval.identify(phi.grid)))
 
 
 def branch_zoom(alpha: float, s1: OrientedInterval, degree: int = DEFAULT_DEGREE) -> NonlinearityProfile:

@@ -42,7 +42,7 @@ class BracketError(RenormlabError):
 
 
 class ConfigError(RenormlabError):
-    """A solver configuration value is out of range."""
+    """A solver configuration value or a stored report is invalid."""
 
 
 class NonConvergence(RenormlabError):

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     DepthMismatch,
     DomainError,
+    GeometryError,
     NoFixedPoint,
     NonConvergence,
     NoSideInterval,
@@ -248,8 +249,20 @@ class WindowResult:
         return iter((self.t_min, self.t_max))
 
 
-def _scan_grid(scan_step: float) -> np.ndarray:
-    return 0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step)))
+def _renormalizable(f0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Peak image above the diagonal and not past the side point."""
+    return (f0 > 0.0) & (f0 <= b)
+
+
+def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
+    """Scan grid over (1/2, 1), its side structure and renormalizable mask."""
+    ts = 0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step)))
+    f0, p, b = _side_structure(obs, alpha, ts)
+    mask = _renormalizable(f0, b)
+    if not mask.any():
+        raise NoWindow(
+            f"no renormalizable peak value in (0.5, 1) at scan step {scan_step:g}")
+    return ts, p, b, mask
 
 
 def _bisect_predicate(pred, outside: float, inside: float, tol: float) -> float:
@@ -296,16 +309,11 @@ def renormalization_window(phi: Decomposition, alpha: float, *,
     one fills t_min/t_max.
     """
     obs = compose_all(phi)
-    ts = _scan_grid(scan_step)
-    f0, p, b = _side_structure(obs, alpha, ts)
-    mask = (f0 > 0.0) & (f0 <= b)
-    if not mask.any():
-        raise NoWindow(
-            f"no renormalizable peak value in (0.5, 1) at scan step {scan_step:g}")
+    ts, _, _, mask = _scan_window(obs, alpha, scan_step)
 
     def renormalizable_at(t):
-        f0s, ps, bs = _side_structure(obs, alpha, np.array([t]))
-        return bool(f0s[0] > 0.0 and f0s[0] <= bs[0])
+        f0s, _, bs = _side_structure(obs, alpha, np.array([t]))
+        return bool(_renormalizable(f0s, bs)[0])
 
     idx = np.flatnonzero(mask)
     runs = []
@@ -331,12 +339,7 @@ def renormalization_window(phi: Decomposition, alpha: float, *,
 def _solve_peak(obs: NonlinearityProfile, alpha: float, *,
                 tol: float = 1e-12, scan_step: float = 2e-3) -> float:
     """Invariant fold level: t with rho(t) = t, bracketed on the scan grid."""
-    ts = _scan_grid(scan_step)
-    f0, p, b = _side_structure(obs, alpha, ts)
-    mask = (f0 > 0.0) & (f0 <= b)
-    if not mask.any():
-        raise NoWindow(
-            f"no renormalizable peak value in (0.5, 1) at scan step {scan_step:g}")
+    ts, p, b, mask = _scan_window(obs, alpha, scan_step)
     idx = np.flatnonzero(mask)
     ends = obs.inverse(np.concatenate([p[idx], b[idx]]))
     l, r = ends[:idx.size], ends[idx.size:]
@@ -388,6 +391,11 @@ class SolverConfig:
             raise ConfigError("damping must lie in (0, 1]")
 
 
+def _full_tree_depth(n: int) -> int | None:
+    """Depth of the full binary tree with n nodes, or None if n is no such size."""
+    return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
+
+
 @dataclass
 class FixedPointReport:
     """A converged truncation fixed point (or one element of a cycle).
@@ -431,24 +439,35 @@ class FixedPointReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixedPointReport":
-        return cls(
-            alpha=float(data["alpha"]),
-            depth=int(data["depth"]),
-            grid=int(data["grid"]),
-            t_star=float(data["t_star"]),
-            geometry_star=Geometry.from_dict(data["geometry"]),
-            pure_star=Decomposition.from_dict(data["decomposition"]),
-            residual_geometry=float(data["residual_geometry"]),
-            residual_peak=float(data["residual_peak"]),
-            iterations=int(data["iterations"]),
-            delta_estimate=(None if data.get("delta_estimate") is None
-                            else float(data["delta_estimate"])),
-            coincident=data.get("coincident"),
-        )
-
-
-def _pure_tol(config: SolverConfig) -> float:
-    return min(1e-10, 0.1 * config.tol)
+        """Rebuild a stored report; a malformed or inconsistent one raises ConfigError."""
+        try:
+            depth, grid = int(data["depth"]), int(data["grid"])
+            dec, geo = data["decomposition"], data["geometry"]
+            # checked before any tree is built, so an absurd depth allocates nothing
+            depths = {int(dec["depth"]), int(geo["depth"]), _full_tree_depth(len(dec["nodes"])),
+                      _full_tree_depth(len(geo["s1"])), _full_tree_depth(len(geo["s2"]))}
+            if depths != {depth}:
+                raise ConfigError(f"report depth {depth} disagrees with its decomposition "
+                                  "or geometry")
+            if any(len(node["eta"]) != grid for node in dec["nodes"]):
+                raise ConfigError(f"report grid {grid} disagrees with its decomposition")
+            return cls(
+                alpha=float(data["alpha"]),
+                depth=depth,
+                grid=grid,
+                t_star=float(data["t_star"]),
+                geometry_star=Geometry.from_dict(geo),
+                pure_star=Decomposition.from_dict(dec),
+                residual_geometry=float(data["residual_geometry"]),
+                residual_peak=float(data["residual_peak"]),
+                iterations=int(data["iterations"]),
+                delta_estimate=(None if data.get("delta_estimate") is None
+                                else float(data["delta_estimate"])),
+                coincident=data.get("coincident"),
+            )
+        except (TypeError, KeyError, ValueError, OverflowError, DomainError,
+                GeometryError) as exc:
+            raise ConfigError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:
@@ -459,9 +478,9 @@ def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:
     return dynamical_geometry(DecomposedMap(dec, t0, alpha, observed=obs))
 
 
-def _undamped_step(g: Geometry, alpha: float, grid: int, tol: float):
+def _undamped_step(g: Geometry, alpha: float, grid: int):
     """geometry -> (pure decomposition, its map, peak value, image geometry)."""
-    phi = pure_decomposition(g, alpha, tol=tol, grid=grid)
+    phi = pure_decomposition(g, alpha, grid=grid)
     obs = compose_all(phi)
     t = _solve_peak(obs, alpha)
     dm = DecomposedMap(phi, t, alpha, observed=obs)
@@ -474,14 +493,13 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
     if g.depth != config.depth:
         raise DepthMismatch(
             f"initial geometry depth {g.depth} differs from configured depth {config.depth}")
-    ptol = _pure_tol(config)
     t_prev = None
     trace = []
     for it in range(1, config.max_iter + 1):
         g_img = g
         t_first = None
         for _ in range(k):
-            dm, g_img = _undamped_step(g_img, config.alpha, config.grid, ptol)
+            dm, g_img = _undamped_step(g_img, config.alpha, config.grid)
             if t_first is None:
                 t_first = dm.t
         resid = geometry_distance(g_img, g) + (1.0 if t_prev is None else abs(t_first - t_prev))
@@ -496,11 +514,10 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
 
 
 def _cycle_reports(config: SolverConfig, g: Geometry, iterations: int, k: int):
-    ptol = _pure_tol(config)
     maps, geoms = [], []
     cur = g
     for _ in range(k):
-        dm, nxt = _undamped_step(cur, config.alpha, config.grid, ptol)
+        dm, nxt = _undamped_step(cur, config.alpha, config.grid)
         maps.append(dm)
         geoms.append(cur)
         cur = nxt
@@ -562,8 +579,7 @@ def find_periodic_orbit(config: SolverConfig, k: int,
     return _cycle_reports(config, g, iterations, k)
 
 
-def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int, *,
-                                      pure_tol: float = 1e-10):
+def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     """Track the distance to the pure-decomposition set along an orbit.
 
     Each record holds the current peak value, the decomposition's distance
@@ -576,8 +592,7 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int, *,
     current = f
     for step in range(steps):
         geom = dynamical_geometry(current)
-        pure = pure_decomposition(geom, current.alpha, tol=pure_tol,
-                                  grid=current.decomposition.grid)
+        pure = pure_decomposition(geom, current.alpha, grid=current.decomposition.grid)
         records.append({
             "step": step,
             "peak": current.t,

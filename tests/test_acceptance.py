@@ -244,7 +244,7 @@ def test_criterion_5_pure_decomposition_contraction():
         ratios = [after / before for before, after in zip(live, live[1:])]
         worst_margin = max(worst_margin, max(ratios) - (kappa + 0.05))
 
-        solved = pure_decomposition(g, 2.0, tol=tol)
+        solved = pure_decomposition(g, 2.0)
         resid = decomposition_distance(geometric_renormalize(g, 2.0, solved), solved)
         worst_resid = max(worst_resid, resid)
 

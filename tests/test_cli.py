@@ -116,6 +116,26 @@ def test_spectrum_round_trip(report_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def _malformed_nodes(data):
+    data["decomposition"]["nodes"] = 5
+    return data
+
+
+def _contradicted_depth(data):
+    data["depth"] -= 1
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [_malformed_nodes, lambda data: [data], _contradicted_depth],
+                         ids=["nodes-not-a-list", "top-level-list", "depth-contradicts"])
+def test_spectrum_rejects_malformed_report(report_file, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(report_file.read_text()))))
+    assert main(["spectrum", "--alpha", "2", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ window
 
 

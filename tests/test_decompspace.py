@@ -27,7 +27,7 @@ from renormlab.decompspace import (
     pure_decomposition,
 )
 from renormlab.timetree import ROOT, DecompositionTimes
-from renormlab.errors import DepthMismatch, DomainError, GeometryError, NonConvergence
+from renormlab.errors import DepthMismatch, DomainError, GeometryError
 
 from support import random_decomposition, random_geometry
 
@@ -284,31 +284,34 @@ def test_geometric_renormalize_depth_mismatch(rng):
 # ---------------------------------------------------------- pure fixed point
 
 
+def assert_bitwise_equal(a, b):
+    assert a.depth == b.depth and a.grid == b.grid
+    for w in a.times.indices_descending():
+        assert np.array_equal(a.nodes[w].eta_values, b.nodes[w].eta_values), w
+
+
 def test_pure_decomposition_is_a_fixed_point(rng):
     g = random_geometry(rng, 3)
-    phi = pure_decomposition(g, 2.0, tol=1e-11)
-    again = geometric_renormalize(g, 2.0, phi)
-    assert decomposition_distance(again, phi) < 1e-10
+    phi = pure_decomposition(g, 2.0)
+    assert_bitwise_equal(geometric_renormalize(g, 2.0, phi), phi)
 
 
-def test_pure_decomposition_trace_contracts(rng):
-    g = random_geometry(rng, 3)
-    phi, deltas = pure_decomposition(g, 2.0, tol=1e-11, return_trace=True)
-    assert deltas[-1] <= 1e-11
-    kappa = g.contraction_factor
-    # after the tree fills, successive gaps shrink at least at rate kappa
-    tail = deltas[g.depth + 1:]
-    for before, after in zip(tail, tail[1:]):
-        if before > 1e-13:
-            assert after <= before * (kappa + 0.1)
+def test_pure_decomposition_equals_depth_plus_one_renormalizations(rng):
+    # the truncated operator is nilpotent in its linear part: depth + 1
+    # steps from any start land exactly on the one-pass fixed point
+    for depth in (1, 3, 8):
+        g = random_geometry(rng, depth)
+        current = identity_decomposition(depth, 64)
+        for _ in range(depth + 1):
+            current = geometric_renormalize(g, 2.0, current)
+        assert_bitwise_equal(current, pure_decomposition(g, 2.0))
 
 
-def test_pure_decomposition_respects_start_and_grid(rng):
+def test_pure_decomposition_respects_grid(rng):
     g = random_geometry(rng, 2)
-    phi = pure_decomposition(g, 2.0, tol=1e-11, grid=48)
+    phi = pure_decomposition(g, 2.0, grid=48)
     assert phi.grid == 48
-    warm = pure_decomposition(g, 2.0, tol=1e-11, start=phi)
-    assert decomposition_distance(warm, phi) < 1e-10
+    assert_bitwise_equal(geometric_renormalize(g, 2.0, phi), phi)
 
 
 def test_pure_decomposition_rejects_expanding_geometry():

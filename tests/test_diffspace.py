@@ -4,6 +4,7 @@ import pytest
 from renormlab import (
     DomainError,
     FoldingMap,
+    NonConvergence,
     NonlinearityProfile,
     OrientedInterval,
     ResolutionError,
@@ -58,6 +59,30 @@ def test_inverse_round_trip(rng):
     assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-12
     y = float(ys[7])
     assert abs(phi.evaluate(phi.inverse(y)) - y) < 1e-12
+
+
+def test_overflowing_nonlinearity_is_refused():
+    # exp(int eta) overflows for eta = 800, so phi cannot be normalised
+    phi = constant_profile(800.0)
+    with pytest.raises(ResolutionError):
+        phi.evaluate(0.0)
+    with pytest.raises(ResolutionError):
+        phi.inverse(0.0)
+
+
+class _UnderstatedSteps(NonlinearityProfile):
+    """A derivative a million times too steep: every Newton step stays tiny."""
+
+    __slots__ = ()
+
+    def _deriv(self, x):
+        return 1e6 * super()._deriv(x)
+
+
+def test_inverse_raises_when_its_budget_runs_out(rng):
+    phi = _UnderstatedSteps(random_profile(rng).eta_values)
+    with pytest.raises(NonConvergence):
+        phi.inverse(0.3)
 
 
 def test_serialization_round_trip(rng):
