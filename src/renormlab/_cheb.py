@@ -76,9 +76,18 @@ def resample(values: np.ndarray, x) -> np.ndarray | float:
     return out[0] if np.ndim(x) == 0 else out
 
 
+@lru_cache(maxsize=64)
+def _integration_matrix(n: int) -> np.ndarray:
+    # Chebyshev integration is linear in the coefficients: column j holds the
+    # antiderivative of T_j vanishing at -1, so one product replaces chebint.
+    m = _C.chebint(np.eye(n), lbnd=-1)
+    m.setflags(write=False)
+    return m
+
+
 def integrate_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the antiderivative vanishing at -1."""
-    return _C.chebint(coeffs, lbnd=-1)
+    """Coefficients of the antiderivative vanishing at -1 (one more than given)."""
+    return _integration_matrix(len(coeffs)) @ coeffs
 
 
 @lru_cache(maxsize=256)

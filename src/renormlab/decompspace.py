@@ -33,6 +33,11 @@ from .errors import DepthMismatch, DomainError, GeometryError
 KAPPA_MARGIN = 0.95
 
 
+def _full_tree_depth(n: int) -> int | None:
+    """Depth of the full binary tree with n nodes, or None if n is no such size."""
+    return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
+
+
 class Decomposition:
     """A map from time indices to nonlinearity profiles on a shared grid."""
 
@@ -72,9 +77,16 @@ class Decomposition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Decomposition":
-        times = timetree.DecompositionTimes(int(data["depth"]))
-        nodes = {str(n["path"]): NonlinearityProfile(n["eta"]) for n in data["nodes"]}
-        return cls(times, nodes)
+        """Rebuild a stored decomposition; malformed input raises DomainError."""
+        try:
+            depth = int(data["depth"])
+            # checked before any tree is built, so an absurd depth allocates nothing
+            if _full_tree_depth(len(data["nodes"])) != depth:
+                raise DomainError(f"decomposition depth {depth} disagrees with its node count")
+            nodes = {str(n["path"]): NonlinearityProfile(n["eta"]) for n in data["nodes"]}
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed decomposition: {type(exc).__name__}: {exc}") from exc
+        return cls(timetree.DecompositionTimes(depth), nodes)
 
     def __repr__(self):
         return f"Decomposition(depth={self.depth}, grid={self.grid}, norm={self.norm():.3g})"
@@ -188,16 +200,18 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
-        def unpack(items):
-            return {str(d["path"]): OrientedInterval(float(d["lo"]), float(d["hi"]), str(d["flag"]))
-                    for d in items}
-
-        return cls(
-            OrientedInterval.from_dict(data["side_root"]),
-            unpack(data["s1"]),
-            unpack(data["s2"]),
-            int(data["depth"]),
-        )
+        """Rebuild a stored geometry; malformed input raises GeometryError."""
+        try:
+            depth = int(data["depth"])
+            # checked before any tree is built, so an absurd depth allocates nothing
+            if {_full_tree_depth(len(data["s1"])), _full_tree_depth(len(data["s2"]))} != {depth}:
+                raise GeometryError(f"geometry depth {depth} disagrees with its interval count")
+            side_root = OrientedInterval.from_dict(data["side_root"])
+            s1 = {str(d["path"]): OrientedInterval.from_dict(d) for d in data["s1"]}
+            s2 = {str(d["path"]): OrientedInterval.from_dict(d) for d in data["s2"]}
+        except (TypeError, KeyError, ValueError, OverflowError, DomainError) as exc:
+            raise GeometryError(f"malformed geometry: {type(exc).__name__}: {exc}") from exc
+        return cls(side_root, s1, s2, depth)
 
     def __repr__(self):
         return f"Geometry(depth={self.depth}, kappa={self.contraction_factor:.3f})"

@@ -78,13 +78,15 @@ class NonlinearityProfile:
 
     def _cache(self):
         if self._quad is None:
-            eta_c = _cheb.to_coeffs(self.eta_values)
-            e_c = _cheb.integrate_coeffs(eta_c)
-            m = 2 * self.degree - 1
-            g = np.exp(_cheb.chebval(_cheb.nodes(m), e_c))
-            i_c = _cheb.integrate_coeffs(_cheb.to_coeffs(g))
-            i_lo = _cheb.chebval(-1.0, i_c)
-            span = _cheb.chebval(1.0, i_c) - i_lo
+            # an overflow here is reported once, as the ResolutionError below
+            with np.errstate(over="ignore", invalid="ignore"):
+                eta_c = _cheb.to_coeffs(self.eta_values)
+                e_c = _cheb.integrate_coeffs(eta_c)
+                m = 2 * self.degree - 1
+                g = np.exp(_cheb.chebval(_cheb.nodes(m), e_c))
+                i_c = _cheb.integrate_coeffs(_cheb.to_coeffs(g))
+                i_lo = _cheb.chebval(-1.0, i_c)
+                span = _cheb.chebval(1.0, i_c) - i_lo
             if not np.isfinite(span):
                 raise ResolutionError(
                     f"exp(int eta) overflows: nonlinearity sup {self.nonlinearity_norm:.3g} "
@@ -115,29 +117,37 @@ class NonlinearityProfile:
     def inverse(self, y):
         """phi^{-1}(y) by a bracketed Newton iteration; scalar or array y.
 
-        Raises NonConvergence if the iteration budget runs out.
+        Each point keeps its own bracket and stops on its own, frozen from
+        then on, once its step is below 1e-15, its bracket below 4e-16 or its
+        residual at the rounding floor of the evaluation.  Raises
+        NonConvergence if the iteration budget runs out.
         """
         yv = _check_unit(y, "inverse argument")
         arr = np.atleast_1d(yv)
         lo = np.full_like(arr, -1.0)
         hi = np.full_like(arr, 1.0)
         x = arr.copy()
+        _, i_c, _, span = self._cache()
+        # rounding error of phi(x) - y: a few ulps of the summed series terms
+        floor = 4.0 * np.finfo(float).eps * (1.0 + 2.0 * float(np.sum(np.abs(i_c))) / span)
+        todo = np.arange(arr.size)
         for _ in range(100):
-            f = self._eval(x) - arr
-            lo = np.where(f <= 0.0, x, lo)
-            hi = np.where(f > 0.0, x, hi)
-            step = f / self._deriv(x)
-            xn = x - step
-            outside = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-            xn = np.where(outside, 0.5 * (lo + hi), xn)
-            if np.all(np.abs(xn - x) <= 1e-15) or np.all(hi - lo <= 4e-16):
-                x = xn
+            xa = x[todo]
+            f = self._eval(xa) - arr[todo]
+            la = np.where(f <= 0.0, xa, lo[todo])
+            ha = np.where(f >= 0.0, xa, hi[todo])
+            xn = xa - f / self._deriv(xa)
+            inside = (la <= xn) & (xn <= ha)
+            xn = np.where(inside, xn, 0.5 * (la + ha))
+            x[todo], lo[todo], hi[todo] = xn, la, ha
+            done = (np.abs(xn - xa) <= 1e-15) | (ha - la <= 4e-16) | (np.abs(f) <= floor)
+            todo = todo[~done]
+            if todo.size == 0:
                 break
-            x = xn
         else:
             raise NonConvergence(
-                f"inverse did not converge in 100 Newton steps "
-                f"(widest bracket {float(np.max(hi - lo)):.1e})")
+                f"inverse did not converge in 100 Newton steps at {todo.size} of {arr.size} "
+                f"points (widest bracket {float(np.max(hi[todo] - lo[todo])):.1e})")
         return x[0] if np.ndim(yv) == 0 else x
 
     def to_dict(self) -> dict:

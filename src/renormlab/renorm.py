@@ -391,11 +391,6 @@ class SolverConfig:
             raise ConfigError("damping must lie in (0, 1]")
 
 
-def _full_tree_depth(n: int) -> int | None:
-    """Depth of the full binary tree with n nodes, or None if n is no such size."""
-    return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
-
-
 @dataclass
 class FixedPointReport:
     """A converged truncation fixed point (or one element of a cycle).
@@ -443,10 +438,8 @@ class FixedPointReport:
         try:
             depth, grid = int(data["depth"]), int(data["grid"])
             dec, geo = data["decomposition"], data["geometry"]
-            # checked before any tree is built, so an absurd depth allocates nothing
-            depths = {int(dec["depth"]), int(geo["depth"]), _full_tree_depth(len(dec["nodes"])),
-                      _full_tree_depth(len(geo["s1"])), _full_tree_depth(len(geo["s2"]))}
-            if depths != {depth}:
+            # the parts check their own node counts before building any tree
+            if {int(dec["depth"]), int(geo["depth"])} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
                                   "or geometry")
             if any(len(node["eta"]) != grid for node in dec["nodes"]):

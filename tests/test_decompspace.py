@@ -74,6 +74,33 @@ def test_serialization_round_trip(rng):
         assert np.array_equal(back.nodes[w].eta_values, dec.nodes[w].eta_values)
 
 
+def test_decomposition_from_dict_refuses_a_node_count_off_the_depth():
+    with pytest.raises(DomainError):
+        Decomposition.from_dict({"depth": 3, "nodes": 5})
+
+
+def test_decomposition_from_dict_refuses_non_numeric_samples(rng):
+    data = random_decomposition(rng, 2).to_dict(alpha=2.0)
+    data["nodes"][0]["eta"][3] = "x"
+    with pytest.raises(DomainError):
+        Decomposition.from_dict(data)
+
+
+def test_geometry_from_dict_refuses_non_list_intervals(rng):
+    data = random_geometry(rng, 2).to_dict()
+    data["s1"] = 3
+    with pytest.raises(GeometryError):
+        Geometry.from_dict(data)
+
+
+def test_from_dict_checks_the_node_count_before_building_a_tree():
+    # expanding a depth-20 tree first would take seconds; the count check takes none
+    with pytest.raises(DomainError, match="node count"):
+        Decomposition.from_dict({"depth": 20, "nodes": []})
+    with pytest.raises(GeometryError, match="interval count"):
+        Geometry.from_dict({"depth": 20, "side_root": {}, "s1": [], "s2": []})
+
+
 def test_norm_and_distance_basics(rng):
     a = random_decomposition(rng, 2)
     b = random_decomposition(rng, 2)

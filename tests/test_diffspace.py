@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from renormlab import (
     constant_profile,
     identity_profile,
     linear_combination,
+    random_decomposed_map,
+    renormalize,
     zoom,
 )
 from support import monotone_profile, random_profile
@@ -62,12 +66,77 @@ def test_inverse_round_trip(rng):
 
 
 def test_overflowing_nonlinearity_is_refused():
-    # exp(int eta) overflows for eta = 800, so phi cannot be normalised
+    # exp(int eta) overflows for eta = 800, so phi cannot be normalised; the
+    # overflow is reported as the ResolutionError alone, with no warning first
     phi = constant_profile(800.0)
-    with pytest.raises(ResolutionError):
-        phi.evaluate(0.0)
-    with pytest.raises(ResolutionError):
-        phi.inverse(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError):
+            phi.evaluate(0.0)
+        with pytest.raises(ResolutionError):
+            phi.inverse(0.0)
+
+
+class _CountedSteps(NonlinearityProfile):
+    """Counts evaluations of phi: inverse makes one per Newton step."""
+
+    __slots__ = ("steps",)
+
+    def _eval(self, x):
+        self.steps += 1
+        return super()._eval(x)
+
+
+def test_inverse_converges_in_a_few_newton_steps(rng):
+    ys = np.array([-0.5, -0.25, 0.25, 0.5])
+    for _ in range(5):
+        phi = _CountedSteps(random_profile(rng).eta_values)
+        phi.steps = 0
+        xs = phi.inverse(ys)
+        assert phi.steps <= 6
+        assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-12
+
+
+def test_inverse_accepts_exact_roots(rng):
+    phi = random_profile(rng, scale=0.6)
+    # phi(+-1) == +-1 exactly at a scalar, so the first iterate there has f == 0
+    assert phi.inverse(-1.0) == -1.0 and phi.inverse(1.0) == 1.0
+    assert np.max(np.abs(phi.inverse(np.array([-1.0, 1.0])) - [-1.0, 1.0])) < 1e-15
+    ys = phi.evaluate(phi.grid)
+    assert np.max(np.abs(phi.inverse(ys) - phi.grid)) < 1e-12
+    for x, y in zip(phi.grid, ys):
+        assert abs(phi.inverse(y) - x) < 1e-12
+
+
+class _FlickeringEval(NonlinearityProfile):
+    """An evaluation error of 1e-15 whose sign flips from one call to the next.
+
+    Near a root Newton then cycles between two iterates 2e-15/phi' apart,
+    with |f| = 2e-15 and every step and bracket above their tolerances, so
+    only the rounding-floor test on |f| can stop it.
+    """
+
+    __slots__ = ("calls",)
+
+    def _eval(self, x):
+        self.calls += 1
+        return super()._eval(x) + 1e-15 * (-1.0) ** self.calls
+
+
+def test_inverse_accepts_a_residual_at_the_rounding_floor():
+    exact = constant_profile(0.3)
+    phi = _FlickeringEval(exact.eta_values)
+    phi.calls = 0
+    ys = np.array([-0.7, 0.1, 0.6])
+    assert np.max(np.abs(exact.evaluate(phi.inverse(ys)) - ys)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_inverse_stops_at_the_rounding_floor(seed):
+    # the peak-value scan inverts a few hundred points in one batch; where
+    # rounding leaves |f| a few ulps above zero and phi' < 1 keeps the step
+    # above 1e-15, each point must still be accepted
+    renormalize(random_decomposed_map(2.0, 1 + seed % 3, 64, seed=seed), truncate=False)
 
 
 class _UnderstatedSteps(NonlinearityProfile):

@@ -224,6 +224,18 @@ def test_report_dict_round_trip(small_report):
     assert back.coincident == rep.coincident
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data["decomposition"].update(nodes=5),
+    lambda data: data["decomposition"]["nodes"][0]["eta"].__setitem__(3, "x"),
+    lambda data: data["geometry"].update(s1=3),
+], ids=["node-count", "non-numeric-eta", "scalar-s1"])
+def test_report_from_dict_maps_malformed_parts_to_config_error(small_report, corrupt):
+    data = small_report.to_dict()
+    corrupt(data)
+    with pytest.raises(ConfigError):
+        FixedPointReport.from_dict(data)
+
+
 def test_periodic_orbit_collapses_to_fixed_point(small_report):
     reports = find_periodic_orbit(SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8), 2)
     assert len(reports) == 2
