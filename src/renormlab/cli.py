@@ -50,7 +50,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--grid", type=int, default=64, help="Chebyshev grid degree")
     p.add_argument("--tol", type=float, default=1e-8, help="outer residual tolerance")
     p.add_argument("--max-iter", type=int, default=200, help="outer iteration cap")
-    p.add_argument("--damping", type=float, default=0.5, help="blend weight in (0, 1]")
+    p.add_argument("--damping", type=float, default=1.0,
+                   help="blend weight in (0, 1]; 1 takes the full step")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
     p.add_argument("--out", type=str, help="output path (default stdout)")
 

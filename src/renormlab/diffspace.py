@@ -6,7 +6,9 @@ Chebyshev-Lobatto grid.  The map itself is recovered from
 
     phi(x) = -1 + 2 * I(x) / I(1),    I(x) = int_{-1}^{x} exp(int_{-1}^{s} eta) ds,
 
-so the endpoint conditions hold by construction rather than numerically.
+so the endpoint conditions hold by construction rather than numerically:
+the internal evaluation holds them to a few ulps, and the public evaluate
+returns -1 and 1 exactly.
 In these coordinates the diffeomorphisms form a vector space: the zero
 profile is the identity, rescaling a map to a subinterval ("zoom") becomes
 a linear operation, and composition obeys the chain rule
@@ -103,8 +105,11 @@ class NonlinearityProfile:
         return 2.0 * np.exp(_cheb.chebval(x, e_c)) / span
 
     def evaluate(self, x):
-        """phi(x) for scalar or array x in [-1, 1]."""
-        return self._eval(_check_unit(x))
+        """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1."""
+        xv = _check_unit(x)
+        y = self._eval(xv)
+        # the batched series can miss +-1 by a few ulps; the scalar path is exact
+        return np.where(np.abs(xv) == 1.0, xv, y) if np.ndim(y) else y
 
     def derivative(self, x):
         """phi'(x); strictly positive."""

@@ -8,7 +8,7 @@ with f(b) = -p, the renormalizability test, the dynamical geometry obtained
 by pulling the side and central intervals back through the decomposition,
 and the new peak value after rescaling the fold.  One renormalization step
 couples the geometric operator with that new peak value; on top of it sit
-the peak-value window scan, the invariant-peak solver and damped outer
+the peak-value window scan, the invariant-peak solver and the outer
 iterations producing truncation fixed points and periodic orbits of the
 renormalization operator.
 """
@@ -46,6 +46,11 @@ from .errors import (
 )
 
 _BISECT_STEPS = 48
+
+# SolverConfig refuses more estimated bytes than this, so --depth 40 fails fast:
+# 16 float64 grids per tree node (eta, cached coefficients, a few decompositions
+# alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
+_MAX_SOLVER_BYTES = 2 ** 31
 
 
 class DecomposedMap:
@@ -366,14 +371,14 @@ def solve_peak_value(phi: Decomposition, alpha: float, *, tol: float = 1e-12) ->
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the outer fixed-point and orbit solvers."""
+    """Knobs for the outer solvers; the default damping 1.0 takes the full step."""
 
     alpha: float
     depth: int = 8
     grid: int = 64
     tol: float = 1e-8
     max_iter: int = 200
-    damping: float = 0.5
+    damping: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -389,6 +394,10 @@ class SolverConfig:
             raise ConfigError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
             raise ConfigError("damping must lie in (0, 1]")
+        nodes = 2 ** (min(self.depth, 62) + 1) - 1  # deeper is far over the limit anyway
+        if 8 * 16 * self.grid * (nodes + self.grid) > _MAX_SOLVER_BYTES:
+            raise ConfigError(f"depth {self.depth} at grid {self.grid} would need over "
+                              f"{_MAX_SOLVER_BYTES >> 30} GiB")
 
 
 @dataclass
@@ -489,77 +498,67 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
     t_prev = None
     trace = []
     for it in range(1, config.max_iter + 1):
-        g_img = g
-        t_first = None
+        maps, geoms, g_img = [], [], g
         for _ in range(k):
+            geoms.append(g_img)
             dm, g_img = _undamped_step(g_img, config.alpha, config.grid)
-            if t_first is None:
-                t_first = dm.t
-        resid = geometry_distance(g_img, g) + (1.0 if t_prev is None else abs(t_first - t_prev))
+            maps.append(dm)
+        closure = geometry_distance(g_img, g)
+        resid = closure + (1.0 if t_prev is None else abs(maps[0].t - t_prev))
         trace.append(resid)
         if resid <= config.tol:
-            return g, it, trace
+            return maps, geoms, closure, it
         g = geometry_blend(config.damping, g_img, g)
-        t_prev = t_first
+        t_prev = maps[0].t
     raise NonConvergence(
         f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} "
         f"steps (tol {config.tol:.1e})", tuple(trace))
 
 
-def _cycle_reports(config: SolverConfig, g: Geometry, iterations: int, k: int):
-    maps, geoms = [], []
-    cur = g
-    for _ in range(k):
-        dm, nxt = _undamped_step(cur, config.alpha, config.grid)
-        maps.append(dm)
-        geoms.append(cur)
-        cur = nxt
-    reports = []
-    for j in range(k):
-        # for j < k-1 the image geometry is geoms[j+1] itself, distance 0;
-        # the wrap-around distance is the cycle closure residual
-        resid_geom = geometry_distance(cur, geoms[0]) if j == k - 1 else 0.0
-        reports.append(FixedPointReport(
-            alpha=config.alpha,
-            depth=config.depth,
-            grid=config.grid,
-            t_star=maps[j].t,
-            geometry_star=geoms[j],
-            pure_star=maps[j].decomposition,
-            residual_geometry=resid_geom,
-            residual_peak=abs(peak_value_rho(maps[j]) - maps[j].t),
-            iterations=iterations,
-        ))
+def _cycle_reports(config: SolverConfig, maps, geoms, closure: float, iterations: int):
+    k = len(maps)
+    coincident = None
     if k > 1:
         diam = max(geometry_distance(geoms[i], geoms[j])
                    for i in range(k) for j in range(i + 1, k))
         diam += max(abs(maps[i].t - maps[j].t)
                     for i in range(k) for j in range(i + 1, k))
-        flag = bool(diam <= config.tol)
-        for rep in reports:
-            rep.coincident = flag
-    return reports
+        coincident = bool(diam <= config.tol)
+    # for j < k-1 the image geometry is geoms[j+1] itself, distance 0;
+    # the wrap-around distance is the cycle closure residual
+    return [FixedPointReport(
+        alpha=config.alpha,
+        depth=config.depth,
+        grid=config.grid,
+        t_star=maps[j].t,
+        geometry_star=geoms[j],
+        pure_star=maps[j].decomposition,
+        residual_geometry=closure if j == k - 1 else 0.0,
+        residual_peak=abs(peak_value_rho(maps[j]) - maps[j].t),
+        iterations=iterations,
+        coincident=coincident,
+    ) for j in range(k)]
 
 
 def find_fixed_point(config: SolverConfig,
                      initial_geometry: Geometry | None = None) -> FixedPointReport:
-    """Damped outer iteration for a truncation fixed point.
+    """Outer iteration on the geometry for a truncation fixed point.
 
     State is the geometry g: each pass solves the pure decomposition of g,
     re-solves the invariant peak value, takes the resulting dynamical
-    geometry, and blends it into g with the damping weight.  Convergence is
-    declared when the geometry movement plus the peak-value movement drops
-    below tol; the report is then rebuilt by one undamped pass from the
-    converged geometry, so its residuals are genuine certificates rather
-    than echoes of the stopping test.
+    geometry T(g), and blends it into g with the damping weight (1 by
+    default, the full step).  Convergence is declared when the geometry
+    movement plus the peak-value movement drops below tol.  The report is
+    the last pass's undamped step from the returned g: t* and the pure
+    decomposition come from it, residual_geometry is |T(g) - g| and
+    residual_peak is recomputed through peak_value_rho.
     """
-    g, iterations, _ = _outer_solve(config, 1, initial_geometry)
-    return _cycle_reports(config, g, iterations, 1)[0]
+    return _cycle_reports(config, *_outer_solve(config, 1, initial_geometry))[0]
 
 
 def find_periodic_orbit(config: SolverConfig, k: int,
                         initial_geometry: Geometry | None = None):
-    """Damped outer iteration on the k-fold renormalization step.
+    """Outer iteration on the k-fold renormalization step.
 
     Returns the cycle as k reports; the last one's residual_geometry is the
     closure defect of the cycle.  k = 1 reduces to find_fixed_point.  When
@@ -568,8 +567,7 @@ def find_periodic_orbit(config: SolverConfig, k: int,
     """
     if k < 1:
         raise ConfigError("orbit length k must be at least 1")
-    g, iterations, _ = _outer_solve(config, k, initial_geometry)
-    return _cycle_reports(config, g, iterations, k)
+    return _cycle_reports(config, *_outer_solve(config, k, initial_geometry))
 
 
 def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):

@@ -33,6 +33,9 @@ def test_validation_errors_exit_1(capsys):
     assert main(["fixed-point"]) == 1
     assert "--alpha is required" in capsys.readouterr().err
 
+    assert main(["fixed-point", "--alpha", "2", "--depth", "40"]) == 1
+    assert "GiB" in capsys.readouterr().err
+
 
 def test_nonconvergence_exits_2_with_trace(capsys):
     code = main(["fixed-point", "--alpha", "2", *FAST, "--max-iter", "1"])

@@ -38,6 +38,14 @@ def test_endpoints_are_fixed_exactly(rng):
         assert phi.evaluate(1.0) == 1.0
 
 
+def test_batched_evaluate_fixes_the_endpoints_exactly():
+    # the batched series misses +-1 by a few ulps on most profiles; evaluate pins them
+    for seed in range(20):
+        phi = random_profile(np.random.default_rng(seed))
+        assert phi.evaluate(np.array([-1.0, 1.0])).tolist() == [-1.0, 1.0]
+        assert phi.evaluate(phi.grid)[[0, -1]].tolist() == [-1.0, 1.0]
+
+
 def test_derivative_is_positive(rng):
     phi = random_profile(rng, scale=0.8)
     assert np.all(phi.derivative(XS) > 0.0)

@@ -1,4 +1,5 @@
-"""Property-based checks of the Newton inverse and the Chebyshev integration matrix."""
+"""Property-based checks of the Newton inverse, the Chebyshev integration
+matrix, zoom and the time-index order."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,22 @@ from numpy.polynomial import chebyshev
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from renormlab._cheb import integrate_coeffs  # noqa: E402
+from renormlab import DecompositionTimes, OrientedInterval  # noqa: E402
+from renormlab._cheb import integrate_coeffs, to_coeffs  # noqa: E402
+from renormlab.diffspace import linear_combination, zoom  # noqa: E402
+from renormlab.timetree import compare  # noqa: E402
 from support import random_profile  # noqa: E402
 
 # few, reproducible examples: these run in every tier-1 pass
 FEW = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 unit_points = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=40)
+
+intervals = st.builds(
+    lambda c, h, flag: OrientedInterval(c - h, c + h, flag),
+    st.floats(-0.5, 0.5), st.floats(1e-3, 0.5), st.sampled_from(["+", "-"]))
+
+words = st.text(alphabet="12", max_size=6)
 
 
 @FEW
@@ -41,3 +51,49 @@ def test_integrate_coeffs_matches_chebint(n, seed, scale):
     bound = 1e-14 * np.max(np.abs(c))
     assert np.max(np.abs(out - chebyshev.chebint(c, lbnd=-1))) <= bound
     assert abs(chebyshev.chebval(-1.0, out)) <= bound
+
+
+@FEW
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       box=intervals)
+def test_zoom_is_linear(seed, a, b, box):
+    rng = np.random.default_rng(seed)
+    phi, psi = random_profile(rng, scale=0.6), random_profile(rng, scale=0.6)
+    lhs = zoom(linear_combination(a, phi, b, psi), box).eta_values
+    rhs = linear_combination(a, zoom(phi, box), b, zoom(psi, box)).eta_values
+    size = abs(a) * phi.nonlinearity_norm + abs(b) * psi.nonlinearity_norm
+    assert np.max(np.abs(lhs - rhs)) <= 1e-14 * (1.0 + size)
+
+
+@FEW
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.6), box=intervals)
+def test_zoom_contracts_by_the_half_length(seed, scale, box):
+    phi = random_profile(np.random.default_rng(seed), scale=scale)
+    # sup of the interpolated nonlinearity over [-1, 1]: the max on a dense
+    # sample plus the largest dip between samples, spacing^2/8 * sup|eta''|,
+    # with sup|T_k''| = k^2 (k^2 - 1) / 3
+    c = to_coeffs(phi.eta_values)
+    k = np.arange(c.size, dtype=float)
+    dense = np.linspace(-1.0, 1.0, 20001)
+    slack = (2.0 / 20000) ** 2 / 8.0 * float(np.sum(np.abs(c) * k**2 * (k**2 - 1.0) / 3.0))
+    sup = float(np.max(np.abs(phi.eta_at(dense)))) + slack
+    assert zoom(phi, box).nonlinearity_norm <= box.half_length * sup + 1e-14
+
+
+@FEW
+@given(depth=st.integers(0, 7))
+def test_indices_descending_is_strictly_ordered(depth):
+    order = DecompositionTimes(depth).indices_descending()
+    assert len(set(order)) == len(order) == 2 ** (depth + 1) - 1
+    assert all(compare(a, b) == 1 for a, b in zip(order, order[1:]))
+
+
+@FEW
+@given(a=words, b=words, c=words)
+def test_compare_agrees_with_the_descending_order(a, b, c):
+    rank = {w: i for i, w in enumerate(DecompositionTimes(6).indices_descending())}
+    # earlier in the descending order means a later composition time
+    assert compare(a, b) == int(np.sign(rank[b] - rank[a]))
+    assert compare(a, b) == -compare(b, a)
+    if compare(a, b) > 0 and compare(b, c) > 0:
+        assert compare(a, c) > 0

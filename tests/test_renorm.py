@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from renormlab import renorm
 from renormlab.decompspace import (
     decomposition_distance,
     geometry_distance,
@@ -190,20 +191,53 @@ def test_solver_config_validation():
         SolverConfig(alpha=2.0, max_iter=0)
     with pytest.raises(ConfigError, match="damping"):
         SolverConfig(alpha=2.0, damping=1.5)
+    # the size guard is an estimate: nothing is allocated before it raises
+    with pytest.raises(ConfigError, match="GiB"):
+        SolverConfig(alpha=2.0, depth=40)
+    with pytest.raises(ConfigError, match="GiB"):
+        SolverConfig(alpha=2.0, grid=10**6)
+    SolverConfig(alpha=2.0, depth=10, grid=64)
+
+
+SMALL = SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    return find_fixed_point(SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8))
+    return find_fixed_point(SMALL)
 
 
 def test_fixed_point_small_depth(small_report):
     rep = small_report
     assert rep.residual_geometry <= 1e-8
     assert rep.residual_peak <= 1e-7
-    assert rep.iterations >= 1
+    # the default full step contracts fast; damping 0.5 took 28 passes here
+    assert SMALL.damping == 1.0
+    assert 1 <= rep.iterations <= 10
     assert 0.5 < rep.t_star < 1.0
     assert rep.geometry_star.contraction_factor < 1.0
+
+
+def test_half_damping_reaches_the_same_fixed_point(small_report):
+    rep = find_fixed_point(SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8, damping=0.5))
+    assert rep.residual_geometry <= 1e-8
+    assert abs(rep.t_star - small_report.t_star) <= 1e-9
+
+
+def test_reports_are_certified_by_the_last_pass(monkeypatch):
+    calls = []
+    step = renorm._undamped_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(renorm, "_undamped_step", counted)
+    rep = find_fixed_point(SMALL)
+    assert len(calls) == rep.iterations
+    calls.clear()
+    reports = find_periodic_orbit(SMALL, 2)
+    assert len(calls) == 2 * reports[0].iterations
 
 
 def test_fixed_point_is_dynamically_consistent(small_report):
@@ -237,7 +271,7 @@ def test_report_from_dict_maps_malformed_parts_to_config_error(small_report, cor
 
 
 def test_periodic_orbit_collapses_to_fixed_point(small_report):
-    reports = find_periodic_orbit(SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8), 2)
+    reports = find_periodic_orbit(SMALL, 2)
     assert len(reports) == 2
     assert reports[-1].residual_geometry <= 1e-8
     assert all(r.coincident for r in reports)
