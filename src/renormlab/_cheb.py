@@ -2,7 +2,14 @@
 
 Small cached kernels shared by the nonlinearity-space code.  Everything is
 plain numpy; per-size matrices are cached because the solvers reuse one or
-two grid sizes throughout a run.
+two grid sizes throughout a run.  Nothing here calls LAPACK.
+
+The row kernels take a stack of sample or coefficient vectors, one per row,
+and compute every row with the same operations in the same order whatever
+the stack's height: products go through ``rowdot`` (einsum), not BLAS,
+whose gemm and gemv round the same row differently.  A single profile and
+the same profile as one row of a decomposition's batch therefore get
+bitwise identical results.
 """
 
 from __future__ import annotations
@@ -11,10 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _C
-
-
-# interned grid arrays, by id; holds a strong reference so ids stay valid
-_GRID_IDS: dict = {}
 
 
 @lru_cache(maxsize=64)
@@ -26,7 +29,14 @@ def nodes(n: int) -> np.ndarray:
     x = 0.5 * (x - x[::-1])
     x[0], x[-1] = -1.0, 1.0
     x.setflags(write=False)
-    _GRID_IDS[id(x)] = ("lobatto", n, x)
+    return x
+
+
+@lru_cache(maxsize=64)
+def interior_nodes(n: int) -> np.ndarray:
+    """First-kind Chebyshev points, ascending; all strictly between grid nodes."""
+    x = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    x.setflags(write=False)
     return x
 
 
@@ -40,14 +50,28 @@ def bary_weights(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
-def _coeff_matrix(n: int) -> np.ndarray:
-    # Chebyshev-Vandermonde at Lobatto nodes is well conditioned, so a plain
-    # inverse is fine and makes values -> coefficients a single matvec.
-    v = _C.chebvander(nodes(n), n - 1)
-    m = np.linalg.inv(v)
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m = np.ascontiguousarray(m)
     m.setflags(write=False)
     return m
+
+
+@lru_cache(maxsize=64)
+def _coeff_matrix(n: int) -> np.ndarray:
+    # The discrete cosine transform (DCT-I) in closed form: with N = n - 1,
+    # c_j = (2/N) sum''_k f_k T_j(x_k), the double prime halving the k = 0 and
+    # k = N terms, and c_0, c_N halved once more.  T_j(x_k) = cos(pi j (N-k)/N)
+    # for ascending nodes; reducing j (N-k) mod 2N keeps the cosine argument
+    # small.
+    big = n - 1
+    j = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    m = (2.0 / big) * np.cos(np.pi * ((j * (big - k)) % (2 * big)) / big)
+    m[:, 0] *= 0.5
+    m[:, -1] *= 0.5
+    m[0] *= 0.5
+    m[-1] *= 0.5
+    return _frozen(m)
 
 
 def to_coeffs(values: np.ndarray) -> np.ndarray:
@@ -55,34 +79,11 @@ def to_coeffs(values: np.ndarray) -> np.ndarray:
     return _coeff_matrix(len(values)) @ values
 
 
-def resample(values: np.ndarray, x) -> np.ndarray | float:
-    """Barycentric interpolation of samples on nodes(len(values)) at x.
-
-    Anchored at values[0] so constant sample vectors are reproduced bitwise
-    (the quotient becomes 0/den exactly); power-of-two rescalings of the
-    samples rescale the output exactly as well.
-    """
-    xs = nodes(len(values))
-    w = bary_weights(len(values))
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    d = xv[:, None] - xs[None, :]
-    hit = d == 0.0
-    k = w / np.where(hit, 1.0, d)
-    anchor = values[0]
-    out = anchor + (k @ (values - anchor)) / k.sum(axis=1)
-    exact = hit.any(axis=1)
-    if exact.any():
-        out[exact] = values[hit.argmax(axis=1)[exact]]
-    return out[0] if np.ndim(x) == 0 else out
-
-
 @lru_cache(maxsize=64)
 def _integration_matrix(n: int) -> np.ndarray:
     # Chebyshev integration is linear in the coefficients: column j holds the
     # antiderivative of T_j vanishing at -1, so one product replaces chebint.
-    m = _C.chebint(np.eye(n), lbnd=-1)
-    m.setflags(write=False)
-    return m
+    return _frozen(_C.chebint(np.eye(n), lbnd=-1))
 
 
 def integrate_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -90,40 +91,99 @@ def integrate_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return _integration_matrix(len(coeffs)) @ coeffs
 
 
-@lru_cache(maxsize=256)
-def _grid_vander(kind: str, n: int, deg: int) -> np.ndarray:
-    pts = nodes(n) if kind == "lobatto" else interior_nodes(n)
-    v = _C.chebvander(pts, deg)
-    v.setflags(write=False)
-    return v
+@lru_cache(maxsize=64)
+def antiderivative_matrix(n: int) -> np.ndarray:
+    """Samples on nodes(n) -> coefficients of their antiderivative from -1, (n+1, n)."""
+    return _frozen(np.einsum("ij,jk->ik", _integration_matrix(n), _coeff_matrix(n)))
+
+
+def rowdot(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat.T for one vector or a stack of rows, each row bitwise as if alone."""
+    return np.einsum("...j,kj->...k", rows, mat)
+
+
+def _grid_points(n: int, which: str = "lobatto") -> np.ndarray:
+    """nodes(n), interior_nodes(n), or "both": the n nodes followed by the n interior points."""
+    if which == "lobatto":
+        return nodes(n)
+    if which == "interior":
+        return interior_nodes(n)
+    return np.concatenate([nodes(n), interior_nodes(n)])
+
+
+@lru_cache(maxsize=64)
+def _sample_matrix(n: int, terms: int, which: str) -> np.ndarray:
+    return _frozen(_C.chebvander(_grid_points(n, which), terms - 1))
+
+
+def on_grid(coeffs: np.ndarray, n: int, which: str = "lobatto") -> np.ndarray:
+    """Chebyshev series, one per row of coeffs, at _grid_points(n, which)."""
+    return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], which))
 
 
 def chebval(x, coeffs):
-    """Evaluate a Chebyshev series; hot paths are grids and small batches.
+    """Evaluate a Chebyshev series at arbitrary points.
 
-    Evaluation at one of the interned grids is a single product with a
-    cached Chebyshev-Vandermonde matrix.  Other small batches go through the
-    cosine form T_j(cos s) = cos(j s), again one matrix product instead of a
-    Python Clenshaw loop over the coefficients; points are clipped to
-    [-1, 1], and callers stay within roundoff slack of it, where the two
-    forms agree to machine precision.  Large arbitrary batches fall back to
-    Clenshaw, which touches each point only len(coeffs) times.
+    Small batches go through the cosine form T_j(cos s) = cos(j s), one
+    matrix product instead of a Python Clenshaw loop over the coefficients;
+    points are clipped to [-1, 1], and callers stay within roundoff slack of
+    it, where the two forms agree to machine precision.  Large batches fall
+    back to Clenshaw, which touches each point only len(coeffs) times.  For
+    the fixed grids use on_grid.
     """
     xa = np.asarray(x, dtype=float)
     c = np.asarray(coeffs, dtype=float)
-    tag = _GRID_IDS.get(id(xa))
-    if tag is not None and tag[2] is xa:
-        return _grid_vander(tag[0], tag[1], c.size - 1) @ c
     if xa.size <= 32:
-        s = np.arccos(np.clip(xa, -1.0, 1.0))
+        s = np.arccos(np.minimum(np.maximum(xa, -1.0), 1.0))
         return np.cos(np.multiply.outer(s, np.arange(c.size))) @ c
     return _C.chebval(xa, c)
 
 
+def resample_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation, row by row: values (r, n) on nodes(n) at x (r, p).
+
+    Anchored at each row's first sample so constant rows are reproduced
+    bitwise (the quotient becomes 0/den exactly); power-of-two rescalings of
+    a row rescale its output exactly as well.  Points on a grid node return
+    that node's sample.
+    """
+    n = values.shape[-1]
+    xs = nodes(n)
+    at = np.searchsorted(xs, x)
+    exact = xs.take(at, mode="clip") == x
+    d = x[..., None] - xs
+    hit = np.nonzero(exact) if exact.any() else None
+    if hit is not None:
+        d[hit + (at[hit],)] = 1.0
+    k = bary_weights(n) / d
+    anchor = values[:, :1]
+    # numerator and denominator sums in one product
+    terms = np.empty((values.shape[0], 2, n))
+    terms[:, 0] = values - anchor
+    terms[:, 1] = 1.0
+    sums = np.einsum("rpj,rcj->rcp", k, terms)
+    out = anchor + sums[:, 0] / sums[:, 1]
+    if hit is not None:
+        out[hit] = values[hit[0], at[hit]]
+    return out
+
+
+def resample(values: np.ndarray, x) -> np.ndarray | float:
+    """Barycentric interpolation of samples on nodes(len(values)) at x (resample_rows, one row)."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    out = resample_rows(np.asarray(values, dtype=float)[None, :], xv[None, :])[0]
+    return out[0] if np.ndim(x) == 0 else out
+
+
 @lru_cache(maxsize=64)
-def interior_nodes(n: int) -> np.ndarray:
-    """First-kind Chebyshev points, ascending; all strictly between grid nodes."""
-    x = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    x.setflags(write=False)
-    _GRID_IDS[id(x)] = ("first", n, x)
-    return x
+def _interior_resampler(n: int):
+    d = interior_nodes(n)[:, None] - nodes(n)
+    k = _frozen(bary_weights(n) / d)
+    return k, _frozen(k.sum(axis=1))
+
+
+def resample_interior(values: np.ndarray) -> np.ndarray:
+    """resample at interior_nodes(n), one row or a stack of rows, each row as if alone."""
+    k, ksum = _interior_resampler(values.shape[-1])
+    anchor = values[..., :1]
+    return anchor + rowdot(values - anchor, k) / ksum

@@ -15,6 +15,9 @@ therefore built exactly by one top-down pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 import numpy as np
 
 from . import timetree
@@ -22,15 +25,25 @@ from .diffspace import (
     NonlinearityProfile,
     OrientedInterval,
     branch_zoom,
-    compose,
-    identity_profile,
-    linear_combination,
-    zoom,
+    compose,  # noqa: F401 - re-exported as decompspace.compose
+    compose_step,
+    inner_side,
+    newton_inverse,
+    quad_rows,
+    zoom_rows,
 )
 from .errors import DepthMismatch, DomainError, GeometryError
 
 # Admissibility margin: every geometry interval must have half-length <= this.
 KAPPA_MARGIN = 0.95
+
+# Rows per batched step, which bounds its temporaries: the evaluation data,
+# the inner side of a compose fold, and the zooms of a renormalization step
+# (a zoom stack holds a few (rows, n, n) arrays, 0.25 MB each at 8 rows and
+# n = 64).
+_CACHE_ROWS = 64
+_COMPOSE_ROWS = 64
+_ZOOM_ROWS = 8
 
 
 def _full_tree_depth(n: int) -> int | None:
@@ -38,10 +51,24 @@ def _full_tree_depth(n: int) -> int | None:
     return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
 
 
-class Decomposition:
-    """A map from time indices to nonlinearity profiles on a shared grid."""
+@lru_cache(maxsize=64)
+def _row_of(depth: int) -> dict:
+    """Row of each index in a depth-d decomposition: descending time order."""
+    return {w: r for r, w in enumerate(timetree.DecompositionTimes(depth).indices_descending())}
 
-    __slots__ = ("times", "nodes")
+
+class Decomposition:
+    """A map from time indices to nonlinearity profiles on a shared grid.
+
+    The samples are one read-only (2^(depth+1) - 1, grid) array ``eta``, one
+    row per index in descending time order (times.indices_descending()),
+    the order of the composition fold, the pullback and the stored report.
+    ``nodes[w]`` is a NonlinearityProfile viewing row w; the evaluation data
+    of every row is built in one batch the first time a fold or pullback
+    needs it.
+    """
+
+    __slots__ = ("times", "eta", "nodes", "_quad")
 
     def __init__(self, times: timetree.DecompositionTimes, nodes: dict):
         paths = times.indices_descending()
@@ -50,8 +77,42 @@ class Decomposition:
         grid = nodes[timetree.ROOT].degree
         if any(nodes[w].degree != grid for w in paths):
             raise DomainError("decomposition nodes must share a grid degree")
+        self._adopt(times, np.array([nodes[w].eta_values for w in paths]))
+
+    @classmethod
+    def from_rows(cls, times: timetree.DecompositionTimes, eta) -> "Decomposition":
+        """A decomposition whose row r is the node at times.indices_descending()[r]."""
+        eta = np.array(eta, dtype=float)
+        if eta.ndim != 2 or eta.shape[0] != times.size or eta.shape[1] < 4:
+            raise DomainError(f"decomposition rows must form a ({times.size}, n >= 4) array")
+        if not np.all(np.isfinite(eta)):
+            raise DomainError("nonlinearity samples must be finite")
+        obj = object.__new__(cls)
+        obj._adopt(times, eta)
+        return obj
+
+    def _adopt(self, times, eta: np.ndarray):
+        eta.setflags(write=False)
         self.times = times
-        self.nodes = dict(nodes)
+        self.eta = eta
+        self.nodes = MappingProxyType(
+            {w: NonlinearityProfile._view(eta[r]) for w, r in _row_of(times.depth).items()})
+        self._quad = None
+
+    def _batch(self):
+        """Evaluation data of every row (diffspace.quad_rows), also handed to the nodes."""
+        if self._quad is None:
+            rows, quad = self.eta.shape[0], None
+            for start in range(0, rows, _CACHE_ROWS):
+                part = quad_rows(self.eta[start:start + _CACHE_ROWS])
+                if quad is None:
+                    quad = tuple(np.empty((rows,) + a.shape[1:]) for a in part)
+                for whole, a in zip(quad, part):
+                    whole[start:start + _CACHE_ROWS] = a
+            self._quad = quad
+            for w, r in _row_of(self.depth).items():
+                self.nodes[w]._quad = tuple(a[r] for a in self._quad)
+        return self._quad
 
     @property
     def depth(self) -> int:
@@ -59,20 +120,18 @@ class Decomposition:
 
     @property
     def grid(self) -> int:
-        return self.nodes[timetree.ROOT].degree
+        return self.eta.shape[1]
 
     def norm(self) -> float:
         """Sum over nodes of the per-node sup-norms."""
-        return float(sum(self.nodes[w].nonlinearity_norm for w in self.times.indices_descending()))
+        return float(sum(np.abs(self.eta).max(axis=1).tolist()))
 
     def to_dict(self, alpha: float) -> dict:
         return {
             "alpha": float(alpha),
             "depth": self.depth,
-            "nodes": [
-                {"path": w, "eta": [float(v) for v in self.nodes[w].eta_values]}
-                for w in self.times.indices_descending()
-            ],
+            "nodes": [{"path": w, "eta": row}
+                      for w, row in zip(self.times.indices_descending(), self.eta.tolist())],
         }
 
     @classmethod
@@ -94,8 +153,7 @@ class Decomposition:
 
 def identity_decomposition(depth: int, grid: int) -> Decomposition:
     times = timetree.DecompositionTimes(depth)
-    ident = identity_profile(grid)
-    return Decomposition(times, {w: ident for w in times.indices_descending()})
+    return Decomposition.from_rows(times, np.zeros((times.size, grid)))
 
 
 def decomposition_norm(dec: Decomposition) -> float:
@@ -107,31 +165,34 @@ def decomposition_distance(a: Decomposition, b: Decomposition) -> float:
         raise DepthMismatch(f"depths {a.depth} and {b.depth} differ")
     if a.grid != b.grid:
         raise DomainError("decompositions must share a grid degree")
-    return float(
-        sum(
-            np.max(np.abs(a.nodes[w].eta_values - b.nodes[w].eta_values))
-            for w in a.times.indices_descending()
-        )
-    )
+    return float(sum(np.abs(a.eta - b.eta).max(axis=1).tolist()))
 
 
 def decomposition_linear_combination(a: float, da: Decomposition,
                                      b: float, db: Decomposition) -> Decomposition:
     if da.depth != db.depth:
         raise DepthMismatch(f"depths {da.depth} and {db.depth} differ")
-    return Decomposition(
-        da.times,
-        {w: linear_combination(a, da.nodes[w], b, db.nodes[w])
-         for w in da.times.indices_descending()},
-    )
+    if da.grid != db.grid:
+        raise DomainError("profiles must share a grid degree")
+    return Decomposition.from_rows(da.times, a * da.eta + b * db.eta)
 
 
 def _compose_descending(dec: Decomposition, paths, check: bool) -> NonlinearityProfile:
-    # paths run in descending time order, so each later node goes innermost
-    result = dec.nodes[paths[0]]
-    for w in paths[1:]:
-        result = compose(result, dec.nodes[w], check=check)
-    return result
+    # paths run in descending time order, so each later node goes innermost.
+    # The inner side of every step comes from one batch per chunk; only the
+    # outer resample of the running result and its check stay sequential,
+    # which is bit for bit the fold of compose() over the same nodes.
+    row_of = _row_of(dec.depth)
+    rows = np.array([row_of[w] for w in paths])
+    quad = dec._batch()
+    result = dec.eta[rows[0]]
+    for start in range(1, rows.size, _COMPOSE_ROWS):
+        chunk = rows[start:start + _COMPOSE_ROWS]
+        inner = dec.eta[chunk]
+        u, d, h = inner_side(inner, [a[chunk] for a in quad])
+        for j in range(chunk.size):
+            result = compose_step(result, inner[j], u[j], d[j], h[j], check=check)
+    return NonlinearityProfile(result)
 
 
 def compose_all(dec: Decomposition, *, check: bool = True) -> NonlinearityProfile:
@@ -258,22 +319,47 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
     A single descending pass keeps the running preimages: visiting tau it
     first pulls both intervals back through the node at tau, then records
     them, so the value stored at tau is the preimage under the composition
-    of all nodes at or above tau.  The result is packaged as a geometry
-    with side_root = s1.
+    of all nodes at or above tau.  Each step is the node's own inverse, on
+    the evaluation data built for all nodes in one batch.  The result is
+    packaged as a geometry with side_root = s1.
     """
     if s2.flag != "-" or abs(s2.lo + s2.hi) > 1e-9:
         raise GeometryError("central interval must be symmetric with flag '-'")
     if s1.flag != "+" or not (0.0 < s1.lo and s1.hi < 1.0):
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
+    floor = dec._batch()[2]
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
-    out1, out2 = {}, {}
-    for w in dec.times.indices_descending():
-        ends = dec.nodes[w].inverse(ends)
+    paths = dec.times.indices_descending()
+    out = np.empty((len(paths), 4))
+    for r, w in enumerate(paths):
+        node = dec.nodes[w]
+        ends = newton_inverse(ends, node._eval, node._deriv, floor[r])
         if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
             raise GeometryError(f"pullback interval degenerates at index {w!r}")
-        out1[w] = OrientedInterval(float(ends[0]), float(ends[1]), "+")
-        out2[w] = OrientedInterval(float(ends[2]), float(ends[3]), "-")
+        out[r] = ends
+    out1, out2 = {}, {}
+    for w, (a, b, c, d) in zip(paths, out.tolist()):
+        out1[w] = OrientedInterval(a, b, "+")
+        out2[w] = OrientedInterval(c, d, "-")
     return Geometry(s1, out1, out2, dec.depth)
+
+
+def _zoom_children(out: np.ndarray, eta: np.ndarray, g: Geometry, paths,
+                   row_of: dict, new_row_of: dict):
+    """For w in paths, out[1w] = zoom(eta[w], g.s1[w]) and out[2w] = zoom(eta[w], g.s2[w]).
+
+    Rows are given by row_of for eta and new_row_of for out; the zooms run
+    _ZOOM_ROWS at a time.
+    """
+    src = [row_of[w] for w in paths] * 2
+    dst = [new_row_of["1" + w] for w in paths] + [new_row_of["2" + w] for w in paths]
+    boxes = [g.s1[w] for w in paths] + [g.s2[w] for w in paths]
+    for start in range(0, len(boxes), _ZOOM_ROWS):
+        part = slice(start, start + _ZOOM_ROWS)
+        out[dst[part]] = zoom_rows(
+            eta[src[part]], np.array([b.lo for b in boxes[part]]),
+            np.array([b.hi for b in boxes[part]]),
+            np.array([1.0 if b.flag == "+" else -1.0 for b in boxes[part]]))
 
 
 def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
@@ -283,19 +369,18 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     The new root is the zoomed folding branch over g.side_root; the node at
     w is zoomed into g.s1[w] and reinstalled at 1w, and into g.s2[w] at 2w.
     This raises the depth by one; with ``truncate`` the deepest level is
-    dropped again so depth is preserved.
+    dropped again so depth is preserved.  Each zoom equals diffspace.zoom
+    of the node bit for bit.
     """
     if g.depth != dec.depth:
         raise DepthMismatch(f"geometry depth {g.depth} differs from decomposition depth {dec.depth}")
-    new_depth = dec.depth if truncate else dec.depth + 1
-    times = timetree.DecompositionTimes(new_depth)
-    nodes = {timetree.ROOT: branch_zoom(alpha, g.side_root, dec.grid)}
-    for w in dec.times.indices_descending():
-        if truncate and len(w) == dec.depth:
-            continue
-        nodes["1" + w] = zoom(dec.nodes[w], g.s1[w])
-        nodes["2" + w] = zoom(dec.nodes[w], g.s2[w])
-    return Decomposition(times, nodes)
+    times = timetree.DecompositionTimes(dec.depth if truncate else dec.depth + 1)
+    new_row_of = _row_of(times.depth)
+    out = np.empty((times.size, dec.grid))
+    out[new_row_of[timetree.ROOT]] = branch_zoom(alpha, g.side_root, dec.grid).eta_values
+    paths = [w for w in dec.times.indices_descending() if len(w) < times.depth]
+    _zoom_children(out, dec.eta, g, paths, _row_of(dec.depth), new_row_of)
+    return Decomposition.from_rows(times, out)
 
 
 def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decomposition:
@@ -309,9 +394,9 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decompos
     if not g.contraction_factor < 1.0:
         raise GeometryError("geometry contraction factor must be below 1")
     times = timetree.DecompositionTimes(g.depth)
-    nodes = {timetree.ROOT: branch_zoom(alpha, g.side_root, grid)}
+    row_of = _row_of(g.depth)
+    out = np.empty((times.size, grid))
+    out[row_of[timetree.ROOT]] = branch_zoom(alpha, g.side_root, grid).eta_values
     for level in range(g.depth):
-        for w in times.level_indices(level):
-            nodes["1" + w] = zoom(nodes[w], g.s1[w])
-            nodes["2" + w] = zoom(nodes[w], g.s2[w])
-    return Decomposition(times, nodes)
+        _zoom_children(out, out, g, times.level_indices(level), row_of, row_of)
+    return Decomposition.from_rows(times, out)

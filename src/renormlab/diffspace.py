@@ -21,6 +21,7 @@ point; everything else in the package stays inside the diffeomorphisms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,87 @@ def _check_unit(x, what="argument"):
     return np.clip(xv, -1.0, 1.0)
 
 
+def quad_rows(eta: np.ndarray):
+    """Evaluation data of a stack of profiles, one per row of eta (r, n).
+
+    Returns (phi_c, logd_c, floor): Chebyshev coefficients of phi and of
+    log phi', and the rounding floor of phi(x) - y used by the inverse.
+    With I = int exp(int eta) from -1, phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1))
+    and log phi' = int eta + log(2 / (I(1) - I(-1))); both normalisations are
+    folded into the constant terms.  Every row is computed exactly as it
+    would be alone (see _cheb.rowdot), so a profile's own cache equals its
+    row of a decomposition's batch bit for bit.
+    """
+    n = eta.shape[-1]
+    # an overflow here is reported once, as the ResolutionError below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logd_c = _cheb.rowdot(eta, _cheb.antiderivative_matrix(n))
+        g = _cheb.on_grid(logd_c, 2 * n - 1)
+        np.exp(g, out=g)
+        i_c = _cheb.rowdot(g, _cheb.antiderivative_matrix(2 * n - 1))
+        ends = _cheb.on_grid(i_c, 2)  # I at -1 and 1
+        scale = 2.0 / (ends[:, 1] - ends[:, 0])
+        # rounding error of phi(x) - y: a few ulps of the summed series terms
+        floor = 4.0 * np.finfo(float).eps * (1.0 + scale * np.abs(i_c).sum(axis=-1))
+        phi_c = scale[:, None] * i_c
+        phi_c[:, 0] -= 1.0 + scale * ends[:, 0]
+        logd_c[:, 0] += np.log(scale)
+    bad = ~(np.isfinite(scale) & (scale > 0.0))
+    if bad.any():
+        raise ResolutionError(
+            f"exp(int eta) overflows: nonlinearity sup {float(np.max(np.abs(eta[bad]))):.3g} "
+            f"cannot be normalised at degree {n}")
+    return phi_c, logd_c, floor
+
+
+def newton_inverse(y: np.ndarray, f_of, df_of, floor: float) -> np.ndarray:
+    """x with f_of(x) = y for a 1-d y in [-1, 1], f increasing from -1 to 1.
+
+    The endpoints -1 and 1 are their own preimages.  Every other point
+    starts at y, keeps its own bracket, takes a Newton step when it lands
+    inside and bisects otherwise, and stops on its own, frozen from then on,
+    once its step is below 1e-15, its bracket below 4e-16 or its residual at
+    ``floor``.  Raises NonConvergence if 100 steps run out.  f and f' are
+    evaluated for all open points at once; the per-point bookkeeping runs on
+    Python floats, which costs less than array calls for the few points a
+    pullback carries and rounds exactly as they would.
+    """
+    x = y.tolist()
+    lo = [-1.0] * len(x)
+    hi = [1.0] * len(x)
+    todo = [i for i, v in enumerate(x) if abs(v) < 1.0]
+    for _ in range(100):
+        if not todo:
+            break
+        xa = np.array([x[i] for i in todo])
+        open_ = []
+        for i, f, d in zip(todo, (f_of(xa) - y[todo]).tolist(), df_of(xa).tolist()):
+            xi = x[i]
+            if f <= 0.0:
+                lo[i] = xi
+            if f >= 0.0:
+                hi[i] = xi
+            xn = xi - f / d if d else math.nan  # a zero slope bisects
+            if not lo[i] <= xn <= hi[i]:
+                xn = 0.5 * (lo[i] + hi[i])
+            x[i] = xn
+            if not (abs(xn - xi) <= 1e-15 or hi[i] - lo[i] <= 4e-16 or abs(f) <= floor):
+                open_.append(i)
+        todo = open_
+    if todo:
+        raise NonConvergence(
+            f"inverse did not converge in 100 Newton steps at {len(todo)} of {len(x)} "
+            f"points (widest bracket {max(hi[i] - lo[i] for i in todo):.1e})")
+    return np.array(x)
+
+
 class NonlinearityProfile:
     """A diffeomorphism of [-1, 1], stored as nonlinearity samples.
 
     The samples live on the Chebyshev-Lobatto grid with ``degree`` nodes.
-    Instances are immutable; evaluation data (antiderivative coefficients of
-    eta and of exp(int eta)) is built lazily on first use and cached.
+    Instances are immutable; evaluation data (quad_rows: the Chebyshev
+    coefficients of phi and of log phi') is built lazily on first use and
+    cached, or handed in by the decomposition whose row the profile views.
     """
 
     __slots__ = ("eta_values", "_quad")
@@ -64,6 +140,14 @@ class NonlinearityProfile:
         eta.setflags(write=False)
         self.eta_values = eta
         self._quad = None
+
+    @classmethod
+    def _view(cls, row: np.ndarray) -> "NonlinearityProfile":
+        # a read-only row of an array its owner has validated; no copy
+        obj = object.__new__(cls)
+        obj.eta_values = row
+        obj._quad = None
+        return obj
 
     @property
     def degree(self) -> int:
@@ -80,36 +164,20 @@ class NonlinearityProfile:
 
     def _cache(self):
         if self._quad is None:
-            # an overflow here is reported once, as the ResolutionError below
-            with np.errstate(over="ignore", invalid="ignore"):
-                eta_c = _cheb.to_coeffs(self.eta_values)
-                e_c = _cheb.integrate_coeffs(eta_c)
-                m = 2 * self.degree - 1
-                g = np.exp(_cheb.chebval(_cheb.nodes(m), e_c))
-                i_c = _cheb.integrate_coeffs(_cheb.to_coeffs(g))
-                i_lo = _cheb.chebval(-1.0, i_c)
-                span = _cheb.chebval(1.0, i_c) - i_lo
-            if not np.isfinite(span):
-                raise ResolutionError(
-                    f"exp(int eta) overflows: nonlinearity sup {self.nonlinearity_norm:.3g} "
-                    f"cannot be normalised at degree {self.degree}")
-            self._quad = (e_c, i_c, i_lo, span)
+            self._quad = tuple(a[0] for a in quad_rows(self.eta_values[None, :]))
         return self._quad
 
     def _eval(self, x):
-        _, i_c, i_lo, span = self._cache()
-        return -1.0 + 2.0 * (_cheb.chebval(x, i_c) - i_lo) / span
+        return _cheb.chebval(x, self._cache()[0])
 
     def _deriv(self, x):
-        e_c, _, _, span = self._cache()
-        return 2.0 * np.exp(_cheb.chebval(x, e_c)) / span
+        return np.exp(_cheb.chebval(x, self._cache()[1]))
 
     def evaluate(self, x):
         """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1."""
         xv = _check_unit(x)
-        y = self._eval(xv)
-        # the batched series can miss +-1 by a few ulps; the scalar path is exact
-        return np.where(np.abs(xv) == 1.0, xv, y) if np.ndim(y) else y
+        # the series can miss +-1 by a few ulps
+        return np.where(np.abs(xv) == 1.0, xv, self._eval(xv))[()]
 
     def derivative(self, x):
         """phi'(x); strictly positive."""
@@ -120,43 +188,16 @@ class NonlinearityProfile:
         return _cheb.resample(self.eta_values, x)
 
     def inverse(self, y):
-        """phi^{-1}(y) by a bracketed Newton iteration; scalar or array y.
+        """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
 
-        Each point keeps its own bracket and stops on its own, frozen from
-        then on, once its step is below 1e-15, its bracket below 4e-16 or its
-        residual at the rounding floor of the evaluation.  Raises
-        NonConvergence if the iteration budget runs out.
+        Raises NonConvergence if the iteration budget runs out.
         """
         yv = _check_unit(y, "inverse argument")
-        arr = np.atleast_1d(yv)
-        lo = np.full_like(arr, -1.0)
-        hi = np.full_like(arr, 1.0)
-        x = arr.copy()
-        _, i_c, _, span = self._cache()
-        # rounding error of phi(x) - y: a few ulps of the summed series terms
-        floor = 4.0 * np.finfo(float).eps * (1.0 + 2.0 * float(np.sum(np.abs(i_c))) / span)
-        todo = np.arange(arr.size)
-        for _ in range(100):
-            xa = x[todo]
-            f = self._eval(xa) - arr[todo]
-            la = np.where(f <= 0.0, xa, lo[todo])
-            ha = np.where(f >= 0.0, xa, hi[todo])
-            xn = xa - f / self._deriv(xa)
-            inside = (la <= xn) & (xn <= ha)
-            xn = np.where(inside, xn, 0.5 * (la + ha))
-            x[todo], lo[todo], hi[todo] = xn, la, ha
-            done = (np.abs(xn - xa) <= 1e-15) | (ha - la <= 4e-16) | (np.abs(f) <= floor)
-            todo = todo[~done]
-            if todo.size == 0:
-                break
-        else:
-            raise NonConvergence(
-                f"inverse did not converge in 100 Newton steps at {todo.size} of {arr.size} "
-                f"points (widest bracket {float(np.max(hi[todo] - lo[todo])):.1e})")
+        x = newton_inverse(np.atleast_1d(yv), self._eval, self._deriv, self._cache()[2])
         return x[0] if np.ndim(yv) == 0 else x
 
     def to_dict(self) -> dict:
-        return {"degree": self.degree, "eta": [float(v) for v in self.eta_values]}
+        return {"degree": self.degree, "eta": self.eta_values.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonlinearityProfile":
@@ -187,6 +228,34 @@ def linear_combination(a: float, phi: NonlinearityProfile,
     return NonlinearityProfile(a * phi.eta_values + b * psi.eta_values)
 
 
+def inner_side(eta: np.ndarray, quad):
+    """The inner-node half of compose for a stack of inner profiles.
+
+    For each row: u, the inner map at the grid nodes followed by the interior
+    points (r, 2n); d, its derivative there (r, 2n); and h, its nonlinearity
+    at the interior points (r, n).  None of it depends on the outer map.
+    """
+    n = eta.shape[-1]
+    u = _cheb.on_grid(quad[0], n, "both")
+    d = np.exp(_cheb.on_grid(quad[1], n, "both"))
+    return u, d, _cheb.resample_interior(eta)
+
+
+def compose_step(outer_eta: np.ndarray, inner_eta: np.ndarray, u, d, h, *,
+                 check: bool = True, resolution_rtol: float = RESOLUTION_RTOL) -> np.ndarray:
+    """Samples of outer o inner from the inner side (u, d, h) of inner_side."""
+    n = inner_eta.size
+    if not check:
+        return _cheb.resample_rows(outer_eta[None, :], u[None, :n])[0] * d[:n] + inner_eta
+    ov = _cheb.resample_rows(outer_eta[None, :], u[None, :])[0]
+    eta = ov[:n] * d[:n] + inner_eta
+    resid = float(np.maximum.reduce(np.abs(ov[n:] * d[n:] + h - _cheb.resample_interior(eta))))
+    if resid > resolution_rtol * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
+        raise ResolutionError(
+            f"composition residual {resid:.3e} exceeds grid resolution at degree {n}")
+    return eta
+
+
 def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
             check: bool = True, resolution_rtol: float = RESOLUTION_RTOL) -> NonlinearityProfile:
     """The composition outer o inner, resampled onto the shared grid.
@@ -198,17 +267,9 @@ def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
     """
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
-    x = inner.grid
-    eta = outer.eta_at(inner._eval(x)) * inner._deriv(x) + inner.eta_values
-    prof = NonlinearityProfile(eta)
-    if check:
-        z = _cheb.interior_nodes(inner.degree)
-        direct = outer.eta_at(inner._eval(z)) * inner._deriv(z) + inner.eta_at(z)
-        resid = float(np.max(np.abs(direct - prof.eta_at(z))))
-        if resid > resolution_rtol * (1.0 + float(np.max(np.abs(eta)))):
-            raise ResolutionError(
-                f"composition residual {resid:.3e} exceeds grid resolution at degree {inner.degree}")
-    return prof
+    u, d, h = inner_side(inner.eta_values[None, :], [a[None] for a in inner._cache()])
+    return NonlinearityProfile(compose_step(outer.eta_values, inner.eta_values, u[0], d[0], h[0],
+                                            check=check, resolution_rtol=resolution_rtol))
 
 
 @dataclass(frozen=True)
@@ -261,6 +322,13 @@ class OrientedInterval:
         return cls(float(data["lo"]), float(data["hi"]), str(data["flag"]))
 
 
+def zoom_rows(eta: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """zoom for a stack of profiles, row r into [lo[r], hi[r]] with flag sign[r] (+1 or -1)."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + (sign * half)[:, None] * _cheb.nodes(eta.shape[-1])
+    return (sign * half)[:, None] * _cheb.resample_rows(eta, x)
+
+
 def zoom(phi: NonlinearityProfile, interval: OrientedInterval) -> NonlinearityProfile:
     """Rescale phi restricted to the interval back to [-1, 1].
 
@@ -273,8 +341,8 @@ def zoom(phi: NonlinearityProfile, interval: OrientedInterval) -> NonlinearityPr
     contracts by exactly the half-length factor.
     """
     sign = 1.0 if interval.flag == "+" else -1.0
-    return NonlinearityProfile(
-        sign * interval.half_length * _cheb.resample(phi.eta_values, interval.identify(phi.grid)))
+    return NonlinearityProfile(zoom_rows(phi.eta_values[None, :], np.array([interval.lo]),
+                                         np.array([interval.hi]), np.array([sign]))[0])
 
 
 def branch_zoom(alpha: float, s1: OrientedInterval, degree: int = DEFAULT_DEGREE) -> NonlinearityProfile:

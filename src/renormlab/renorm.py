@@ -15,7 +15,6 @@ renormalization operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +85,26 @@ def observed_eval(f: DecomposedMap, x):
     return f.observed.evaluate(f.fold.evaluate(x))
 
 
+def _bisect_down(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Lockstep bisection for the roots of the decreasing g on the brackets [lo, hi]."""
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _observed_map(obs: NonlinearityProfile, alpha: float, t: np.ndarray):
+    """x -> Phi(q_t(x)) on (0, 1], one column per fold level t."""
+    return lambda x: obs._eval(-2.0 * t * np.exp(alpha * np.log(x)) + (2.0 * t - 1.0))
+
+
+def _side_point(f_at, p: np.ndarray) -> np.ndarray:
+    """b in (p, 1) with f(b) = -p, one per fold level."""
+    return _bisect_down(lambda x: f_at(x) + p, p.copy(), np.ones_like(p))
+
+
 def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray):
     """Peak image, map fixed point and side point for an array of fold levels.
 
@@ -96,26 +115,9 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
     """
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
     f0 = obs._eval(2.0 * t - 1.0)
-
-    def f_at(x):
-        return obs._eval(-2.0 * t * np.exp(alpha * np.log(x)) + (2.0 * t - 1.0))
-
-    lo, hi = np.zeros_like(t), np.ones_like(t)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = f_at(mid) - mid > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    p = 0.5 * (lo + hi)
-
-    lo, hi = p.copy(), np.ones_like(t)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = f_at(mid) + p > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    b = 0.5 * (lo + hi)
-    return f0, p, b
+    f_at = _observed_map(obs, alpha, t)
+    p = _bisect_down(lambda x: f_at(x) - x, np.zeros_like(t), np.ones_like(t))
+    return f0, p, _side_point(f_at, p)
 
 
 def _checked_structure(f: DecomposedMap):
@@ -135,16 +137,8 @@ def side_interval(f: DecomposedMap, p: float):
     """(b, S1, S2): b solves f(b) = -p; S1 = [p,b] flag +, S2 = [-p,p] flag -."""
     if not 0.0 < p < 1.0:
         raise NoSideInterval(f"fixed point {p} leaves no room for a side interval")
-    obs, alpha, t = f.observed, f.alpha, f.t
-    lo, hi = p, 1.0
-    for _ in range(_BISECT_STEPS + 12):
-        mid = 0.5 * (lo + hi)
-        val = float(obs._eval(-2.0 * t * math.exp(alpha * math.log(mid)) + (2.0 * t - 1.0)))
-        if val + p > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
+    t = np.array([f.t])
+    b = float(_side_point(_observed_map(f.observed, f.alpha, t), np.array([float(p)]))[0])
     return b, OrientedInterval(p, b, "+"), OrientedInterval(-p, p, "-")
 
 
@@ -154,13 +148,24 @@ def is_renormalizable(f: DecomposedMap) -> bool:
     return bool(p <= f0 <= b)
 
 
+def _rescaled_peak(t, l, r):
+    """rho = (q_t(0) - l)/(r - l), [l, r] the preimage of the side interval.
+
+    Scalars or arrays; raises DomainError unless every rho lies in [0, 1]
+    up to 1e-9.
+    """
+    rho = (2.0 * t - 1.0 - l) / (r - l)
+    flat = np.atleast_1d(rho)
+    bad = ~((flat >= -1e-9) & (flat <= 1.0 + 1e-9))
+    if bad.any():
+        raise DomainError(f"rescaled peak value {float(flat[bad][0]):.6f} falls outside [0, 1]")
+    return rho
+
+
 def _rho_from(geom: Geometry, f: DecomposedMap) -> float:
     # innermost recorded s1 pullback = full preimage of S1 under the composition
     inner = geom.s1["1" * f.decomposition.depth]
-    rho = (f.fold.peak - inner.lo) / (inner.hi - inner.lo)
-    if not -1e-9 <= rho <= 1.0 + 1e-9:
-        raise DomainError(f"rescaled peak value {rho:.6f} falls outside [0, 1]")
-    return min(max(rho, 0.0), 1.0)
+    return min(max(_rescaled_peak(f.t, inner.lo, inner.hi), 0.0), 1.0)
 
 
 def peak_value_rho(f: DecomposedMap) -> float:
@@ -172,10 +177,7 @@ def peak_value_rho(f: DecomposedMap) -> float:
     """
     f0, p, b = _checked_structure(f)
     ends = f.observed.inverse(np.array([p, b]))
-    rho = (f.fold.peak - float(ends[0])) / (float(ends[1]) - float(ends[0]))
-    if not -1e-9 <= rho <= 1.0 + 1e-9:
-        raise DomainError(f"rescaled peak value {rho:.6f} falls outside [0, 1]")
-    return min(max(rho, 0.0), 1.0)
+    return min(max(_rescaled_peak(f.t, float(ends[0]), float(ends[1])), 0.0), 1.0)
 
 
 def dynamical_geometry(f: DecomposedMap) -> Geometry:
@@ -347,13 +349,12 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float, *,
     ts, p, b, mask = _scan_window(obs, alpha, scan_step)
     idx = np.flatnonzero(mask)
     ends = obs.inverse(np.concatenate([p[idx], b[idx]]))
-    l, r = ends[:idx.size], ends[idx.size:]
-    gap = (2.0 * ts[idx] - 1.0 - l) / (r - l) - ts[idx]
+    gap = _rescaled_peak(ts[idx], ends[:idx.size], ends[idx.size:]) - ts[idx]
 
     def gap_at(t):
         f0s, ps, bs = _side_structure(obs, alpha, np.array([t]))
         e = obs.inverse(np.array([float(ps[0]), float(bs[0])]))
-        return (2.0 * t - 1.0 - float(e[0])) / (float(e[1]) - float(e[0])) - t
+        return _rescaled_peak(t, float(e[0]), float(e[1])) - t
 
     adjacent = (np.diff(idx) == 1) & (gap[:-1] * gap[1:] <= 0.0)
     cross = np.flatnonzero(adjacent)
@@ -609,12 +610,9 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int, *,
     """
     rng = np.random.default_rng(seed)
     times = timetree.DecompositionTimes(depth)
-    x = _cheb.nodes(grid)
     decay = 0.6 ** np.arange(8)
-    nodes = {}
-    for w in times.indices_descending():
-        coeffs = rng.standard_normal(8) * decay * (scale * 0.45 ** len(w))
-        nodes[w] = NonlinearityProfile(_cheb.chebval(x, coeffs))
-    dec = Decomposition(times, nodes)
+    coeffs = np.array([rng.standard_normal(8) * decay * (scale * 0.45 ** len(w))
+                       for w in times.indices_descending()])
+    dec = Decomposition.from_rows(times, _cheb.on_grid(coeffs, grid))
     obs = compose_all(dec)
     return DecomposedMap(dec, _solve_peak(obs, alpha), alpha, observed=obs)

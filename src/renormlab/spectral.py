@@ -129,20 +129,16 @@ def cascade_orbit_scaling(alpha: float, m: int) -> list:
     return [abs(d[i + 1] / d[i]) for i in range(len(d) - 1)]
 
 
-def _pack(dec, t: float, order) -> np.ndarray:
-    parts = [dec.nodes[w].eta_values for w in order]
-    parts.append(np.array([t]))
-    return np.concatenate(parts)
+def _pack(dec, t: float) -> np.ndarray:
+    # the rows in descending time order, then the peak value
+    return np.concatenate([dec.eta.ravel(), [t]])
 
 
-def _unpack(vec: np.ndarray, template, order):
+def _unpack(vec: np.ndarray, template):
     from .decompspace import Decomposition
-    from .diffspace import NonlinearityProfile
 
-    n = template.grid
-    nodes = {w: NonlinearityProfile(vec[i * n:(i + 1) * n])
-             for i, w in enumerate(order)}
-    return Decomposition(template.times, nodes), float(vec[-1])
+    return (Decomposition.from_rows(template.times, vec[:-1].reshape(template.eta.shape)),
+            float(vec[-1]))
 
 
 def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
@@ -156,13 +152,12 @@ def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
     is contracting; the trace of quotients rides along on failure.
     """
     alpha = report.alpha
-    order = report.pure_star.times.indices_descending()
-    x0 = _pack(report.pure_star, report.t_star, order)
+    x0 = _pack(report.pure_star, report.t_star)
 
     def step(vec):
-        dec, t = _unpack(vec, report.pure_star, order)
+        dec, t = _unpack(vec, report.pure_star)
         out = renormalize(DecomposedMap(dec, t, alpha)).renormalized
-        return _pack(out.decomposition, out.t, order)
+        return _pack(out.decomposition, out.t)
 
     f0 = step(x0)
     v = np.zeros_like(x0)
@@ -171,11 +166,12 @@ def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
     trace = []
     for _ in range(max_iter):
         jv = (step(x0 + eps * v) - f0) / eps
-        lam = float(v @ jv)
+        # einsum, not BLAS: a threaded BLAS dot splits its sum by thread count
+        lam = float(np.einsum("i,i->", v, jv))
         trace.append(lam)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return lam
-        norm = float(np.linalg.norm(jv))
+        norm = float(np.sqrt(np.einsum("i,i->", jv, jv)))
         if norm == 0.0:
             raise NonConvergence(
                 "differential annihilated the probe direction", tuple(trace))

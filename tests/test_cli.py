@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -73,6 +74,24 @@ def test_fixed_point_output_is_deterministic(report_file, tmp_path):
     again = tmp_path / "again.json"
     assert main(["fixed-point", "--alpha", "2", *FAST, "--out", str(again)]) == 0
     assert again.read_bytes() == report_file.read_bytes()
+
+
+def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at depth 7 the spectrum's 16k-long probe vectors are past the size at
+    # which OpenBLAS splits a dot product across threads
+    outputs = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"fp-threads{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        runs = [["fixed-point", "--alpha", "2", "--depth", "7", "--out", str(report)],
+                ["spectrum", "--alpha", "2", "--in", str(report)]]
+        for args in runs:
+            proc = subprocess.run([sys.executable, "-m", "renormlab.cli", *args],
+                                  capture_output=True, text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        outputs.append(report.read_bytes())
+    assert outputs[:3] == outputs[3:]
 
 
 def test_orbit_length_one_matches_fixed_point(report_file, tmp_path):

@@ -1,5 +1,7 @@
 """Tree-indexed decompositions, geometries, and the pure-decomposition operator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,31 @@ def test_serialization_round_trip(rng):
     assert decomposition_distance(back, dec) == 0.0
     for w in dec.times.indices_descending():
         assert np.array_equal(back.nodes[w].eta_values, dec.nodes[w].eta_values)
+
+
+def test_serialization_round_trip_is_byte_identical(rng):
+    data = json.dumps(random_decomposition(rng, 3).to_dict(alpha=2.0))
+    assert json.dumps(Decomposition.from_dict(json.loads(data)).to_dict(alpha=2.0)) == data
+
+
+def test_nodes_are_read_only_views_of_the_rows(rng):
+    dec = random_decomposition(rng, 3)
+    assert dec.eta.shape == (15, 64) and not dec.eta.flags.writeable
+    for r, w in enumerate(dec.times.indices_descending()):
+        row = dec.nodes[w].eta_values
+        assert np.shares_memory(row, dec.eta) and np.array_equal(row, dec.eta[r])
+        assert not row.flags.writeable
+    with pytest.raises(TypeError):
+        dec.nodes[ROOT] = dec.nodes["1"]
+
+
+def test_node_cache_alone_equals_its_row_of_the_batch(rng):
+    dec = random_decomposition(rng, 8)
+    compose_all(dec)  # builds the evaluation data of all 511 rows in one batch
+    for w in ("", "1", "2", "21", "1212", "2" * 8, "1" * 8, "12211221"):
+        alone = NonlinearityProfile(dec.nodes[w].eta_values)._cache()
+        for mine, batched in zip(alone, dec.nodes[w]._cache()):
+            assert np.array_equal(mine, batched), w
 
 
 def test_decomposition_from_dict_refuses_a_node_count_off_the_depth():
@@ -252,6 +279,18 @@ def test_pullback_matches_partial_compositions(rng):
         img2 = phi.evaluate(np.array([g.s2[w].lo, g.s2[w].hi]))
         assert np.max(np.abs(img1 - [s1.lo, s1.hi])) < 1e-9
         assert np.max(np.abs(img2 - [s2.lo, s2.hi])) < 1e-9
+
+
+def test_pullback_equals_the_chain_of_node_inverses(rng):
+    dec = random_decomposition(rng, 4)
+    s1 = OrientedInterval(0.35, 0.8, "+")
+    s2 = OrientedInterval(-0.35, 0.35, "-")
+    g = pullback_intervals(dec, s1, s2)
+    ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
+    for w in dec.times.indices_descending():
+        # a fresh profile builds its own evaluation data, not the batch's
+        ends = NonlinearityProfile(dec.nodes[w].eta_values).inverse(ends)
+        assert [g.s1[w].lo, g.s1[w].hi, g.s2[w].lo, g.s2[w].hi] == ends.tolist(), w
 
 
 def test_pullback_validation():

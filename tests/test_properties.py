@@ -1,5 +1,5 @@
 """Property-based checks of the Newton inverse, the Chebyshev integration
-matrix, zoom and the time-index order."""
+matrix, zoom, composition and the time-index order."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from renormlab import DecompositionTimes, OrientedInterval  # noqa: E402
 from renormlab._cheb import integrate_coeffs, to_coeffs  # noqa: E402
-from renormlab.diffspace import linear_combination, zoom  # noqa: E402
+from renormlab.diffspace import RESOLUTION_RTOL, compose, linear_combination, zoom  # noqa: E402
 from renormlab.timetree import compare  # noqa: E402
 from support import random_profile  # noqa: E402
 
@@ -78,6 +78,19 @@ def test_zoom_contracts_by_the_half_length(seed, scale, box):
     slack = (2.0 / 20000) ** 2 / 8.0 * float(np.sum(np.abs(c) * k**2 * (k**2 - 1.0) / 3.0))
     sup = float(np.max(np.abs(phi.eta_at(dense)))) + slack
     assert zoom(phi, box).nonlinearity_norm <= box.half_length * sup + 1e-14
+
+
+@FEW
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.4))
+def test_compose_is_associative_up_to_the_resolution_check(seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_profile(rng, scale=scale) for _ in range(3))
+    left = compose(compose(a, b), c).eta_values
+    right = compose(a, compose(b, c)).eta_values
+    # each side passed the resolution check, which bounds the resampling
+    # defect of a composition by RESOLUTION_RTOL (1 + its sup)
+    size = 1.0 + max(np.max(np.abs(left)), np.max(np.abs(right)))
+    assert np.max(np.abs(left - right)) <= 2.0 * RESOLUTION_RTOL * size
 
 
 @FEW
