@@ -102,23 +102,19 @@ def rowdot(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("...j,kj->...k", rows, mat)
 
 
-def _grid_points(n: int, which: str = "lobatto") -> np.ndarray:
-    """nodes(n), interior_nodes(n), or "both": the n nodes followed by the n interior points."""
-    if which == "lobatto":
-        return nodes(n)
-    if which == "interior":
-        return interior_nodes(n)
-    return np.concatenate([nodes(n), interior_nodes(n)])
+def _grid_points(n: int, interior: bool) -> np.ndarray:
+    """nodes(n), followed by interior_nodes(n) when interior is set."""
+    return np.concatenate([nodes(n), interior_nodes(n)]) if interior else nodes(n)
 
 
 @lru_cache(maxsize=64)
-def _sample_matrix(n: int, terms: int, which: str) -> np.ndarray:
-    return _frozen(_C.chebvander(_grid_points(n, which), terms - 1))
+def _sample_matrix(n: int, terms: int, interior: bool) -> np.ndarray:
+    return _frozen(_C.chebvander(_grid_points(n, interior), terms - 1))
 
 
-def on_grid(coeffs: np.ndarray, n: int, which: str = "lobatto") -> np.ndarray:
-    """Chebyshev series, one per row of coeffs, at _grid_points(n, which)."""
-    return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], which))
+def on_grid(coeffs: np.ndarray, n: int, interior: bool = False) -> np.ndarray:
+    """Chebyshev series, one per row of coeffs, at _grid_points(n, interior)."""
+    return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], interior))
 
 
 def chebval(x, coeffs):
@@ -142,6 +138,8 @@ def chebval(x, coeffs):
 def resample_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Barycentric interpolation, row by row: values (r, n) on nodes(n) at x (r, p).
 
+    x may also be (1, p), points shared by every row; the weights are then
+    built once, and each row's result is the same as with its own copy.
     Anchored at each row's first sample so constant rows are reproduced
     bitwise (the quotient becomes 0/den exactly); power-of-two rescalings of
     a row rescale its output exactly as well.  Points on a grid node return
@@ -164,7 +162,8 @@ def resample_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     sums = np.einsum("rpj,rcj->rcp", k, terms)
     out = anchor + sums[:, 0] / sums[:, 1]
     if hit is not None:
-        out[hit] = values[hit[0], at[hit]]
+        hit = np.nonzero(np.broadcast_to(exact, out.shape))
+        out[hit] = values[hit[0], np.broadcast_to(at, out.shape)[hit]]
     return out
 
 
@@ -173,17 +172,3 @@ def resample(values: np.ndarray, x) -> np.ndarray | float:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = resample_rows(np.asarray(values, dtype=float)[None, :], xv[None, :])[0]
     return out[0] if np.ndim(x) == 0 else out
-
-
-@lru_cache(maxsize=64)
-def _interior_resampler(n: int):
-    d = interior_nodes(n)[:, None] - nodes(n)
-    k = _frozen(bary_weights(n) / d)
-    return k, _frozen(k.sum(axis=1))
-
-
-def resample_interior(values: np.ndarray) -> np.ndarray:
-    """resample at interior_nodes(n), one row or a stack of rows, each row as if alone."""
-    k, ksum = _interior_resampler(values.shape[-1])
-    anchor = values[..., :1]
-    return anchor + rowdot(values - anchor, k) / ksum

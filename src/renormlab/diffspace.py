@@ -21,7 +21,6 @@ point; everything else in the package stays inside the diffeomorphisms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,38 +85,34 @@ def newton_inverse(y: np.ndarray, f_of, df_of, floor: float) -> np.ndarray:
     starts at y, keeps its own bracket, takes a Newton step when it lands
     inside and bisects otherwise, and stops on its own, frozen from then on,
     once its step is below 1e-15, its bracket below 4e-16 or its residual at
-    ``floor``.  Raises NonConvergence if 100 steps run out.  f and f' are
-    evaluated for all open points at once; the per-point bookkeeping runs on
-    Python floats, which costs less than array calls for the few points a
-    pullback carries and rounds exactly as they would.
+    ``floor``.  Raises NonConvergence if 100 steps run out.
     """
-    x = y.tolist()
-    lo = [-1.0] * len(x)
-    hi = [1.0] * len(x)
-    todo = [i for i, v in enumerate(x) if abs(v) < 1.0]
-    for _ in range(100):
-        if not todo:
-            break
-        xa = np.array([x[i] for i in todo])
-        open_ = []
-        for i, f, d in zip(todo, (f_of(xa) - y[todo]).tolist(), df_of(xa).tolist()):
-            xi = x[i]
-            if f <= 0.0:
-                lo[i] = xi
-            if f >= 0.0:
-                hi[i] = xi
-            xn = xi - f / d if d else math.nan  # a zero slope bisects
-            if not lo[i] <= xn <= hi[i]:
-                xn = 0.5 * (lo[i] + hi[i])
-            x[i] = xn
-            if not (abs(xn - xi) <= 1e-15 or hi[i] - lo[i] <= 4e-16 or abs(f) <= floor):
-                open_.append(i)
-        todo = open_
-    if todo:
-        raise NonConvergence(
-            f"inverse did not converge in 100 Newton steps at {len(todo)} of {len(x)} "
-            f"points (widest bracket {max(hi[i] - lo[i] for i in todo):.1e})")
-    return np.array(x)
+    x = y.copy()
+    idx = np.flatnonzero(np.abs(y) < 1.0)
+    # the open points, compacted; a point leaves only when it stops
+    xa, ya = x[idx], y[idx]
+    lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
+    # a zero slope gives an inf or nan Newton step, which bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if idx.size == 0:
+                return x
+            f = f_of(xa) - ya
+            lo = np.where(f <= 0.0, xa, lo)
+            hi = np.where(f >= 0.0, xa, hi)
+            xn = xa - f / df_of(xa)
+            xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+            done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
+            xa = xn
+            if done.any():
+                x[idx[done]] = xn[done]
+                keep = ~done
+                idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
+    if idx.size == 0:
+        return x
+    raise NonConvergence(
+        f"inverse did not converge in 100 Newton steps at {idx.size} of {y.size} "
+        f"points (widest bracket {float(np.max(hi - lo)):.1e})")
 
 
 class NonlinearityProfile:
@@ -236,23 +231,24 @@ def inner_side(eta: np.ndarray, quad):
     at the interior points (r, n).  None of it depends on the outer map.
     """
     n = eta.shape[-1]
-    u = _cheb.on_grid(quad[0], n, "both")
-    d = np.exp(_cheb.on_grid(quad[1], n, "both"))
-    return u, d, _cheb.resample_interior(eta)
+    u = _cheb.on_grid(quad[0], n, interior=True)
+    d = np.exp(_cheb.on_grid(quad[1], n, interior=True))
+    return u, d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
 
 
 def compose_step(outer_eta: np.ndarray, inner_eta: np.ndarray, u, d, h, *,
                  check: bool = True, resolution_rtol: float = RESOLUTION_RTOL) -> np.ndarray:
     """Samples of outer o inner from the inner side (u, d, h) of inner_side."""
     n = inner_eta.size
-    if not check:
-        return _cheb.resample_rows(outer_eta[None, :], u[None, :n])[0] * d[:n] + inner_eta
     ov = _cheb.resample_rows(outer_eta[None, :], u[None, :])[0]
     eta = ov[:n] * d[:n] + inner_eta
-    resid = float(np.maximum.reduce(np.abs(ov[n:] * d[n:] + h - _cheb.resample_interior(eta))))
-    if resid > resolution_rtol * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
-        raise ResolutionError(
-            f"composition residual {resid:.3e} exceeds grid resolution at degree {n}")
+    if check:
+        direct = ov[n:] * d[n:] + h
+        interp = _cheb.resample_rows(eta[None, :], _cheb.interior_nodes(n)[None, :])[0]
+        resid = float(np.maximum.reduce(np.abs(direct - interp)))
+        if resid > resolution_rtol * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
+            raise ResolutionError(
+                f"composition residual {resid:.3e} exceeds grid resolution at degree {n}")
     return eta
 
 

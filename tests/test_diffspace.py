@@ -19,6 +19,8 @@ from renormlab import (
     renormalize,
     zoom,
 )
+from renormlab import _cheb
+from renormlab.diffspace import inner_side, quad_rows
 from support import monotone_profile, random_profile
 
 XS = np.linspace(-1.0, 1.0, 41)
@@ -198,6 +200,28 @@ def test_compose_is_associative_up_to_resolution(rng):
     left = compose(compose(a, b), c)
     right = compose(a, compose(b, c))
     assert np.max(np.abs(left.eta_values - right.eta_values)) < 1e-9
+
+
+def test_compose_check_only_adds_the_residual_test(rng):
+    outer, inner = random_profile(rng), random_profile(rng)
+    checked = compose(outer, inner)
+    assert np.array_equal(compose(outer, inner, check=False).eta_values, checked.eta_values)
+    wild = constant_profile(18.0, 16)
+    assert np.all(np.isfinite(compose(wild, wild, check=False).eta_values))
+
+
+def test_shared_resample_points_match_each_rows_own(rng):
+    profiles = [random_profile(rng) for _ in range(5)]
+    n = profiles[0].degree
+    # interior points, two grid nodes and both ends
+    x = np.concatenate([_cheb.interior_nodes(n), _cheb.nodes(n)[[0, 7, 30, -1]]])
+    rows = np.array([p.eta_values for p in profiles])
+    shared = _cheb.resample_rows(rows, x[None, :])
+    assert np.array_equal(shared, _cheb.resample_rows(rows, np.tile(x, (5, 1))))
+    for p, row in zip(profiles, shared):
+        assert np.array_equal(row, p.eta_at(x))
+    h = inner_side(rows, quad_rows(rows))[2]
+    assert np.array_equal(h, shared[:, :n])
 
 
 def test_compose_flags_undersampled_results():
