@@ -1,8 +1,8 @@
 """Chebyshev-Lobatto grids, transforms and barycentric resampling.
 
 Small cached kernels shared by the nonlinearity-space code.  Everything is
-plain numpy; per-size matrices are cached because the solvers reuse one or
-two grid sizes throughout a run.  Nothing here calls LAPACK.
+plain numpy; the per-size matrices the solvers use are cached because they
+reuse one or two grid sizes throughout a run.  Nothing here calls LAPACK.
 
 The row kernels take a stack of sample or coefficient vectors, one per row,
 and compute every row with the same operations in the same order whatever
@@ -56,7 +56,8 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=64)
+# _coeff_matrix and _integration_matrix are not cached: the solvers only
+# reach them through antiderivative_matrix, which is.
 def _coeff_matrix(n: int) -> np.ndarray:
     # The discrete cosine transform (DCT-I) in closed form: with N = n - 1,
     # c_j = (2/N) sum''_k f_k T_j(x_k), the double prime halving the k = 0 and
@@ -79,7 +80,6 @@ def to_coeffs(values: np.ndarray) -> np.ndarray:
     return _coeff_matrix(len(values)) @ values
 
 
-@lru_cache(maxsize=64)
 def _integration_matrix(n: int) -> np.ndarray:
     # Chebyshev integration is linear in the coefficients: column j holds the
     # antiderivative of T_j vanishing at -1, so one product replaces chebint.

@@ -12,6 +12,7 @@ keeps reloaded reports bit-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,24 +45,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, help="critical exponent, must exceed 1")
-    p.add_argument("--depth", type=int, default=8, help="decomposition tree depth")
-    p.add_argument("--grid", type=int, default=64, help="Chebyshev grid degree")
-    p.add_argument("--tol", type=float, default=1e-8, help="outer residual tolerance")
-    p.add_argument("--max-iter", type=int, default=200, help="outer iteration cap")
-    p.add_argument("--damping", type=float, default=1.0,
-                   help="blend weight in (0, 1]; 1 takes the full step")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
-    p.add_argument("--out", type=str, help="output path (default stdout)")
+# The options several subcommands share; each subcommand takes only those its
+# handler reads.
+_SHARED = {
+    "alpha": dict(type=float, help="critical exponent, must exceed 1"),
+    "depth": dict(type=int, default=8, help="decomposition tree depth"),
+    "grid": dict(type=int, default=64, help="Chebyshev grid degree"),
+    "tol": dict(type=float, default=1e-8, help="outer residual tolerance"),
+    "max-iter": dict(type=int, default=200, help="outer iteration cap"),
+    "damping": dict(type=float, default=1.0, help="blend weight in (0, 1]; 1 takes the full step"),
+    "out": dict(type=str, help="output path (default stdout)"),
+}
+
+
+def _add_shared(p, *names):
+    for name in names:
+        p.add_argument("--" + name, **_SHARED[name])
+
+
+def _alpha(args) -> float:
+    if args.alpha is None:
+        raise ConfigError("--alpha is required")
+    return args.alpha
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _config(args, alpha=None) -> SolverConfig:
-    a = args.alpha if alpha is None else alpha
-    if a is None:
-        raise ConfigError("--alpha is required")
-    return SolverConfig(alpha=a, depth=args.depth, grid=args.grid, tol=args.tol,
-                        max_iter=args.max_iter, damping=args.damping, seed=args.seed)
+    """The SolverConfig of the parsed options; the ones a subcommand lacks keep their defaults."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    given["alpha"] = _alpha(args) if alpha is None else alpha
+    return SolverConfig(**given)
 
 
 def _emit(text: str, out_path):
@@ -134,14 +149,16 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    cfg = _config(args)
-    _emit(superstable_cascade(cfg.alpha, args.m).to_csv(), args.out)
+    _emit(superstable_cascade(_alpha(args), args.m).to_csv(), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     with open(args.infile) as fh:
         report = FixedPointReport.from_dict(json.load(fh))
+    if args.alpha is not None and args.alpha != report.alpha:
+        raise ConfigError(f"--alpha {args.alpha!r} disagrees with the report's alpha "
+                          f"{report.alpha!r}")
     payload = {
         "alpha": report.alpha,
         "delta": unstable_eigenvalue(report),
@@ -155,7 +172,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_orbit_diagnostics(args) -> int:
     cfg = _config(args)
-    start = random_decomposed_map(cfg.alpha, cfg.depth, cfg.grid, cfg.seed)
+    start = random_decomposed_map(cfg.alpha, cfg.depth, cfg.grid, args.seed)
     records = renormalization_orbit_diagnostics(start, args.steps)
     lines = ["step,peak,distance,kappa"]
     for rec in records:
@@ -170,34 +187,38 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixed-point", help="solve for a truncation fixed point")
-    _add_common(p)
-    p.add_argument("--alpha-sweep", type=str,
-                   help="comma list of alphas solved in turn, one output file each")
+    alphas = p.add_mutually_exclusive_group()
+    _add_shared(alphas, "alpha")
+    alphas.add_argument("--alpha-sweep", type=str,
+                        help="comma list of alphas solved in turn, one output file each")
+    _add_shared(p, "depth", "grid", "tol", "max-iter", "damping", "out")
     p.set_defaults(handler=_cmd_fixed_point)
 
     p = sub.add_parser("orbit", help="solve for a periodic orbit of length k")
-    _add_common(p)
+    _add_shared(p, "alpha", "depth", "grid", "tol", "max-iter", "damping", "out")
     p.add_argument("-k", type=int, required=True, help="orbit length, at least 1")
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("window", help="renormalizable peak-value window of the identity")
-    _add_common(p)
+    _add_shared(p, "alpha", "depth", "grid", "out")
     p.set_defaults(handler=_cmd_window)
 
     p = sub.add_parser("cascade", help="superstable cascade of the bare fold family")
-    _add_common(p)
-    p.add_argument("-m", type=int, default=8, help="deepest cascade level")
+    _add_shared(p, "alpha", "out")
+    p.add_argument("-m", type=int, default=8, help="deepest cascade level, at most 16")
     p.set_defaults(handler=_cmd_cascade)
 
     p = sub.add_parser("spectrum", help="universal constants from a stored report")
-    _add_common(p)
+    p.add_argument("--alpha", type=float, help="optional check: must equal the report's alpha")
     p.add_argument("--in", dest="infile", required=True, help="report JSON path")
     p.add_argument("--levels", type=int, default=6, help="scaling ratios to collect")
+    _add_shared(p, "out")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("orbit-diagnostics",
                        help="distance to the pure family along a random orbit")
-    _add_common(p)
+    _add_shared(p, "alpha", "depth", "grid", "out")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random start")
     p.add_argument("--steps", type=int, default=6, help="renormalization steps to track")
     p.set_defaults(handler=_cmd_orbit_diagnostics)
 

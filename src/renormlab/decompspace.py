@@ -177,7 +177,7 @@ def decomposition_linear_combination(a: float, da: Decomposition,
     return Decomposition.from_rows(da.times, a * da.eta + b * db.eta)
 
 
-def _compose_descending(dec: Decomposition, paths, check: bool) -> NonlinearityProfile:
+def _compose_descending(dec: Decomposition, paths) -> NonlinearityProfile:
     # paths run in descending time order, so each later node goes innermost.
     # The inner side of every step comes from one batch per chunk; only the
     # outer resample of the running result and its check stay sequential,
@@ -191,18 +191,18 @@ def _compose_descending(dec: Decomposition, paths, check: bool) -> NonlinearityP
         inner = dec.eta[chunk]
         u, d, h = inner_side(inner, [a[chunk] for a in quad])
         for j in range(chunk.size):
-            result = compose_step(result, inner[j], u[j], d[j], h[j], check=check)
+            result = compose_step(result, inner[j], u[j], d[j], h[j])
     return NonlinearityProfile(result)
 
 
-def compose_all(dec: Decomposition, *, check: bool = True) -> NonlinearityProfile:
+def compose_all(dec: Decomposition) -> NonlinearityProfile:
     """Compose every node in descending time order (largest time outermost)."""
-    return _compose_descending(dec, dec.times.indices_descending(), check)
+    return _compose_descending(dec, dec.times.indices_descending())
 
 
-def partial_composition(dec: Decomposition, tau: str, *, check: bool = True) -> NonlinearityProfile:
+def partial_composition(dec: Decomposition, tau: str) -> NonlinearityProfile:
     """Compose the nodes with index at or above tau, descending."""
-    return _compose_descending(dec, dec.times.suffix_set(tau), check)
+    return _compose_descending(dec, dec.times.suffix_set(tau))
 
 
 class Geometry:
@@ -363,7 +363,7 @@ def _zoom_children(out: np.ndarray, eta: np.ndarray, g: Geometry, paths,
 
 
 def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
-                          truncate: bool = True, check_resolution: bool = False) -> Decomposition:
+                          truncate: bool = True) -> Decomposition:
     """One geometric renormalization step driven by the geometry g.
 
     The new root is the zoomed folding branch over g.side_root; the node at

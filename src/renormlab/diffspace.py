@@ -169,7 +169,13 @@ class NonlinearityProfile:
         return np.exp(_cheb.chebval(x, self._cache()[1]))
 
     def evaluate(self, x):
-        """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1."""
+        """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1.
+
+        Determinism scope: the same points give the same bits, but a point's
+        last bit depends on how many points share the call (_cheb.chebval):
+        one point goes through a dot product, 2 to 32 points through a
+        matrix-vector product in the cosine form, more through Clenshaw.
+        """
         xv = _check_unit(x)
         # the series can miss +-1 by a few ulps
         return np.where(np.abs(xv) == 1.0, xv, self._eval(xv))[()]
@@ -185,7 +191,9 @@ class NonlinearityProfile:
     def inverse(self, y):
         """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
 
-        Raises NonConvergence if the iteration budget runs out.
+        Raises NonConvergence if the iteration budget runs out.  The open
+        points are evaluated together, so, as with evaluate, a point's last
+        bit depends on the other points of the call.
         """
         yv = _check_unit(y, "inverse argument")
         x = newton_inverse(np.atleast_1d(yv), self._eval, self._deriv, self._cache()[2])
@@ -237,7 +245,7 @@ def inner_side(eta: np.ndarray, quad):
 
 
 def compose_step(outer_eta: np.ndarray, inner_eta: np.ndarray, u, d, h, *,
-                 check: bool = True, resolution_rtol: float = RESOLUTION_RTOL) -> np.ndarray:
+                 check: bool = True) -> np.ndarray:
     """Samples of outer o inner from the inner side (u, d, h) of inner_side."""
     n = inner_eta.size
     ov = _cheb.resample_rows(outer_eta[None, :], u[None, :])[0]
@@ -246,14 +254,14 @@ def compose_step(outer_eta: np.ndarray, inner_eta: np.ndarray, u, d, h, *,
         direct = ov[n:] * d[n:] + h
         interp = _cheb.resample_rows(eta[None, :], _cheb.interior_nodes(n)[None, :])[0]
         resid = float(np.maximum.reduce(np.abs(direct - interp)))
-        if resid > resolution_rtol * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
+        if resid > RESOLUTION_RTOL * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
             raise ResolutionError(
                 f"composition residual {resid:.3e} exceeds grid resolution at degree {n}")
     return eta
 
 
 def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
-            check: bool = True, resolution_rtol: float = RESOLUTION_RTOL) -> NonlinearityProfile:
+            check: bool = True) -> NonlinearityProfile:
     """The composition outer o inner, resampled onto the shared grid.
 
     Uses the chain rule for nonlinearities and re-interpolates at the grid
@@ -264,8 +272,8 @@ def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
     u, d, h = inner_side(inner.eta_values[None, :], [a[None] for a in inner._cache()])
-    return NonlinearityProfile(compose_step(outer.eta_values, inner.eta_values, u[0], d[0], h[0],
-                                            check=check, resolution_rtol=resolution_rtol))
+    return NonlinearityProfile(
+        compose_step(outer.eta_values, inner.eta_values, u[0], d[0], h[0], check=check))
 
 
 @dataclass(frozen=True)

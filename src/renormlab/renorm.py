@@ -46,6 +46,14 @@ from .errors import (
 
 _BISECT_STEPS = 48
 
+# Scan steps over (1/2, 1) and tolerances of the window edges and of the
+# invariant peak value.
+_WINDOW_SCAN_STEP = 1e-3
+_WINDOW_EDGE_TOL = 1e-10
+_PEAK_SCAN_STEP = 2e-3
+_PEAK_TOL = 1e-12
+_ILLINOIS_STEPS = 80
+
 # SolverConfig refuses more estimated bytes than this, so --depth 40 fails fast:
 # 16 float64 grids per tree node (eta, cached coefficients, a few decompositions
 # alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
@@ -284,12 +292,16 @@ def _bisect_predicate(pred, outside: float, inside: float, tol: float) -> float:
 
 
 def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> float:
-    """Root of fun on a sign-change bracket by false position, Illinois cut."""
+    """Root of fun on a sign-change bracket by false position, Illinois cut.
+
+    Raises NonConvergence if the bracket is still wider than tol after
+    _ILLINOIS_STEPS steps.
+    """
     if fa == 0.0:
         return ta
     if fb == 0.0:
         return tb
-    for _ in range(80):
+    for _ in range(_ILLINOIS_STEPS):
         tm = tb - fb * (tb - ta) / (fb - fa)
         lo, hi = (ta, tb) if ta < tb else (tb, ta)
         if not lo < tm < hi:
@@ -302,21 +314,21 @@ def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> fl
         else:
             ta, fa = tb, fb
         tb, fb = tm, fm
-    return tb
+    raise NonConvergence(
+        f"false position did not converge in {_ILLINOIS_STEPS} steps "
+        f"(bracket width {abs(tb - ta):.1e}, tol {tol:.1e})")
 
 
-def renormalization_window(phi: Decomposition, alpha: float, *,
-                           scan_step: float = 1e-3,
-                           refine_tol: float = 1e-10) -> WindowResult:
+def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
     """Scan (1/2, 1) for renormalizable peak values and refine the edges.
 
     The scan marks every grid level whose map has its peak image inside the
     side interval; connected runs become windows, each edge sharpened by
-    predicate bisection to refine_tol.  All windows are reported; the first
-    one fills t_min/t_max.
+    predicate bisection to _WINDOW_EDGE_TOL.  All windows are reported; the
+    first one fills t_min/t_max.
     """
     obs = compose_all(phi)
-    ts, _, _, mask = _scan_window(obs, alpha, scan_step)
+    ts, _, _, mask = _scan_window(obs, alpha, _WINDOW_SCAN_STEP)
 
     def renormalizable_at(t):
         f0s, _, bs = _side_structure(obs, alpha, np.array([t]))
@@ -337,16 +349,15 @@ def renormalization_window(phi: Decomposition, alpha: float, *,
     for i0, i1 in runs:
         lo_out = 0.5 if i0 == 0 else float(ts[i0 - 1])
         hi_out = 1.0 if i1 == len(ts) - 1 else float(ts[i1 + 1])
-        lo = _bisect_predicate(renormalizable_at, lo_out, float(ts[i0]), refine_tol)
-        hi = _bisect_predicate(renormalizable_at, hi_out, float(ts[i1]), refine_tol)
+        lo = _bisect_predicate(renormalizable_at, lo_out, float(ts[i0]), _WINDOW_EDGE_TOL)
+        hi = _bisect_predicate(renormalizable_at, hi_out, float(ts[i1]), _WINDOW_EDGE_TOL)
         windows.append((lo, hi))
     return WindowResult(windows[0][0], windows[0][1], tuple(windows))
 
 
-def _solve_peak(obs: NonlinearityProfile, alpha: float, *,
-                tol: float = 1e-12, scan_step: float = 2e-3) -> float:
+def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     """Invariant fold level: t with rho(t) = t, bracketed on the scan grid."""
-    ts, p, b, mask = _scan_window(obs, alpha, scan_step)
+    ts, p, b, mask = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
     idx = np.flatnonzero(mask)
     ends = obs.inverse(np.concatenate([p[idx], b[idx]]))
     gap = _rescaled_peak(ts[idx], ends[:idx.size], ends[idx.size:]) - ts[idx]
@@ -362,12 +373,12 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float, *,
         raise NoFixedPoint("the rescaled peak value never crosses the diagonal in the window")
     i = int(cross[0])
     return _illinois(gap_at, float(ts[idx[i]]), float(ts[idx[i] + 1]),
-                     float(gap[i]), float(gap[i + 1]), tol)
+                     float(gap[i]), float(gap[i + 1]), _PEAK_TOL)
 
 
-def solve_peak_value(phi: Decomposition, alpha: float, *, tol: float = 1e-12) -> float:
+def solve_peak_value(phi: Decomposition, alpha: float) -> float:
     """The peak value left invariant by renormalization over phi's window."""
-    return _solve_peak(compose_all(phi), alpha, tol=tol)
+    return _solve_peak(compose_all(phi), alpha)
 
 
 @dataclass(frozen=True)
@@ -380,7 +391,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 200
     damping: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not self.alpha > 1.0:

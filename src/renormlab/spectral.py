@@ -16,11 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, NonConvergence
+from .errors import BracketError, ConfigError, NonConvergence
 from .renorm import DecomposedMap, FixedPointReport, renormalize
 
 _SCAN_BATCH = 128
 _BISECT_WIDTH = 1e-14
+
+# Deepest cascade level: level k iterates 2^k steps, so each level doubles the
+# cost, and past m = 13 the gap ratios lose digits to the bisection width
+# (4.669160 at m = 14 and 4.671995 at m = 16, against delta = 4.669201609).
+_MAX_CASCADE_LEVEL = 16
 
 
 def _critical_iterate(alpha: float, k: int, t_values: np.ndarray) -> np.ndarray:
@@ -101,10 +106,16 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
 
     t_0 = 1/2 (the peak sits at the critical point); each later level is the
     first zero of the 2^k critical iterate above the previous one, bracketed
-    by a gap-predicted scan and sharpened by bisection.
+    by a gap-predicted scan and sharpened by bisection.  Raises ConfigError
+    unless alpha > 1, and ValueError unless 1 <= m <= 16.
     """
+    if not alpha > 1.0:
+        raise ConfigError("alpha must exceed 1")
     if m < 1:
         raise ValueError("cascade needs at least one level beyond t_0")
+    if m > _MAX_CASCADE_LEVEL:
+        raise ValueError(f"cascade level {m} is past the deepest level {_MAX_CASCADE_LEVEL}: "
+                         "each level doubles the cost and deeper estimates lose digits")
     levels = [0.5]
     predicted = 0.8  # generous first guess; later gaps are predicted from earlier ones
     for k in range(1, m + 1):

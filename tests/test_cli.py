@@ -1,13 +1,18 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from renormlab.cli import main
+from renormlab.cli import _build_parser, main
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
 
@@ -16,15 +21,52 @@ FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
 
 
 def test_usage_errors_exit_1():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["orbit", "--alpha", "2"])  # missing -k
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 1
+    for argv in ([],
+                 ["orbit", "--alpha", "2"],  # missing -k
+                 ["no-such-command"],
+                 # an option the subcommand does not read is unknown to it
+                 ["fixed-point", "--alpha", "2", "--seed", "1"],
+                 ["cascade", "--alpha", "2", "-m", "3", "--depth", "40"],
+                 ["fixed-point", "--alpha", "2", "--alpha-sweep", "1.5,3", "--out", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+
+
+# The options each subcommand's handler reads, and no others.
+OPTION_SETS = {
+    "fixed-point": {"alpha", "alpha-sweep", "depth", "grid", "tol", "max-iter", "damping", "out"},
+    "orbit": {"alpha", "depth", "grid", "tol", "max-iter", "damping", "k", "out"},
+    "window": {"alpha", "depth", "grid", "out"},
+    "cascade": {"alpha", "m", "out"},
+    "spectrum": {"alpha", "in", "levels", "out"},
+    "orbit-diagnostics": {"alpha", "depth", "grid", "seed", "steps", "out"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {max(a.option_strings, key=len).lstrip("-")
+                    for a in p._actions if a.option_strings and a.dest != "help"}
+             for name, p in sub.choices.items()}
+    assert found == OPTION_SETS
+    assert sum(map(len, found.values())) == 33
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("renormlab ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_lists_every_subcommand():
+    used = {shlex.split(line)[1] for line in _readme_commands()}
+    assert used == set(OPTION_SETS)
 
 
 def test_validation_errors_exit_1(capsys):
@@ -36,6 +78,18 @@ def test_validation_errors_exit_1(capsys):
 
     assert main(["fixed-point", "--alpha", "2", "--depth", "40"]) == 1
     assert "GiB" in capsys.readouterr().err
+
+    assert main(["cascade", "--alpha", "0.5"]) == 1
+    assert "alpha must exceed 1" in capsys.readouterr().err
+
+    assert main(["cascade"]) == 1
+    assert "--alpha is required" in capsys.readouterr().err
+
+    # level m iterates 2^m steps: the bound is checked before any of them
+    start = time.perf_counter()
+    assert main(["cascade", "--alpha", "2", "-m", "40"]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "deepest level 16" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_2_with_trace(capsys):
@@ -136,6 +190,17 @@ def test_spectrum_round_trip(report_file, capsys):
 
     assert main(["spectrum", "--alpha", "2", "--in", str(report_file)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_spectrum_alpha_is_a_check_on_the_report(report_file, capsys):
+    assert main(["spectrum", "--in", str(report_file)]) == 0
+    without = capsys.readouterr().out
+    assert main(["spectrum", "--alpha", "2", "--in", str(report_file)]) == 0
+    assert capsys.readouterr().out == without
+
+    assert main(["spectrum", "--alpha", "3", "--in", str(report_file)]) == 1
+    err = capsys.readouterr().err
+    assert "3.0" in err and "2.0" in err
 
 
 def _malformed_nodes(data):

@@ -30,7 +30,7 @@ from renormlab.renorm import (
     side_interval,
     solve_peak_value,
 )
-from renormlab.errors import ConfigError, DomainError, NoFixedPoint
+from renormlab.errors import ConfigError, DomainError, NoFixedPoint, NonConvergence
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -173,6 +173,16 @@ def test_solve_peak_value_against_scalar_oracle():
     assert t_star == pytest.approx(0.8938462803945875, abs=1e-9)
     # invariance holds at the solution
     assert peak_value_rho(_identity_map(t_star, grid=64)) == pytest.approx(t_star, abs=1e-10)
+
+
+def test_false_position_that_runs_out_of_steps_raises():
+    # a sign step has no root: the bracket closes on the jump at 0.3 but
+    # never below a tolerance of 1e-300
+    def jump(t):
+        return -1.0 if t < 0.3 else 1.0
+
+    with pytest.raises(NonConvergence, match="bracket width"):
+        renorm._illinois(jump, 0.0, 1.0, -1.0, 1.0, 1e-300)
 
 
 # ------------------------------------------------------------ outer solver

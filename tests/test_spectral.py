@@ -12,7 +12,7 @@ from renormlab.spectral import (
     superstable_cascade,
     unstable_eigenvalue,
 )
-from renormlab.errors import NonConvergence
+from renormlab.errors import ConfigError, NonConvergence
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -62,6 +62,13 @@ def test_cascade_csv_format(cascade6):
 def test_cascade_rejects_empty_request():
     with pytest.raises(ValueError):
         superstable_cascade(2.0, 0)
+    # level m iterates 2^m steps; the bound holds before any of them
+    with pytest.raises(ValueError, match="deepest level 16"):
+        superstable_cascade(2.0, 17)
+    with pytest.raises(ValueError, match="deepest level 16"):
+        cascade_orbit_scaling(2.0, 40)
+    with pytest.raises(ConfigError, match="alpha must exceed 1"):
+        superstable_cascade(1.0, 3)
 
 
 def test_cascade_other_exponent():
