@@ -159,10 +159,11 @@ def _cmd_spectrum(args) -> int:
     if args.alpha is not None and args.alpha != report.alpha:
         raise ConfigError(f"--alpha {args.alpha!r} disagrees with the report's alpha "
                           f"{report.alpha!r}")
+    ratios = scaling_ratios(report, args.levels)  # first: it checks --levels
     payload = {
         "alpha": report.alpha,
         "delta": unstable_eigenvalue(report),
-        "scaling_ratios": scaling_ratios(report, args.levels),
+        "scaling_ratios": ratios,
         "residual_geometry": report.residual_geometry,
         "residual_peak": report.residual_peak,
     }

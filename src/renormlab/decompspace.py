@@ -11,11 +11,16 @@ linear part is nilpotent: every node moves one level down and the deepest
 level is dropped, so after depth + 1 steps nothing of the start survives.
 Its unique fixed point, the pure decomposition of the geometry, is
 therefore built exactly by one top-down pass.
+
+Both keep one row per index in descending time order: the depth-d tree is
+the 2w block, the root, then the 1w block, each block in the depth-(d-1)
+order of w, so row r sits at level d - j for r + 1 = 2^j * odd.  The
+relabelling is two block moves: the node at the k-th odd row (the k-th
+index of the depth-(d-1) order) has children 2w and 1w at rows k and 2^d + k.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -49,12 +54,6 @@ _ZOOM_ROWS = 8
 def _full_tree_depth(n: int) -> int | None:
     """Depth of the full binary tree with n nodes, or None if n is no such size."""
     return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
-
-
-@lru_cache(maxsize=64)
-def _row_of(depth: int) -> dict:
-    """Row of each index in a depth-d decomposition: descending time order."""
-    return {w: r for r, w in enumerate(timetree.DecompositionTimes(depth).indices_descending())}
 
 
 class Decomposition:
@@ -95,23 +94,18 @@ class Decomposition:
         eta.setflags(write=False)
         self.times = times
         self.eta = eta
-        self.nodes = MappingProxyType(
-            {w: NonlinearityProfile._view(eta[r]) for w, r in _row_of(times.depth).items()})
+        self.nodes = MappingProxyType({w: NonlinearityProfile._view(row)
+                                       for w, row in zip(times.indices_descending(), eta)})
         self._quad = None
 
     def _batch(self):
         """Evaluation data of every row (diffspace.quad_rows), also handed to the nodes."""
         if self._quad is None:
-            rows, quad = self.eta.shape[0], None
-            for start in range(0, rows, _CACHE_ROWS):
-                part = quad_rows(self.eta[start:start + _CACHE_ROWS])
-                if quad is None:
-                    quad = tuple(np.empty((rows,) + a.shape[1:]) for a in part)
-                for whole, a in zip(quad, part):
-                    whole[start:start + _CACHE_ROWS] = a
-            self._quad = quad
-            for w, r in _row_of(self.depth).items():
-                self.nodes[w]._quad = tuple(a[r] for a in self._quad)
+            parts = [quad_rows(self.eta[start:start + _CACHE_ROWS])
+                     for start in range(0, self.eta.shape[0], _CACHE_ROWS)]
+            self._quad = tuple(np.concatenate(a) for a in zip(*parts))
+            for node, *row in zip(self.nodes.values(), *self._quad):
+                node._quad = tuple(row)
         return self._quad
 
     @property
@@ -177,87 +171,99 @@ def decomposition_linear_combination(a: float, da: Decomposition,
     return Decomposition.from_rows(da.times, a * da.eta + b * db.eta)
 
 
-def _compose_descending(dec: Decomposition, paths) -> NonlinearityProfile:
-    # paths run in descending time order, so each later node goes innermost.
-    # The inner side of every step comes from one batch per chunk; only the
-    # outer resample of the running result and its check stay sequential,
-    # which is bit for bit the fold of compose() over the same nodes.
-    row_of = _row_of(dec.depth)
-    rows = np.array([row_of[w] for w in paths])
+def _compose_descending(dec: Decomposition, count: int) -> NonlinearityProfile:
+    # the first count rows run in descending time order, so each later node
+    # goes innermost.  The inner side of every step comes from one batch per
+    # chunk; only the outer resample of the running result and its check
+    # stay sequential, which is bit for bit the fold of compose() over the
+    # same nodes.
     quad = dec._batch()
-    result = dec.eta[rows[0]]
-    for start in range(1, rows.size, _COMPOSE_ROWS):
-        chunk = rows[start:start + _COMPOSE_ROWS]
+    result = dec.eta[0]
+    for start in range(1, count, _COMPOSE_ROWS):
+        chunk = slice(start, min(start + _COMPOSE_ROWS, count))
         inner = dec.eta[chunk]
         u, d, h = inner_side(inner, [a[chunk] for a in quad])
-        for j in range(chunk.size):
+        for j in range(inner.shape[0]):
             result = compose_step(result, inner[j], u[j], d[j], h[j])
     return NonlinearityProfile(result)
 
 
 def compose_all(dec: Decomposition) -> NonlinearityProfile:
     """Compose every node in descending time order (largest time outermost)."""
-    return _compose_descending(dec, dec.times.indices_descending())
+    return _compose_descending(dec, dec.times.size)
 
 
 def partial_composition(dec: Decomposition, tau: str) -> NonlinearityProfile:
-    """Compose the nodes with index at or above tau, descending."""
-    return _compose_descending(dec, dec.times.suffix_set(tau))
+    """Compose the nodes with index at or above tau, descending: the first rows."""
+    return _compose_descending(dec, len(dec.times.suffix_set(tau)))
 
 
 class Geometry:
     """Interval data steering one geometric renormalization step.
 
     ``side_root`` is the interval the new root branch folds over (inside
-    (0, 1), flag +); ``s1``/``s2`` give for every index the intervals its
-    node is zoomed into, with flags + and - respectively.
+    (0, 1), flag +).  ``ends`` is one read-only (2^(depth+1) - 1, 4) array:
+    row r holds s1.lo, s1.hi, s2.lo, s2.hi of the index at row r of a
+    decomposition, the intervals its node is zoomed into, with flags + and -
+    implied.  ``s1[w]``/``s2[w]`` are path-keyed read-only views of them,
+    built on each access.  Every half-length is at most KAPPA_MARGIN.
     """
 
-    __slots__ = ("side_root", "s1", "s2", "depth")
+    __slots__ = ("side_root", "ends", "depth")
 
-    def __init__(self, side_root: OrientedInterval, s1: dict, s2: dict, depth: int,
-                 margin: float = KAPPA_MARGIN):
+    def __init__(self, side_root: OrientedInterval, s1: dict, s2: dict, depth: int):
         paths = timetree.DecompositionTimes(depth).indices_descending()
         if set(s1) != set(paths) or set(s2) != set(paths):
             raise GeometryError("geometry intervals must cover the index tree exactly")
+        if any(s1[w].flag != "+" or s2[w].flag != "-" for w in paths):
+            raise GeometryError("s1 intervals must carry flag '+' and s2 intervals flag '-'")
+        self._adopt(side_root, [[s1[w].lo, s1[w].hi, s2[w].lo, s2[w].hi] for w in paths])
+
+    @classmethod
+    def from_rows(cls, side_root: OrientedInterval, ends) -> "Geometry":
+        """A geometry whose row r holds s1.lo, s1.hi, s2.lo, s2.hi of the index at row r."""
+        obj = object.__new__(cls)
+        obj._adopt(side_root, ends)
+        return obj
+
+    def _adopt(self, side_root: OrientedInterval, ends):
+        ends = np.array(ends, dtype=float)
+        depth = _full_tree_depth(ends.shape[0]) if ends.ndim == 2 and ends.shape[1] == 4 else None
+        if depth is None:
+            raise GeometryError("geometry rows must form a (2^(depth+1) - 1, 4) array")
         if side_root.flag != "+" or not (0.0 < side_root.lo and side_root.hi < 1.0):
             raise GeometryError("root side interval must carry flag '+' inside (0, 1)")
-        for w in paths:
-            if s1[w].flag != "+":
-                raise GeometryError(f"s1 interval at {w!r} must carry flag '+'")
-            if s2[w].flag != "-":
-                raise GeometryError(f"s2 interval at {w!r} must carry flag '-'")
-        worst = max(
-            [side_root.half_length]
-            + [s1[w].half_length for w in paths]
-            + [s2[w].half_length for w in paths]
-        )
-        if worst > margin:
-            raise GeometryError(
-                f"interval half-length {worst:.4f} exceeds the contraction margin {margin}")
-        self.side_root = side_root
-        self.s1 = dict(s1)
-        self.s2 = dict(s2)
-        self.depth = depth
+        lo, hi = ends[:, 0::2], ends[:, 1::2]
+        if not np.all((-1.0 <= lo) & (lo < hi) & (hi <= 1.0)):
+            raise GeometryError("geometry intervals need -1 <= lo < hi <= 1")
+        ends.setflags(write=False)
+        self.side_root, self.ends, self.depth = side_root, ends, depth
+        if self.contraction_factor > KAPPA_MARGIN:
+            raise GeometryError(f"interval half-length {self.contraction_factor:.4f} exceeds "
+                                f"the contraction margin {KAPPA_MARGIN}")
 
     @property
     def contraction_factor(self) -> float:
         """kappa: the largest interval half-length anywhere in the geometry."""
+        return max(self.side_root.half_length,
+                   float(np.max(0.5 * (self.ends[:, 1::2] - self.ends[:, 0::2]))))
+
+    def _intervals(self, col: int):
+        """(path, lo, hi) of every row's s1 (col 0) or s2 (col 2) interval."""
         paths = timetree.DecompositionTimes(self.depth).indices_descending()
-        return max(
-            [self.side_root.half_length]
-            + [self.s1[w].half_length for w in paths]
-            + [self.s2[w].half_length for w in paths]
-        )
+        return [(w, lo, hi) for w, (lo, hi) in zip(paths, self.ends[:, col:col + 2].tolist())]
+
+    s1 = property(lambda self: MappingProxyType(
+        {w: OrientedInterval(lo, hi, "+") for w, lo, hi in self._intervals(0)}))
+    s2 = property(lambda self: MappingProxyType(
+        {w: OrientedInterval(lo, hi, "-") for w, lo, hi in self._intervals(2)}))
 
     def to_dict(self) -> dict:
-        paths = timetree.DecompositionTimes(self.depth).indices_descending()
-        return {
-            "depth": self.depth,
-            "side_root": self.side_root.to_dict(),
-            "s1": [{"path": w, **self.s1[w].to_dict()} for w in paths],
-            "s2": [{"path": w, **self.s2[w].to_dict()} for w in paths],
-        }
+        data = {"depth": self.depth, "side_root": self.side_root.to_dict()}
+        for key, col, flag in (("s1", 0, "+"), ("s2", 2, "-")):
+            data[key] = [{"path": w, "lo": lo, "hi": hi, "flag": flag}
+                         for w, lo, hi in self._intervals(col)]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
@@ -282,45 +288,28 @@ def geometry_distance(a: Geometry, b: Geometry) -> float:
     """Sup over all interval endpoints of the coordinate gap |a - b|."""
     if a.depth != b.depth:
         raise DepthMismatch(f"depths {a.depth} and {b.depth} differ")
-    worst = max(abs(a.side_root.lo - b.side_root.lo), abs(a.side_root.hi - b.side_root.hi))
-    for w in timetree.DecompositionTimes(a.depth).indices_descending():
-        worst = max(
-            worst,
-            abs(a.s1[w].lo - b.s1[w].lo), abs(a.s1[w].hi - b.s1[w].hi),
-            abs(a.s2[w].lo - b.s2[w].lo), abs(a.s2[w].hi - b.s2[w].hi),
-        )
-    return worst
+    return max(abs(a.side_root.lo - b.side_root.lo), abs(a.side_root.hi - b.side_root.hi),
+               float(np.max(np.abs(a.ends - b.ends))))
 
 
 def geometry_blend(theta: float, new: Geometry, old: Geometry) -> Geometry:
     """Endpoint-wise damped update theta*new + (1-theta)*old."""
     if new.depth != old.depth:
         raise DepthMismatch(f"depths {new.depth} and {old.depth} differ")
-
-    def mix(p: OrientedInterval, q: OrientedInterval) -> OrientedInterval:
-        return OrientedInterval(
-            theta * p.lo + (1.0 - theta) * q.lo,
-            theta * p.hi + (1.0 - theta) * q.hi,
-            p.flag,
-        )
-
-    paths = timetree.DecompositionTimes(new.depth).indices_descending()
-    return Geometry(
-        mix(new.side_root, old.side_root),
-        {w: mix(new.s1[w], old.s1[w]) for w in paths},
-        {w: mix(new.s2[w], old.s2[w]) for w in paths},
-        new.depth,
-    )
+    p, q = new.side_root, old.side_root
+    side_root = OrientedInterval(theta * p.lo + (1.0 - theta) * q.lo,
+                                 theta * p.hi + (1.0 - theta) * q.hi, "+")
+    return Geometry.from_rows(side_root, theta * new.ends + (1.0 - theta) * old.ends)
 
 
 def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInterval) -> Geometry:
     """Preimages of s1 and s2 under every partial composition of dec.
 
-    A single descending pass keeps the running preimages: visiting tau it
-    first pulls both intervals back through the node at tau, then records
-    them, so the value stored at tau is the preimage under the composition
-    of all nodes at or above tau.  Each step is the node's own inverse, on
-    the evaluation data built for all nodes in one batch.  The result is
+    A single descending pass keeps the running preimages: visiting row r it
+    first pulls both intervals back through that row's node, then records
+    them, so row r of the result holds the preimages under the composition
+    of the nodes in rows 0..r.  Each step is the node's own inverse, on the
+    evaluation data built for all nodes in one batch.  The result is
     packaged as a geometry with side_root = s1.
     """
     if s2.flag != "-" or abs(s2.lo + s2.hi) > 1e-9:
@@ -329,37 +318,26 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
     floor = dec._batch()[2]
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
-    paths = dec.times.indices_descending()
-    out = np.empty((len(paths), 4))
-    for r, w in enumerate(paths):
-        node = dec.nodes[w]
+    out = np.empty((dec.times.size, 4))
+    for r, node in enumerate(dec.nodes.values()):  # the nodes in row order
         ends = newton_inverse(ends, node._eval, node._deriv, floor[r])
         if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
-            raise GeometryError(f"pullback interval degenerates at index {w!r}")
+            raise GeometryError("pullback interval degenerates at index "
+                                f"{dec.times.indices_descending()[r]!r}")
         out[r] = ends
-    out1, out2 = {}, {}
-    for w, (a, b, c, d) in zip(paths, out.tolist()):
-        out1[w] = OrientedInterval(a, b, "+")
-        out2[w] = OrientedInterval(c, d, "-")
-    return Geometry(s1, out1, out2, dec.depth)
+    return Geometry.from_rows(s1, out)
 
 
-def _zoom_children(out: np.ndarray, eta: np.ndarray, g: Geometry, paths,
-                   row_of: dict, new_row_of: dict):
-    """For w in paths, out[1w] = zoom(eta[w], g.s1[w]) and out[2w] = zoom(eta[w], g.s2[w]).
+def _zoom_children(out: np.ndarray, eta: np.ndarray, ends: np.ndarray, dst: np.ndarray):
+    """Zoom row j of eta into the s2 and s1 intervals of ends[j], _ZOOM_ROWS at a time.
 
-    Rows are given by row_of for eta and new_row_of for out; the zooms run
-    _ZOOM_ROWS at a time.
+    The children land at out rows dst[j] and half + dst[j], half = (len(out) + 1) / 2.
     """
-    src = [row_of[w] for w in paths] * 2
-    dst = [new_row_of["1" + w] for w in paths] + [new_row_of["2" + w] for w in paths]
-    boxes = [g.s1[w] for w in paths] + [g.s2[w] for w in paths]
-    for start in range(0, len(boxes), _ZOOM_ROWS):
-        part = slice(start, start + _ZOOM_ROWS)
-        out[dst[part]] = zoom_rows(
-            eta[src[part]], np.array([b.lo for b in boxes[part]]),
-            np.array([b.hi for b in boxes[part]]),
-            np.array([1.0 if b.flag == "+" else -1.0 for b in boxes[part]]))
+    half = (out.shape[0] + 1) // 2
+    for shift, col, sign in ((0, 2, -1.0), (half, 0, 1.0)):
+        for start in range(0, dst.size, _ZOOM_ROWS):
+            part = slice(start, start + _ZOOM_ROWS)
+            out[shift + dst[part]] = zoom_rows(eta[part], *ends[part, col:col + 2].T, sign)
 
 
 def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
@@ -368,18 +346,18 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
 
     The new root is the zoomed folding branch over g.side_root; the node at
     w is zoomed into g.s1[w] and reinstalled at 1w, and into g.s2[w] at 2w.
-    This raises the depth by one; with ``truncate`` the deepest level is
-    dropped again so depth is preserved.  Each zoom equals diffspace.zoom
-    of the node bit for bit.
+    This raises the depth by one; with ``truncate`` the deepest level (the
+    even rows) is dropped again so depth is preserved.  Each zoom equals
+    diffspace.zoom of the node bit for bit.
     """
     if g.depth != dec.depth:
         raise DepthMismatch(f"geometry depth {g.depth} differs from decomposition depth {dec.depth}")
     times = timetree.DecompositionTimes(dec.depth if truncate else dec.depth + 1)
-    new_row_of = _row_of(times.depth)
+    src = slice(1, None, 2) if truncate else slice(None)
+    half = 2 ** times.depth
     out = np.empty((times.size, dec.grid))
-    out[new_row_of[timetree.ROOT]] = branch_zoom(alpha, g.side_root, dec.grid).eta_values
-    paths = [w for w in dec.times.indices_descending() if len(w) < times.depth]
-    _zoom_children(out, dec.eta, g, paths, _row_of(dec.depth), new_row_of)
+    out[half - 1] = branch_zoom(alpha, g.side_root, dec.grid).eta_values
+    _zoom_children(out, dec.eta[src], g.ends[src], np.arange(half - 1))
     return Decomposition.from_rows(times, out)
 
 
@@ -391,12 +369,13 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decompos
     node 2w, one level at a time.  This is bit for bit what depth + 1 steps
     of geometric_renormalize produce from any start on the same grid.
     """
-    if not g.contraction_factor < 1.0:
-        raise GeometryError("geometry contraction factor must be below 1")
     times = timetree.DecompositionTimes(g.depth)
-    row_of = _row_of(g.depth)
+    half = 2 ** g.depth
     out = np.empty((times.size, grid))
-    out[row_of[timetree.ROOT]] = branch_zoom(alpha, g.side_root, grid).eta_values
+    out[half - 1] = branch_zoom(alpha, g.side_root, grid).eta_values
+    odd = np.arange(1, times.size, 2)
+    span = (odd + 1) & -(odd + 1)  # 2^(depth - level) of each odd row
     for level in range(g.depth):
-        _zoom_children(out, out, g, times.level_indices(level), row_of, row_of)
+        src = odd[span == half >> level]
+        _zoom_children(out, out[src], g.ends[src], src >> 1)
     return Decomposition.from_rows(times, out)

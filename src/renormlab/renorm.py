@@ -59,6 +59,15 @@ _ILLINOIS_STEPS = 80
 # alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
 _MAX_SOLVER_BYTES = 2 ** 31
 
+# Longest orbit find_periodic_orbit takes: each outer pass makes k undamped
+# steps, about 0.3 s each at depth 8, for up to max_iter passes.
+_MAX_ORBIT_LENGTH = 16
+
+# Most steps renormalization_orbit_diagnostics tracks: from a random start the
+# distance to the pure set shrinks about 0.4x a step and is at rounding level
+# (below 1e-14) by step 23 (depth 8, alpha 2, seed 1); later records are noise.
+_MAX_DIAGNOSTIC_STEPS = 32
+
 
 class DecomposedMap:
     """A unimodal map presented as a decomposition plus a fold parameter.
@@ -170,12 +179,6 @@ def _rescaled_peak(t, l, r):
     return rho
 
 
-def _rho_from(geom: Geometry, f: DecomposedMap) -> float:
-    # innermost recorded s1 pullback = full preimage of S1 under the composition
-    inner = geom.s1["1" * f.decomposition.depth]
-    return min(max(_rescaled_peak(f.t, inner.lo, inner.hi), 0.0), 1.0)
-
-
 def peak_value_rho(f: DecomposedMap) -> float:
     """The fold parameter of the rescaled first return map.
 
@@ -190,12 +193,12 @@ def peak_value_rho(f: DecomposedMap) -> float:
 
 def dynamical_geometry(f: DecomposedMap) -> Geometry:
     """Pull the side and central intervals back through the decomposition."""
-    f0, p, b = _checked_structure(f)
-    return pullback_intervals(
-        f.decomposition,
-        OrientedInterval(p, b, "+"),
-        OrientedInterval(-p, p, "-"),
-    )
+    return _pullback(f, *_checked_structure(f)[1:])
+
+
+def _pullback(f: DecomposedMap, p: float, b: float) -> Geometry:
+    return pullback_intervals(f.decomposition, OrientedInterval(p, b, "+"),
+                              OrientedInterval(-p, p, "-"))
 
 
 @dataclass(frozen=True)
@@ -222,12 +225,10 @@ def renormalize(f: DecomposedMap, *, truncate: bool = True) -> RenormStep:
     if not f0 <= b:
         raise DomainError(
             f"map is not renormalizable: peak image {f0:.6f} overshoots the side point {b:.6f}")
-    geom = pullback_intervals(
-        f.decomposition,
-        OrientedInterval(p, b, "+"),
-        OrientedInterval(-p, p, "-"),
-    )
-    rho = _rho_from(geom, f)
+    geom = _pullback(f, p, b)
+    # the last row's s1 pullback is the full preimage of S1 under the composition
+    lo, hi = geom.ends[-1, :2].tolist()
+    rho = min(max(_rescaled_peak(f.t, lo, hi), 0.0), 1.0)
     new_dec = geometric_renormalize(geom, f.alpha, f.decomposition, truncate=truncate)
     return RenormStep(DecomposedMap(new_dec, rho, f.alpha), geom, p, b, rho)
 
@@ -457,6 +458,14 @@ class FixedPointReport:
         """Rebuild a stored report; a malformed or inconsistent one raises ConfigError."""
         try:
             depth, grid = int(data["depth"]), int(data["grid"])
+            alpha, t_star = float(data["alpha"]), float(data["t_star"])
+            residuals = float(data["residual_geometry"]), float(data["residual_peak"])
+            iterations = int(data["iterations"])
+            if not (alpha > 1.0 and 0.0 <= t_star <= 1.0 and iterations >= 1
+                    and all(0.0 <= r < np.inf for r in residuals)
+                    and isinstance(data.get("coincident", False), bool)):
+                raise ConfigError("malformed report: needs alpha > 1, t_star in [0, 1], finite "
+                                  "residuals >= 0, iterations >= 1, coincident a bool or absent")
             dec, geo = data["decomposition"], data["geometry"]
             # the parts check their own node counts before building any tree
             if {int(dec["depth"]), int(geo["depth"])} != {depth}:
@@ -465,15 +474,15 @@ class FixedPointReport:
             if any(len(node["eta"]) != grid for node in dec["nodes"]):
                 raise ConfigError(f"report grid {grid} disagrees with its decomposition")
             return cls(
-                alpha=float(data["alpha"]),
+                alpha=alpha,
                 depth=depth,
                 grid=grid,
-                t_star=float(data["t_star"]),
+                t_star=t_star,
                 geometry_star=Geometry.from_dict(geo),
                 pure_star=Decomposition.from_dict(dec),
-                residual_geometry=float(data["residual_geometry"]),
-                residual_peak=float(data["residual_peak"]),
-                iterations=int(data["iterations"]),
+                residual_geometry=residuals[0],
+                residual_peak=residuals[1],
+                iterations=iterations,
                 delta_estimate=(None if data.get("delta_estimate") is None
                                 else float(data["delta_estimate"])),
                 coincident=data.get("coincident"),
@@ -576,8 +585,8 @@ def find_periodic_orbit(config: SolverConfig, k: int,
     the cycle diameter is below tol every report is flagged coincident: the
     orbit has collapsed onto a fixed point.
     """
-    if k < 1:
-        raise ConfigError("orbit length k must be at least 1")
+    if not 1 <= k <= _MAX_ORBIT_LENGTH:
+        raise ConfigError(f"orbit length k must be at least 1 and at most {_MAX_ORBIT_LENGTH}")
     return _cycle_reports(config, *_outer_solve(config, k, initial_geometry))
 
 
@@ -588,8 +597,10 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     to the pure decomposition of its own dynamical geometry, and that
     geometry's contraction factor.  After each record the map is renormalized
     (truncated) and the peak value re-solved, which keeps the orbit inside
-    the renormalizable window.
+    the renormalizable window.  Raises ConfigError unless 1 <= steps <= 32.
     """
+    if not 1 <= steps <= _MAX_DIAGNOSTIC_STEPS:
+        raise ConfigError(f"steps must be at least 1 and at most {_MAX_DIAGNOSTIC_STEPS}")
     records = []
     current = f
     for step in range(steps):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decompspace import Decomposition
 from .errors import BracketError, ConfigError, NonConvergence
 from .renorm import DecomposedMap, FixedPointReport, renormalize
 
@@ -26,6 +27,11 @@ _BISECT_WIDTH = 1e-14
 # cost, and past m = 13 the gap ratios lose digits to the bisection width
 # (4.669160 at m = 14 and 4.671995 at m = 16, against delta = 4.669201609).
 _MAX_CASCADE_LEVEL = 16
+
+# Most levels scaling_ratios takes: each step amplifies the fixed point's
+# residual by about delta, so at depth 8 and alpha 2 level 12 is already 4e-5
+# off and level 18 leaves the renormalizable window.
+_MAX_SCALING_LEVELS = 12
 
 
 def _critical_iterate(alpha: float, k: int, t_values: np.ndarray) -> np.ndarray:
@@ -146,8 +152,6 @@ def _pack(dec, t: float) -> np.ndarray:
 
 
 def _unpack(vec: np.ndarray, template):
-    from .decompspace import Decomposition
-
     return (Decomposition.from_rows(template.times, vec[:-1].reshape(template.eta.shape)),
             float(vec[-1]))
 
@@ -200,8 +204,11 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
     its fixed point p, the length ratio between consecutive central
     intervals in the original coordinate.  At the fixed point the sequence
     is constant up to residual noise amplified by the unstable eigenvalue,
-    so early entries are the trustworthy ones.
+    so early entries are the trustworthy ones.  Raises ConfigError unless
+    1 <= levels <= 12.
     """
+    if not 1 <= levels <= _MAX_SCALING_LEVELS:
+        raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
     f = DecomposedMap(report.pure_star, report.t_star, report.alpha)
     ratios = []
     for _ in range(levels):

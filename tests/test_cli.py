@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from renormlab import renorm, spectral
 from renormlab.cli import _build_parser, main
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
@@ -213,14 +214,58 @@ def _contradicted_depth(data):
     return data
 
 
-@pytest.mark.parametrize("corrupt", [_malformed_nodes, lambda data: [data], _contradicted_depth],
-                         ids=["nodes-not-a-list", "top-level-list", "depth-contradicts"])
+def _setting(key, value):
+    def corrupt(data):
+        data[key] = value
+        return data
+    return corrupt
+
+
+SCALAR_CORRUPTIONS = {
+    "alpha-below-1": _setting("alpha", 0.5),
+    "alpha-nan": _setting("alpha", float("nan")),
+    "t-star-nan": _setting("t_star", float("nan")),
+    "t-star-above-1": _setting("t_star", 1.5),
+    "residual-negative": _setting("residual_geometry", -1e-9),
+    "residual-infinite": _setting("residual_peak", float("inf")),
+    "iterations-negative": _setting("iterations", -3),
+    "coincident-not-bool": _setting("coincident", "yes"),
+}
+
+
+@pytest.mark.parametrize("corrupt", [_malformed_nodes, lambda data: [data], _contradicted_depth,
+                                     *SCALAR_CORRUPTIONS.values()],
+                         ids=["nodes-not-a-list", "top-level-list", "depth-contradicts",
+                              *SCALAR_CORRUPTIONS])
 def test_spectrum_rejects_malformed_report(report_file, tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(json.loads(report_file.read_text()))))
-    assert main(["spectrum", "--alpha", "2", "--in", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # without --alpha too, so a bad alpha is not caught by the alpha check instead
+    for argv in (["spectrum", "--alpha", "2", "--in", str(bad)], ["spectrum", "--in", str(bad)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--alpha", "2", *FAST, "-k", "0"],
+    ["orbit", "--alpha", "2", *FAST, "-k", "1000000"],
+    ["orbit-diagnostics", "--alpha", "2", "--depth", "2", "--grid", "48", "--steps", "0"],
+    ["orbit-diagnostics", "--alpha", "2", "--depth", "2", "--grid", "48", "--steps", "1000000"],
+    ["spectrum", "--levels", "-1"],
+    ["spectrum", "--levels", "1000000"],
+], ids=["k-0", "k-huge", "steps-0", "steps-huge", "levels-negative", "levels-huge"])
+def test_loop_counts_are_bounded_before_any_step(argv, report_file, monkeypatch, capsys):
+    def step(*args, **kwargs):
+        raise AssertionError("a renormalization step ran")
+
+    for module, name in ((renorm, "pure_decomposition"), (renorm, "pullback_intervals"),
+                         (renorm, "renormalize"), (spectral, "renormalize")):
+        monkeypatch.setattr(module, name, step)
+    if argv[0] == "spectrum":
+        argv = [*argv, "--in", str(report_file)]
+    assert main(argv) == 1
+    assert "at most" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ window

@@ -226,9 +226,6 @@ def test_geometry_margin_guard():
     assert 0.97 > KAPPA_MARGIN
     with pytest.raises(GeometryError):
         Geometry(root, s1, wide, 1)
-    # an explicit margin lifts the guard
-    g = Geometry(root, s1, wide, 1, margin=0.99)
-    assert g.contraction_factor == pytest.approx(0.97)
 
 
 def test_geometry_serialization_and_distance(rng):
@@ -249,6 +246,63 @@ def test_geometry_blend_endpoints(rng):
     mid = geometry_blend(0.5, new, old)
     want = 0.5 * (new.side_root.lo + old.side_root.lo)
     assert mid.side_root.lo == pytest.approx(want, abs=1e-15)
+
+
+def test_block_layout_agrees_with_timetree_words():
+    # descending order: the 2w block, the root, the 1w block, each block in
+    # the depth-(d-1) order of w; the rows with children are the odd rows
+    assert DecompositionTimes(0).indices_descending() == (ROOT,)
+    for depth in range(1, 7):
+        rows = DecompositionTimes(depth).indices_descending()
+        prev = DecompositionTimes(depth - 1).indices_descending()
+        half = 2 ** depth
+        assert rows[:half - 1] == tuple("2" + w for w in prev)
+        assert rows[half - 1] == ROOT
+        assert rows[half:] == tuple("1" + w for w in prev)
+        assert rows[1::2] == prev
+        for r, w in enumerate(rows):
+            lowbit = (r + 1) & -(r + 1)
+            assert len(w) == depth - lowbit.bit_length() + 1, (depth, r)
+
+
+def _scalar_intervals(g):
+    return [g.side_root] + [iv for side in (g.s1, g.s2) for iv in side.values()]
+
+
+def test_geometry_array_operations_equal_scalar_formulas(rng):
+    for depth in (0, 1, 3, 5):
+        a, b = random_geometry(rng, depth), random_geometry(rng, depth)
+        pairs = list(zip(_scalar_intervals(a), _scalar_intervals(b)))
+        want = max(max(abs(p.lo - q.lo), abs(p.hi - q.hi)) for p, q in pairs)
+        assert geometry_distance(a, b) == want
+        assert a.contraction_factor == max(0.5 * (p.hi - p.lo) for p in _scalar_intervals(a))
+        for theta in (0.0, 0.3, 1.0):
+            mixed = _scalar_intervals(geometry_blend(theta, a, b))
+            for m, (p, q) in zip(mixed, pairs):
+                assert m.lo == theta * p.lo + (1.0 - theta) * q.lo
+                assert m.hi == theta * p.hi + (1.0 - theta) * q.hi
+                assert m.flag == p.flag
+
+
+def test_geometry_rows_are_read_only_and_checked(rng):
+    g = random_geometry(rng, 2)
+    assert g.ends.shape == (7, 4) and not g.ends.flags.writeable
+    for r, w in enumerate(DecompositionTimes(2).indices_descending()):
+        assert list(g.ends[r]) == [g.s1[w].lo, g.s1[w].hi, g.s2[w].lo, g.s2[w].hi]
+    with pytest.raises(TypeError):
+        g.s1[ROOT] = g.side_root
+    good = np.array([[0.3, 0.7, -0.25, 0.25]] * 3)
+    assert Geometry.from_rows(g.side_root, good).depth == 1
+    for bad_row in ([np.nan, 0.7, -0.25, 0.25],     # NaN
+                    [0.3, 0.7, 0.25, -0.25],        # inverted
+                    [0.3, 1.2, -0.25, 0.25],        # outside [-1, 1]
+                    [0.3, 0.7, -0.97, 0.97]):       # over the contraction margin
+        rows = good.copy()
+        rows[1] = bad_row
+        with pytest.raises(GeometryError):
+            Geometry.from_rows(g.side_root, rows)
+    with pytest.raises(GeometryError):
+        Geometry.from_rows(g.side_root, good[:2])
 
 
 # ----------------------------------------------------------------- pullback
@@ -384,6 +438,7 @@ def test_pure_decomposition_rejects_expanding_geometry():
     paths = DecompositionTimes(1).indices_descending()
     s1 = {w: OrientedInterval(0.01, 0.99, "+") for w in paths}
     s2 = {w: OrientedInterval(-1.0, 1.0, "-") for w in paths}
-    g = Geometry(OrientedInterval(0.2, 0.8, "+"), s1, s2, 1, margin=1.0)
-    with pytest.raises(GeometryError):
-        pure_decomposition(g, 2.0)
+    # kappa <= KAPPA_MARGIN < 1 for every geometry, so pure_decomposition
+    # never sees an expanding one: it cannot be built
+    with pytest.raises(GeometryError, match="contraction margin"):
+        Geometry(OrientedInterval(0.2, 0.8, "+"), s1, s2, 1)
