@@ -117,6 +117,16 @@ def on_grid(coeffs: np.ndarray, n: int, interior: bool = False) -> np.ndarray:
     return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], interior))
 
 
+# Largest point count chebval evaluates through the cosine form.
+_COSINE_POINTS = 32
+
+
+def _cosine_table(x: np.ndarray, terms: int) -> np.ndarray:
+    """T_j(x) = cos(j arccos x) for j < terms, one row per point; x clipped to [-1, 1]."""
+    s = np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
+    return np.cos(np.multiply.outer(s, np.arange(terms)))
+
+
 def chebval(x, coeffs):
     """Evaluate a Chebyshev series at arbitrary points.
 
@@ -129,10 +139,78 @@ def chebval(x, coeffs):
     """
     xa = np.asarray(x, dtype=float)
     c = np.asarray(coeffs, dtype=float)
-    if xa.size <= 32:
-        s = np.arccos(np.minimum(np.maximum(xa, -1.0), 1.0))
-        return np.cos(np.multiply.outer(s, np.arange(c.size))) @ c
+    if xa.size <= _COSINE_POINTS:
+        return _cosine_table(xa, c.size) @ c
     return _C.chebval(xa, c)
+
+
+def chebval_pair(x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """chebval(x, a) and chebval(x, b) bit for bit, from one cosine table.
+
+    The table of the longer series serves both: its leading columns are the
+    shorter series' table, entry for entry.
+    """
+    if x.size <= _COSINE_POINTS:
+        table = _cosine_table(x, max(a.size, b.size))
+        return table[:, :a.size] @ a, table[:, :b.size] @ b
+    return _C.chebval(x, a), _C.chebval(x, b)
+
+
+def bary_points(x: np.ndarray, n: int):
+    """Barycentric point data of x (r, p) against nodes(n), for bary_apply.
+
+    Returns (k, hit): the weights w_j / (x - x_j) (r, p, n), and the points
+    that sit on a grid node as (rows, columns, nodes) index arrays, or None
+    when there is none.  It depends on the points alone, so a loop that
+    resamples changing values at the same points builds it once.
+    """
+    xs = nodes(n)
+    at = np.searchsorted(xs, x)
+    exact = xs.take(at, mode="clip") == x
+    d = x[..., None] - xs
+    hit = None
+    if exact.any():
+        rows, cols = np.nonzero(exact)
+        hit = (rows, cols, at[rows, cols])
+        d[hit] = 1.0
+    # in place: from a few rows on, a second array this size alive beside d
+    # passes malloc's mmap threshold, and each call faults its pages in afresh
+    return np.divide(bary_weights(n), d, out=d), hit
+
+
+def bary_rows(pts):
+    """The point data of each row of bary_points(x, n) alone, as for x[j:j + 1]."""
+    k, hit = pts
+    if hit is None:
+        return [(k[j:j + 1], None) for j in range(k.shape[0])]
+    rows, cols, at = hit
+    cut = np.searchsorted(rows, np.arange(k.shape[0] + 1)).tolist()
+    return [(k[j:j + 1], (rows[a:b], cols[a:b], at[a:b]) if b > a else None)
+            for j, (a, b) in enumerate(zip(cut, cut[1:]))]
+
+
+def bary_apply(values: np.ndarray, k: np.ndarray, hit) -> np.ndarray:
+    """Resample values (r, n) on nodes(n) at the points of bary_points; r may be 1 there.
+
+    Anchored at each row's first sample so constant rows are reproduced
+    bitwise (the quotient becomes 0/den exactly); power-of-two rescalings of
+    a row rescale its output exactly as well.  Points on a grid node return
+    that node's sample.
+    """
+    anchor = values[:, :1]
+    # numerator and denominator sums in one product
+    terms = np.empty((values.shape[0], 2, values.shape[1]))
+    terms[:, 0] = values - anchor
+    terms[:, 1] = 1.0
+    sums = np.einsum("rpj,rcj->rcp", k, terms)
+    out = anchor + sums[:, 0] / sums[:, 1]
+    if hit is not None:
+        rows, cols, at = hit
+        if k.shape[0] == 1:  # one row of points, shared by every row of values
+            out[:, cols] = values[:, at]
+        else:
+            out[rows, cols] = values[rows, at]
+    return out
 
 
 def resample_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -140,31 +218,8 @@ def resample_rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     x may also be (1, p), points shared by every row; the weights are then
     built once, and each row's result is the same as with its own copy.
-    Anchored at each row's first sample so constant rows are reproduced
-    bitwise (the quotient becomes 0/den exactly); power-of-two rescalings of
-    a row rescale its output exactly as well.  Points on a grid node return
-    that node's sample.
     """
-    n = values.shape[-1]
-    xs = nodes(n)
-    at = np.searchsorted(xs, x)
-    exact = xs.take(at, mode="clip") == x
-    d = x[..., None] - xs
-    hit = np.nonzero(exact) if exact.any() else None
-    if hit is not None:
-        d[hit + (at[hit],)] = 1.0
-    k = bary_weights(n) / d
-    anchor = values[:, :1]
-    # numerator and denominator sums in one product
-    terms = np.empty((values.shape[0], 2, n))
-    terms[:, 0] = values - anchor
-    terms[:, 1] = 1.0
-    sums = np.einsum("rpj,rcj->rcp", k, terms)
-    out = anchor + sums[:, 0] / sums[:, 1]
-    if hit is not None:
-        hit = np.nonzero(np.broadcast_to(exact, out.shape))
-        out[hit] = values[hit[0], np.broadcast_to(at, out.shape)[hit]]
-    return out
+    return bary_apply(values, *bary_points(x, values.shape[-1]))
 
 
 def resample(values: np.ndarray, x) -> np.ndarray | float:

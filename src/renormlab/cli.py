@@ -25,12 +25,12 @@ from .renorm import (
     DecomposedMap,
     FixedPointReport,
     SolverConfig,
+    _window,
     find_fixed_point,
     find_periodic_orbit,
     peak_value_rho,
     random_decomposed_map,
     renormalization_orbit_diagnostics,
-    renormalization_window,
 )
 from .spectral import scaling_ratios, superstable_cascade, unstable_eigenvalue
 
@@ -132,7 +132,7 @@ def _cmd_window(args) -> int:
     cfg = _config(args)
     dec = identity_decomposition(cfg.depth, cfg.grid)
     obs = compose_all(dec)
-    result = renormalization_window(dec, cfg.alpha)
+    result = _window(obs, cfg.alpha)
     lines = [f"# window t_min={result.t_min!r} t_max={result.t_max!r}"]
     if result.multiple:
         lines.append(f"# warning: {len(result.windows)} disjoint renormalizable "

@@ -31,7 +31,7 @@ from .diffspace import (
     OrientedInterval,
     branch_zoom,
     compose,  # noqa: F401 - re-exported as decompspace.compose
-    compose_step,
+    compose_rows,
     inner_side,
     newton_inverse,
     quad_rows,
@@ -43,11 +43,11 @@ from .errors import DepthMismatch, DomainError, GeometryError
 KAPPA_MARGIN = 0.95
 
 # Rows per batched step, which bounds its temporaries: the evaluation data,
-# the inner side of a compose fold, and the zooms of a renormalization step
-# (a zoom stack holds a few (rows, n, n) arrays, 0.25 MB each at 8 rows and
-# n = 64).
+# the inner side of a compose fold (its barycentric weights are (rows, 2n, n),
+# 0.5 MB at 8 rows and n = 64) and the zooms of a renormalization step (a zoom
+# stack holds a few (rows, n, n) arrays, 0.25 MB each at 8 rows).
 _CACHE_ROWS = 64
-_COMPOSE_ROWS = 64
+_COMPOSE_ROWS = 8
 _ZOOM_ROWS = 8
 
 
@@ -173,18 +173,16 @@ def decomposition_linear_combination(a: float, da: Decomposition,
 
 def _compose_descending(dec: Decomposition, count: int) -> NonlinearityProfile:
     # the first count rows run in descending time order, so each later node
-    # goes innermost.  The inner side of every step comes from one batch per
-    # chunk; only the outer resample of the running result and its check
-    # stay sequential, which is bit for bit the fold of compose() over the
-    # same nodes.
+    # goes innermost.  The inner side of every step and the resolution check
+    # run in one batch per chunk; only the resample of the running result
+    # and the chain rule stay sequential (compose_rows), which is bit for bit
+    # the fold of compose() over the same nodes.
     quad = dec._batch()
     result = dec.eta[0]
     for start in range(1, count, _COMPOSE_ROWS):
         chunk = slice(start, min(start + _COMPOSE_ROWS, count))
         inner = dec.eta[chunk]
-        u, d, h = inner_side(inner, [a[chunk] for a in quad])
-        for j in range(inner.shape[0]):
-            result = compose_step(result, inner[j], u[j], d[j], h[j])
+        result = compose_rows(result, inner, *inner_side(inner, [a[chunk] for a in quad]))[-1]
     return NonlinearityProfile(result)
 
 
@@ -316,15 +314,15 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
         raise GeometryError("central interval must be symmetric with flag '-'")
     if s1.flag != "+" or not (0.0 < s1.lo and s1.hi < 1.0):
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
-    floor = dec._batch()[2]
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     out = np.empty((dec.times.size, 4))
-    for r, node in enumerate(dec.nodes.values()):  # the nodes in row order
-        ends = newton_inverse(ends, node._eval, node._deriv, floor[r])
-        if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
-            raise GeometryError("pullback interval degenerates at index "
-                                f"{dec.times.indices_descending()[r]!r}")
-        out[r] = ends
+    with np.errstate(divide="ignore", invalid="ignore"):  # see newton_inverse
+        for r, quad in enumerate(zip(*dec._batch())):
+            ends = newton_inverse(ends, *quad)
+            if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
+                raise GeometryError("pullback interval degenerates at index "
+                                    f"{dec.times.indices_descending()[r]!r}")
+            out[r] = ends
     return Geometry.from_rows(s1, out)
 
 

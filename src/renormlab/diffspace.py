@@ -78,36 +78,41 @@ def quad_rows(eta: np.ndarray):
     return phi_c, logd_c, floor
 
 
-def newton_inverse(y: np.ndarray, f_of, df_of, floor: float) -> np.ndarray:
-    """x with f_of(x) = y for a 1-d y in [-1, 1], f increasing from -1 to 1.
+def newton_inverse(y: np.ndarray, phi_c: np.ndarray, logd_c: np.ndarray,
+                   floor: float) -> np.ndarray:
+    """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
 
-    The endpoints -1 and 1 are their own preimages.  Every other point
-    starts at y, keeps its own bracket, takes a Newton step when it lands
-    inside and bisects otherwise, and stops on its own, frozen from then on,
-    once its step is below 1e-15, its bracket below 4e-16 or its residual at
-    ``floor``.  Raises NonConvergence if 100 steps run out.
+    phi_c and logd_c are the Chebyshev coefficients of phi and log phi'
+    (quad_rows); each step evaluates both from one cosine table
+    (_cheb.chebval_pair).  The endpoints -1 and 1 are their own preimages.
+    Every other point starts at y, keeps its own bracket, takes a Newton
+    step when it lands inside and bisects otherwise, and stops on its own,
+    frozen from then on, once its step is below 1e-15, its bracket below
+    4e-16 or its residual at ``floor``.  A zero slope gives an inf or nan
+    step, which bisects: callers run this under
+    np.errstate(divide="ignore", invalid="ignore").  Raises NonConvergence
+    if 100 steps run out.
     """
     x = y.copy()
     idx = np.flatnonzero(np.abs(y) < 1.0)
     # the open points, compacted; a point leaves only when it stops
     xa, ya = x[idx], y[idx]
     lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
-    # a zero slope gives an inf or nan Newton step, which bisects
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            if idx.size == 0:
-                return x
-            f = f_of(xa) - ya
-            lo = np.where(f <= 0.0, xa, lo)
-            hi = np.where(f >= 0.0, xa, hi)
-            xn = xa - f / df_of(xa)
-            xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
-            done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
-            xa = xn
-            if done.any():
-                x[idx[done]] = xn[done]
-                keep = ~done
-                idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
+    for _ in range(100):
+        if idx.size == 0:
+            return x
+        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
+        f -= ya
+        lo = np.where(f <= 0.0, xa, lo)
+        hi = np.where(f >= 0.0, xa, hi)
+        xn = xa - f / np.exp(logd)
+        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+        done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
+        xa = xn
+        if done.any():
+            x[idx[done]] = xn[done]
+            keep = ~done
+            idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
     if idx.size == 0:
         return x
     raise NonConvergence(
@@ -196,7 +201,8 @@ class NonlinearityProfile:
         bit depends on the other points of the call.
         """
         yv = _check_unit(y, "inverse argument")
-        x = newton_inverse(np.atleast_1d(yv), self._eval, self._deriv, self._cache()[2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = newton_inverse(np.atleast_1d(yv), *self._cache())
         return x[0] if np.ndim(yv) == 0 else x
 
     def to_dict(self) -> dict:
@@ -234,30 +240,45 @@ def linear_combination(a: float, phi: NonlinearityProfile,
 def inner_side(eta: np.ndarray, quad):
     """The inner-node half of compose for a stack of inner profiles.
 
-    For each row: u, the inner map at the grid nodes followed by the interior
-    points (r, 2n); d, its derivative there (r, 2n); and h, its nonlinearity
-    at the interior points (r, n).  None of it depends on the outer map.
+    For each row: the barycentric point data (_cheb.bary_points) of u, the
+    inner map at the grid nodes followed by the interior points (r, 2n); d,
+    its derivative there (r, 2n); and h, its nonlinearity at the interior
+    points (r, n).  None of it depends on the outer map.
     """
     n = eta.shape[-1]
     u = _cheb.on_grid(quad[0], n, interior=True)
     d = np.exp(_cheb.on_grid(quad[1], n, interior=True))
-    return u, d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
+    return _cheb.bary_points(u, n), d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
 
 
-def compose_step(outer_eta: np.ndarray, inner_eta: np.ndarray, u, d, h, *,
+def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h, *,
                  check: bool = True) -> np.ndarray:
-    """Samples of outer o inner from the inner side (u, d, h) of inner_side."""
-    n = inner_eta.size
-    ov = _cheb.resample_rows(outer_eta[None, :], u[None, :])[0]
-    eta = ov[:n] * d[:n] + inner_eta
+    """Fold the rows of inner_eta (r, n), in order, innermost into outer_eta.
+
+    Row j of the result holds the samples of outer o inner_0 o ... o inner_j;
+    (pts, d, h) is the inner side of the rows (inner_side).  Only the
+    resample of the running result and the chain rule stay in the
+    sequential loop.  With
+    ``check`` every row is then compared against its direct chain-rule
+    values at the interior points, all rows in one resample, and the first
+    row whose residual exceeds the grid resolution raises ResolutionError.
+    """
+    n = inner_eta.shape[-1]
+    ov, out = np.empty(d.shape), np.empty(inner_eta.shape)
+    result = outer_eta
+    for j, row_pts in enumerate(_cheb.bary_rows(pts)):
+        ov[j] = _cheb.bary_apply(result[None, :], *row_pts)[0]
+        result = out[j] = ov[j, :n] * d[j, :n] + inner_eta[j]
     if check:
-        direct = ov[n:] * d[n:] + h
-        interp = _cheb.resample_rows(eta[None, :], _cheb.interior_nodes(n)[None, :])[0]
-        resid = float(np.maximum.reduce(np.abs(direct - interp)))
-        if resid > RESOLUTION_RTOL * (1.0 + float(np.maximum.reduce(np.abs(eta)))):
-            raise ResolutionError(
-                f"composition residual {resid:.3e} exceeds grid resolution at degree {n}")
-    return eta
+        direct = ov[:, n:] * d[:, n:] + h
+        interp = _cheb.resample_rows(out, _cheb.interior_nodes(n)[None, :])
+        resid = np.maximum.reduce(np.abs(direct - interp), axis=-1)
+        scale = 1.0 + np.maximum.reduce(np.abs(out), axis=-1)
+        bad = np.flatnonzero(resid > RESOLUTION_RTOL * scale)
+        if bad.size:
+            raise ResolutionError(f"composition residual {float(resid[bad[0]]):.3e} "
+                                  f"exceeds grid resolution at degree {n}")
+    return out
 
 
 def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
@@ -271,9 +292,9 @@ def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
     """
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
-    u, d, h = inner_side(inner.eta_values[None, :], [a[None] for a in inner._cache()])
-    return NonlinearityProfile(
-        compose_step(outer.eta_values, inner.eta_values, u[0], d[0], h[0], check=check))
+    inner_eta = inner.eta_values[None, :]
+    side = inner_side(inner_eta, [a[None] for a in inner._cache()])
+    return NonlinearityProfile(compose_rows(outer.eta_values, inner_eta, *side, check=check)[0])
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,15 @@ def _pullback(f: DecomposedMap, p: float, b: float) -> Geometry:
                               OrientedInterval(-p, p, "-"))
 
 
+def _renormalizable_structure(f: DecomposedMap):
+    """(p, b) of a map whose peak image lands in [p, b]; DomainError if it overshoots b."""
+    f0, p, b = _checked_structure(f)
+    if not f0 <= b:
+        raise DomainError(
+            f"map is not renormalizable: peak image {f0:.6f} overshoots the side point {b:.6f}")
+    return p, b
+
+
 @dataclass(frozen=True)
 class RenormStep:
     """One renormalization step: the new map plus the data that produced it."""
@@ -221,10 +230,7 @@ def renormalize(f: DecomposedMap, *, truncate: bool = True) -> RenormStep:
     dropped); without it the exact one-level-deeper image is returned, which
     reproduces the classical first return map to the central interval.
     """
-    f0, p, b = _checked_structure(f)
-    if not f0 <= b:
-        raise DomainError(
-            f"map is not renormalizable: peak image {f0:.6f} overshoots the side point {b:.6f}")
+    p, b = _renormalizable_structure(f)
     geom = _pullback(f, p, b)
     # the last row's s1 pullback is the full preimage of S1 under the composition
     lo, hi = geom.ends[-1, :2].tolist()
@@ -328,7 +334,11 @@ def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
     predicate bisection to _WINDOW_EDGE_TOL.  All windows are reported; the
     first one fills t_min/t_max.
     """
-    obs = compose_all(phi)
+    return _window(compose_all(phi), alpha)
+
+
+def _window(obs: NonlinearityProfile, alpha: float) -> WindowResult:
+    """renormalization_window of the diffeomorphism whose composed profile is obs."""
     ts, _, _, mask = _scan_window(obs, alpha, _WINDOW_SCAN_STEP)
 
     def renormalizable_at(t):

@@ -18,10 +18,14 @@ import numpy as np
 
 from .decompspace import Decomposition
 from .errors import BracketError, ConfigError, NonConvergence
-from .renorm import DecomposedMap, FixedPointReport, renormalize
+from .renorm import DecomposedMap, FixedPointReport, _renormalizable_structure, renormalize
 
 _SCAN_BATCH = 128
 _BISECT_WIDTH = 1e-14
+
+# Bisection steps evaluated ahead in one batch: 2^6 - 1 = 63 midpoints, of
+# which a walk uses 6, so a 47-step bisection makes 8 iterate calls, not 47.
+_SPECULATIVE_LEVELS = 6
 
 # Deepest cascade level: level k iterates 2^k steps, so each level doubles the
 # cost, and past m = 13 the gap ratios lose digits to the bisection width
@@ -37,23 +41,47 @@ _MAX_SCALING_LEVELS = 12
 def _critical_iterate(alpha: float, k: int, t_values: np.ndarray) -> np.ndarray:
     """q_t^(2^k)(0) for an array of fold levels, by direct iteration."""
     t = np.asarray(t_values, dtype=float)
+    slope, top = -2.0 * t, 2.0 * t - 1.0
     x = np.zeros_like(t)
     for _ in range(2 ** k):
-        x = -2.0 * t * np.abs(x) ** alpha + (2.0 * t - 1.0)
+        x = slope * np.abs(x) ** alpha + top
     return x
 
 
+def _midpoint_tree(lo: float, hi: float, levels: int) -> np.ndarray:
+    """Every midpoint the next `levels` bisection steps of [lo, hi] can reach.
+
+    Heap order: entry 0 is 0.5 * (lo + hi), and the entry for a bracket
+    has its lower half's midpoint at 2i + 1 and its upper half's at 2i + 2.
+    Each is computed by the same 0.5 * (lo + hi) as a step would.
+    """
+    los, his = np.array([lo]), np.array([hi])
+    mids = []
+    for _ in range(levels):
+        mid = 0.5 * (los + his)
+        mids.append(mid)
+        los = np.stack([los, mid], axis=1).ravel()
+        his = np.stack([mid, his], axis=1).ravel()
+    return np.concatenate(mids)
+
+
 def _bisect_iterate(alpha: float, k: int, lo: float, hi: float) -> float:
+    # Speculative bisection: the midpoints of the next _SPECULATIVE_LEVELS
+    # steps go through one _critical_iterate call, then the walk by sign takes
+    # the same steps, and returns the same value, as one call per midpoint.
     g_lo = float(_critical_iterate(alpha, k, np.array([lo]))[0])
     while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        g_mid = float(_critical_iterate(alpha, k, np.array([mid]))[0])
-        if g_mid == 0.0:
-            return mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
+        tree = _midpoint_tree(lo, hi, _SPECULATIVE_LEVELS)
+        mids, g = tree.tolist(), _critical_iterate(alpha, k, tree).tolist()
+        i = 0
+        while i < len(mids) and hi - lo > _BISECT_WIDTH:
+            mid, g_mid = mids[i], g[i]
+            if g_mid == 0.0:
+                return mid
+            if (g_mid < 0.0) == (g_lo < 0.0):
+                lo, g_lo, i = mid, g_mid, 2 * i + 2
+            else:
+                hi, i = mid, 2 * i + 1
     return 0.5 * (lo + hi)
 
 
@@ -211,8 +239,10 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
         raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
     f = DecomposedMap(report.pure_star, report.t_star, report.alpha)
     ratios = []
-    for _ in range(levels):
+    for _ in range(levels - 1):
         outcome = renormalize(f)
         ratios.append(outcome.p)
         f = outcome.renormalized
+    # the last level needs only p: no pullback and no zoom of a step never used
+    ratios.append(_renormalizable_structure(f)[0])
     return ratios

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from renormlab import renorm, spectral
+from renormlab import decompspace, renorm, spectral
 from renormlab.cli import _build_parser, main
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
@@ -284,6 +284,22 @@ def test_window_csv(capsys):
     for t_str, rho_str in rows:
         assert 0.0 <= float(rho_str) <= 1.0
         assert 0.5 <= float(t_str) <= float(head["t_max"]) + 1e-12
+
+
+def test_window_composes_once(monkeypatch, capsys):
+    # the scan and the rho sweep share one composed profile
+    original, calls = decompspace.compose_all, []
+
+    def counted(dec):
+        calls.append(dec)
+        return original(dec)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "renormlab"]:
+        if getattr(module, "compose_all", None) is original:
+            monkeypatch.setattr(module, "compose_all", counted)
+    assert main(["window", "--alpha", "2", "--depth", "2", "--grid", "48"]) == 0
+    assert capsys.readouterr().out.startswith("# window t_min=")
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- cascade

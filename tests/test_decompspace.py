@@ -1,6 +1,7 @@
 """Tree-indexed decompositions, geometries, and the pure-decomposition operator."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from renormlab.decompspace import (
     pure_decomposition,
 )
 from renormlab.timetree import ROOT, DecompositionTimes
-from renormlab.errors import DepthMismatch, DomainError, GeometryError
+from renormlab.errors import DepthMismatch, DomainError, GeometryError, ResolutionError
 
 from support import random_decomposition, random_geometry
 
@@ -169,6 +170,24 @@ def test_compose_all_matches_explicit_fold(rng):
         manual = dec.nodes[w] if manual is None else compose(manual, dec.nodes[w])
     phi = compose_all(dec)
     assert np.array_equal(phi.eta_values, manual.eta_values)
+
+
+def test_unresolvable_fold_raises_the_explicit_folds_error():
+    # grid 16 cannot carry compositions of eta = 6 nodes: the explicit fold
+    # first fails at row 4, and rows 5 to 8 of the same chunk fail by more
+    times = DecompositionTimes(3)
+    eta = np.zeros((times.size, 16))
+    eta[2:12] = 6.0
+    dec = Decomposition.from_rows(times, eta)
+    manual = dec.nodes[times.indices_descending()[0]]
+    with pytest.raises(ResolutionError) as explicit:
+        for w in times.indices_descending()[1:]:
+            manual = compose(manual, dec.nodes[w])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError) as batched:
+            compose_all(dec)
+    assert str(batched.value) == str(explicit.value)
 
 
 def test_partial_composition_slices_the_suffix(rng):

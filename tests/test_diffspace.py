@@ -87,23 +87,31 @@ def test_overflowing_nonlinearity_is_refused():
             phi.inverse(0.0)
 
 
-class _CountedSteps(NonlinearityProfile):
-    """Counts evaluations of phi: inverse makes one per Newton step."""
+def _patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):
+    """Route newton_inverse's per-step series evaluation through ``change``.
 
-    __slots__ = ("steps",)
+    Returns the list of calls, one per Newton step; ``change`` sees the call
+    count and the values of phi and log phi' and returns the ones to use.
+    """
+    calls = []
+    pair = _cheb.chebval_pair
 
-    def _eval(self, x):
-        self.steps += 1
-        return super()._eval(x)
+    def patched(x, phi_c, logd_c):
+        calls.append(x.size)
+        return change(len(calls), *pair(x, phi_c, logd_c))
+
+    monkeypatch.setattr(_cheb, "chebval_pair", patched)
+    return calls
 
 
-def test_inverse_converges_in_a_few_newton_steps(rng):
+def test_inverse_converges_in_a_few_newton_steps(rng, monkeypatch):
     ys = np.array([-0.5, -0.25, 0.25, 0.5])
+    steps = _patch_series(monkeypatch)
     for _ in range(5):
-        phi = _CountedSteps(random_profile(rng).eta_values)
-        phi.steps = 0
+        phi = random_profile(rng)
+        steps.clear()
         xs = phi.inverse(ys)
-        assert phi.steps <= 6
+        assert 1 <= len(steps) <= 6
         assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-12
 
 
@@ -118,27 +126,17 @@ def test_inverse_accepts_exact_roots(rng):
         assert abs(phi.inverse(y) - x) < 1e-12
 
 
-class _FlickeringEval(NonlinearityProfile):
-    """An evaluation error of 1e-15 whose sign flips from one call to the next.
-
-    Near a root Newton then cycles between two iterates 2e-15/phi' apart,
-    with |f| = 2e-15 and every step and bracket above their tolerances, so
-    only the rounding-floor test on |f| can stop it.
-    """
-
-    __slots__ = ("calls",)
-
-    def _eval(self, x):
-        self.calls += 1
-        return super()._eval(x) + 1e-15 * (-1.0) ** self.calls
-
-
-def test_inverse_accepts_a_residual_at_the_rounding_floor():
-    exact = constant_profile(0.3)
-    phi = _FlickeringEval(exact.eta_values)
-    phi.calls = 0
+def test_inverse_accepts_a_residual_at_the_rounding_floor(monkeypatch):
+    # An evaluation error of 1e-15 whose sign flips from one step to the next:
+    # near a root Newton then cycles between two iterates 2e-15/phi' apart,
+    # with |f| = 2e-15 and every step and bracket above their tolerances, so
+    # only the rounding-floor test on |f| can stop it.
+    phi = constant_profile(0.3)
+    steps = _patch_series(monkeypatch, lambda calls, f, logd: (f + 1e-15 * (-1.0) ** calls, logd))
     ys = np.array([-0.7, 0.1, 0.6])
-    assert np.max(np.abs(exact.evaluate(phi.inverse(ys)) - ys)) < 1e-14
+    xs = phi.inverse(ys)
+    assert len(steps) >= 2
+    assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -149,19 +147,24 @@ def test_inverse_stops_at_the_rounding_floor(seed):
     renormalize(random_decomposed_map(2.0, 1 + seed % 3, 64, seed=seed), truncate=False)
 
 
-class _UnderstatedSteps(NonlinearityProfile):
-    """A derivative a million times too steep: every Newton step stays tiny."""
-
-    __slots__ = ()
-
-    def _deriv(self, x):
-        return 1e6 * super()._deriv(x)
-
-
-def test_inverse_raises_when_its_budget_runs_out(rng):
-    phi = _UnderstatedSteps(random_profile(rng).eta_values)
+def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
+    # a derivative a million times too steep: every Newton step stays tiny
+    phi = random_profile(rng)
+    _patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
     with pytest.raises(NonConvergence):
         phi.inverse(0.3)
+
+
+@pytest.mark.parametrize("points", [1, 2, 32, 33, 200])
+def test_chebval_pair_equals_two_chebval_calls(rng, points):
+    # phi has 2n coefficients and log phi' n + 1: the shorter series reads the
+    # leading columns of the longer one's cosine table
+    phi_c, logd_c, _ = (a[0] for a in quad_rows(random_profile(rng).eta_values[None, :]))
+    x = np.sort(rng.uniform(-1.0, 1.0, points))
+    x[0] = -1.0
+    f, logd = _cheb.chebval_pair(x, phi_c, logd_c)
+    assert np.array_equal(f, _cheb.chebval(x, phi_c))
+    assert np.array_equal(logd, _cheb.chebval(x, logd_c))
 
 
 def test_serialization_round_trip(rng):

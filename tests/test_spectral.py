@@ -1,10 +1,13 @@
 """Superstable cascades and the unstable direction of the renormalization step."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from renormlab.renorm import SolverConfig, find_fixed_point
+from renormlab import spectral
+from renormlab.renorm import DecomposedMap, SolverConfig, find_fixed_point, renormalize
 from renormlab.spectral import (
     CascadeTable,
     cascade_orbit_scaling,
@@ -12,7 +15,7 @@ from renormlab.spectral import (
     superstable_cascade,
     unstable_eigenvalue,
 )
-from renormlab.errors import ConfigError, NonConvergence
+from renormlab.errors import ConfigError, DomainError, NonConvergence
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -88,6 +91,39 @@ def test_cascade_orbit_scaling_approaches_universal_ratio():
     assert errs[-1] < errs[0]
 
 
+def _plain_bisection(alpha, k, lo, hi):
+    """The reference bisection: one one-point iterate call per midpoint."""
+    def g(t):
+        t, x = np.array([t]), np.zeros(1)
+        for _ in range(2 ** k):
+            x = -2.0 * t * np.abs(x) ** alpha + (2.0 * t - 1.0)
+        return float(x[0])
+
+    g_lo = g(lo)
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_speculative_bisection_equals_plain_bisection(alpha):
+    ts = superstable_cascade(alpha, 8).t_values
+    for k in range(1, 9):
+        gap = ts[k] - ts[k - 1]
+        lo, hi = ts[k] - 0.37 * gap, ts[k] + 0.21 * gap
+        assert spectral._bisect_iterate(alpha, k, lo, hi) == _plain_bisection(alpha, k, lo, hi), k
+    # q_t(0) = 2t - 1 vanishes at the first midpoint, t = 1/2, exactly
+    assert spectral._bisect_iterate(alpha, 0, 0.25, 0.75) == 0.5
+    assert _plain_bisection(alpha, 0, 0.25, 0.75) == 0.5
+
+
 def test_cascade_table_round_trip(cascade6):
     clone = CascadeTable(cascade6.alpha, cascade6.t_values, cascade6.delta_estimates)
     assert clone == cascade6
@@ -111,6 +147,19 @@ def test_unstable_eigenvalue_matches_cascade(report4, cascade6):
 def test_unstable_eigenvalue_budget_guard(report4):
     with pytest.raises(NonConvergence):
         unstable_eigenvalue(report4, max_iter=1)
+
+
+def test_scaling_ratios_equal_a_loop_of_full_steps(report4):
+    f, want = DecomposedMap(report4.pure_star, report4.t_star, report4.alpha), []
+    for _ in range(3):
+        outcome = renormalize(f)
+        want.append(outcome.p)
+        f = outcome.renormalized
+    assert scaling_ratios(report4, 3) == want
+    # the last level, which skips the pullback and the zoom, still refuses a
+    # map whose peak image overshoots its side point
+    with pytest.raises(DomainError, match="not renormalizable"):
+        scaling_ratios(dataclasses.replace(report4, t_star=0.999), 1)
 
 
 def test_scaling_ratios_are_stable(report4):
