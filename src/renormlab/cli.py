@@ -104,9 +104,13 @@ def _cmd_fixed_point(args) -> int:
         if not args.out:
             raise ConfigError("--alpha-sweep writes per-alpha files; --out is required")
         configs = [_config(args, alpha=a) for a in alphas]
+        paths = [_alpha_path(args.out, cfg.alpha) for cfg in configs]
+        for i, path in enumerate(paths):
+            if path in paths[:i]:
+                raise ConfigError(f"--alpha-sweep alphas {alphas[paths.index(path)]:g} and "
+                                  f"{alphas[i]:g} would both write {path}")
         failures = 0
-        for cfg in configs:
-            path = _alpha_path(args.out, cfg.alpha)
+        for cfg, path in zip(configs, paths):
             try:
                 _emit(_report_json(find_fixed_point(cfg)), path)
             except NonConvergence as exc:

@@ -78,46 +78,62 @@ def quad_rows(eta: np.ndarray):
     return phi_c, logd_c, floor
 
 
-def newton_inverse(y: np.ndarray, phi_c: np.ndarray, logd_c: np.ndarray,
-                   floor: float) -> np.ndarray:
-    """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
+def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
+                     what: str) -> np.ndarray:
+    """Roots of increasing functions, one per point, by Newton kept in a bracket.
 
-    phi_c and logd_c are the Chebyshev coefficients of phi and log phi'
-    (quad_rows); each step evaluates both from one cosine table
-    (_cheb.chebval_pair).  The endpoints -1 and 1 are their own preimages.
-    Every other point starts at y, keeps its own bracket, takes a Newton
-    step when it lands inside and bisects otherwise, and stops on its own,
-    frozen from then on, once its step is below 1e-15, its bracket below
-    4e-16 or its residual at ``floor``.  A zero slope gives an inf or nan
-    step, which bisects: callers run this under
-    np.errstate(divide="ignore", invalid="ignore").  Raises NonConvergence
-    if 100 steps run out.
+    Solves the points x[idx], starting from their values in x, each in its
+    own bracket [lo, hi] (arrays over idx, or scalars); the roots are written
+    into x, which is returned.  step(idx, xa) gives the function and its
+    derivative at the open points xa, whose positions in x are idx.  A point
+    takes a Newton step when it lands inside its bracket and bisects
+    otherwise (an iterate with f == 0 closes both sides), and stops on its
+    own, frozen from then on, once its step is below 1e-15, its bracket below
+    4e-16 or its residual at ``floor``; only the points still open are
+    evaluated.  A zero slope gives an inf or nan step, which bisects: callers
+    run this under np.errstate(divide="ignore", invalid="ignore").  Raises
+    NonConvergence, naming ``what``, if 100 steps run out.
     """
-    x = y.copy()
-    idx = np.flatnonzero(np.abs(y) < 1.0)
-    # the open points, compacted; a point leaves only when it stops
-    xa, ya = x[idx], y[idx]
-    lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
+    xa = x[idx]  # the open points, compacted; a point leaves only when it stops
     for _ in range(100):
         if idx.size == 0:
             return x
-        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
-        f -= ya
+        f, slope = step(idx, xa)
         lo = np.where(f <= 0.0, xa, lo)
         hi = np.where(f >= 0.0, xa, hi)
-        xn = xa - f / np.exp(logd)
+        xn = xa - f / slope
         xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
         done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
         xa = xn
         if done.any():
             x[idx[done]] = xn[done]
             keep = ~done
-            idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
+            idx, xa, lo, hi = idx[keep], xa[keep], lo[keep], hi[keep]
     if idx.size == 0:
         return x
     raise NonConvergence(
-        f"inverse did not converge in 100 Newton steps at {idx.size} of {y.size} "
+        f"{what} did not converge in 100 Newton steps at {idx.size} of {x.size} "
         f"points (widest bracket {float(np.max(hi - lo)):.1e})")
+
+
+def newton_inverse(y: np.ndarray, phi_c: np.ndarray, logd_c: np.ndarray,
+                   floor: float) -> np.ndarray:
+    """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
+
+    phi_c and logd_c are the Chebyshev coefficients of phi and log phi'
+    (quad_rows); each step evaluates both from one cosine table
+    (_cheb.chebval_pair).  The endpoints -1 and 1 are their own preimages;
+    every other point starts at y in the bracket [-1, 1] and runs
+    bracketed_newton with the rounding floor ``floor``, under the same
+    np.errstate.  Raises NonConvergence if 100 steps run out.
+    """
+    def step(idx, xa):
+        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
+        f -= y[idx]
+        return f, np.exp(logd)
+
+    return bracketed_newton(step, y.copy(), np.flatnonzero(np.abs(y) < 1.0), -1.0, 1.0,
+                            floor, "inverse")
 
 
 class NonlinearityProfile:

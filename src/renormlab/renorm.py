@@ -32,7 +32,13 @@ from .decompspace import (
     pullback_intervals,
     pure_decomposition,
 )
-from .diffspace import FoldingMap, NonlinearityProfile, OrientedInterval, identity_profile
+from .diffspace import (
+    FoldingMap,
+    NonlinearityProfile,
+    OrientedInterval,
+    bracketed_newton,
+    identity_profile,
+)
 from .errors import (
     ConfigError,
     DepthMismatch,
@@ -43,8 +49,6 @@ from .errors import (
     NoSideInterval,
     NoWindow,
 )
-
-_BISECT_STEPS = 48
 
 # Scan steps over (1/2, 1) and tolerances of the window edges and of the
 # invariant peak value.
@@ -102,39 +106,50 @@ def observed_eval(f: DecomposedMap, x):
     return f.observed.evaluate(f.fold.evaluate(x))
 
 
-def _bisect_down(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Lockstep bisection for the roots of the decreasing g on the brackets [lo, hi]."""
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        above = g(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+def _side_end(obs: NonlinearityProfile, alpha: float, t: np.ndarray,
+              p: np.ndarray) -> np.ndarray:
+    """b in [0, 1] with Phi(q_t(b)) = -p: q_t's positive preimage of u = Phi^{-1}(-p).
 
-
-def _observed_map(obs: NonlinearityProfile, alpha: float, t: np.ndarray):
-    """x -> Phi(q_t(x)) on (0, 1], one column per fold level t."""
-    return lambda x: obs._eval(-2.0 * t * np.exp(alpha * np.log(x)) + (2.0 * t - 1.0))
-
-
-def _side_point(f_at, p: np.ndarray) -> np.ndarray:
-    """b in (p, 1) with f(b) = -p, one per fold level."""
-    return _bisect_down(lambda x: f_at(x) + p, p.copy(), np.ones_like(p))
+    Exact where u < 2t - 1, that is where the peak image Phi(2t - 1) exceeds
+    -p; elsewhere b is 0.
+    """
+    u = obs.inverse(-p)
+    return np.power(np.maximum(2.0 * t - 1.0 - u, 0.0) / (2.0 * t), 1.0 / alpha)
 
 
 def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray):
     """Peak image, map fixed point and side point for an array of fold levels.
 
-    For each t: f0 = Phi(2t-1) is the peak image; p solves f(p) = p on (0,1)
-    and b solves f(b) = -p on (p,1), both by lockstep bisection (f - id and
-    f + p are strictly decreasing there, so the brackets never break).  The
-    p and b columns are meaningless where f0 <= 0; callers mask on f0.
+    For each t: f0 = Phi(2t-1) is the peak image.  Where f0 > 0, p solves
+    f(p) = p on (0, 1) by bracketed Newton (diffspace.bracketed_newton) from
+    x = 1: x - Phi(q_t(x)) rises from -f0 at 0 to 2 at 1 with slope
+    1 + 2 alpha t x^(alpha-1) Phi'(q_t(x)) >= 1.  Then b in (p, 1) with
+    f(b) = -p is closed form (_side_end): Phi^{-1}(-p) lies below 2t - 1
+    because Phi(2t - 1) = f0 > -p, and b is its positive preimage under q_t.
+    Where f0 <= 0, p and b are nan and nothing is solved; callers mask on f0.
+
+    Determinism scope: repeating a call repeats its bits, but, as with
+    NonlinearityProfile.evaluate, a level's last bits depend on how many
+    levels share the call (_cheb.chebval_pair), so one level alone and the
+    same level in a scan may differ by an ulp.
     """
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
+    phi_c, logd_c, floor = obs._cache()
     f0 = obs._eval(2.0 * t - 1.0)
-    f_at = _observed_map(obs, alpha, t)
-    p = _bisect_down(lambda x: f_at(x) - x, np.zeros_like(t), np.ones_like(t))
-    return f0, p, _side_point(f_at, p)
+    idx = np.flatnonzero(f0 > 0.0)
+
+    def step(i, x):
+        lx, ti = np.log(x), t[i]
+        phi, logd = _cheb.chebval_pair(-2.0 * ti * np.exp(alpha * lx) + (2.0 * ti - 1.0),
+                                       phi_c, logd_c)
+        return x - phi, 1.0 + 2.0 * alpha * ti * np.exp((alpha - 1.0) * lx + logd)
+
+    p, b = np.full_like(t, np.nan), np.full_like(t, np.nan)
+    p[idx] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # see bracketed_newton
+        p = bracketed_newton(step, p, idx, 0.0, 1.0, floor, "fixed point p")
+    b[idx] = _side_end(obs, alpha, t[idx], p[idx])
+    return f0, p, b
 
 
 def _checked_structure(f: DecomposedMap):
@@ -146,16 +161,20 @@ def _checked_structure(f: DecomposedMap):
 
 
 def find_fixed_point_p(f: DecomposedMap) -> float:
-    """The fixed point p in (0,1) of the observed map, by bisection."""
+    """The fixed point p in (0,1) of the observed map, by bracketed Newton (_side_structure)."""
     return _checked_structure(f)[1]
 
 
 def side_interval(f: DecomposedMap, p: float):
-    """(b, S1, S2): b solves f(b) = -p; S1 = [p,b] flag +, S2 = [-p,p] flag -."""
+    """(b, S1, S2): b solves f(b) = -p; S1 = [p,b] flag +, S2 = [-p,p] flag -.
+
+    b is found as in _side_structure, in closed form from Phi^{-1}(-p).
+    """
     if not 0.0 < p < 1.0:
         raise NoSideInterval(f"fixed point {p} leaves no room for a side interval")
-    t = np.array([f.t])
-    b = float(_side_point(_observed_map(f.observed, f.alpha, t), np.array([float(p)]))[0])
+    b = float(_side_end(f.observed, f.alpha, np.array([f.t]), np.array([float(p)]))[0])
+    if not p < b:
+        raise NoSideInterval(f"no side point right of {p}: the peak image stays below {-p}")
     return b, OrientedInterval(p, b, "+"), OrientedInterval(-p, p, "-")
 
 
@@ -301,21 +320,27 @@ def _bisect_predicate(pred, outside: float, inside: float, tol: float) -> float:
 def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> float:
     """Root of fun on a sign-change bracket by false position, Illinois cut.
 
-    Raises NonConvergence if the bracket is still wider than tol after
-    _ILLINOIS_STEPS steps.
+    Stops at an exact zero, once the bracket is no wider than tol, or when
+    the false-position point rounds onto tb, the newest end, while the
+    bracket is still wider than four ulps of tb (fb is then below what the
+    step can resolve); it returns the probe with the smallest |fun|, the
+    ends included.  Raises NonConvergence if the bracket is still wider
+    than tol after _ILLINOIS_STEPS steps.
     """
-    if fa == 0.0:
-        return ta
-    if fb == 0.0:
-        return tb
+    best = min((abs(fa), ta), (abs(fb), tb))
+    if best[0] == 0.0:
+        return best[1]
     for _ in range(_ILLINOIS_STEPS):
         tm = tb - fb * (tb - ta) / (fb - fa)
+        if tm == tb and abs(tb - ta) > 4.0 * abs(np.spacing(tb)):
+            return best[1]
         lo, hi = (ta, tb) if ta < tb else (tb, ta)
         if not lo < tm < hi:
             tm = 0.5 * (ta + tb)
         fm = fun(tm)
+        best = min(best, (abs(fm), tm))
         if fm == 0.0 or abs(tb - ta) <= tol:
-            return tm
+            return best[1]
         if (fm < 0.0) == (fb < 0.0):
             fa *= 0.5
         else:
@@ -404,14 +429,14 @@ class SolverConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ConfigError("alpha must exceed 1")
+        if not 1.0 < self.alpha < np.inf:
+            raise ConfigError("alpha must exceed 1 and be finite")
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
         if self.grid < 16:
             raise ConfigError("grid must be at least 16")
-        if not self.tol > 0.0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
@@ -471,11 +496,12 @@ class FixedPointReport:
             alpha, t_star = float(data["alpha"]), float(data["t_star"])
             residuals = float(data["residual_geometry"]), float(data["residual_peak"])
             iterations = int(data["iterations"])
-            if not (alpha > 1.0 and 0.0 <= t_star <= 1.0 and iterations >= 1
+            if not (1.0 < alpha < np.inf and 0.0 <= t_star <= 1.0 and iterations >= 1
                     and all(0.0 <= r < np.inf for r in residuals)
                     and isinstance(data.get("coincident", False), bool)):
-                raise ConfigError("malformed report: needs alpha > 1, t_star in [0, 1], finite "
-                                  "residuals >= 0, iterations >= 1, coincident a bool or absent")
+                raise ConfigError("malformed report: needs a finite alpha > 1, t_star in [0, 1], "
+                                  "finite residuals >= 0, iterations >= 1, coincident a bool "
+                                  "or absent")
             dec, geo = data["decomposition"], data["geometry"]
             # the parts check their own node counts before building any tree
             if {int(dec["depth"]), int(geo["depth"])} != {depth}:

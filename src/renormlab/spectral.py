@@ -141,10 +141,10 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     t_0 = 1/2 (the peak sits at the critical point); each later level is the
     first zero of the 2^k critical iterate above the previous one, bracketed
     by a gap-predicted scan and sharpened by bisection.  Raises ConfigError
-    unless alpha > 1, and ValueError unless 1 <= m <= 16.
+    unless alpha > 1 is finite, and ValueError unless 1 <= m <= 16.
     """
-    if not alpha > 1.0:
-        raise ConfigError("alpha must exceed 1")
+    if not 1.0 < alpha < np.inf:
+        raise ConfigError("alpha must exceed 1 and be finite")
     if m < 1:
         raise ValueError("cascade needs at least one level beyond t_0")
     if m > _MAX_CASCADE_LEVEL:

@@ -13,6 +13,7 @@ from renormlab import (
     NonlinearityProfile,
     OrientedInterval,
 )
+from renormlab import _cheb
 from renormlab._cheb import chebval, nodes
 
 
@@ -58,3 +59,24 @@ def random_decomposition(rng, depth, grid=64, scale=0.25):
     for w in times.indices_descending():
         nodes_map[w] = random_profile(rng, degree=grid, scale=scale * 0.45 ** len(w))
     return Decomposition(times, nodes_map)
+
+
+def patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):
+    """Route the Newton solvers' per-step series evaluation through ``change``.
+
+    Both users of diffspace.bracketed_newton evaluate phi and log phi' through
+    _cheb.chebval_pair once a step: newton_inverse and the fixed point p of
+    renorm._side_structure.
+
+    Returns the list of calls, one per Newton step; ``change`` sees the call
+    count and the values of phi and log phi' and returns the ones to use.
+    """
+    calls = []
+    pair = _cheb.chebval_pair
+
+    def patched(x, phi_c, logd_c):
+        calls.append(x.size)
+        return change(len(calls), *pair(x, phi_c, logd_c))
+
+    monkeypatch.setattr(_cheb, "chebval_pair", patched)
+    return calls

@@ -93,6 +93,28 @@ def test_validation_errors_exit_1(capsys):
     assert "deepest level 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fixed-point", "--alpha", "2", "--depth", "3", "--tol", "inf"],
+     "tol must be positive and finite"),
+    (["fixed-point", "--alpha", "inf"], "alpha must exceed 1 and be finite"),
+    (["window", "--alpha", "inf"], "alpha must exceed 1 and be finite"),
+    (["cascade", "--alpha", "inf", "-m", "3"], "alpha must exceed 1 and be finite"),
+    (["fixed-point", "--alpha-sweep", "2,2", *FAST, "--out", "sweep.json"],
+     "--alpha-sweep alphas 2 and 2 would both write sweep-alpha2.json"),
+], ids=["tol-inf", "fixed-point-alpha-inf", "window-alpha-inf", "cascade-alpha-inf",
+        "sweep-repeats-alpha"])
+def test_bad_settings_exit_1_before_any_solve(argv, message, monkeypatch, tmp_path, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(renorm, "_side_structure", solve)
+    monkeypatch.setattr(spectral, "_next_superstable", solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_nonconvergence_exits_2_with_trace(capsys):
     code = main(["fixed-point", "--alpha", "2", *FAST, "--max-iter", "1"])
     assert code == 2
@@ -224,6 +246,7 @@ def _setting(key, value):
 SCALAR_CORRUPTIONS = {
     "alpha-below-1": _setting("alpha", 0.5),
     "alpha-nan": _setting("alpha", float("nan")),
+    "alpha-infinite": _setting("alpha", float("inf")),
     "t-star-nan": _setting("t_star", float("nan")),
     "t-star-above-1": _setting("t_star", 1.5),
     "residual-negative": _setting("residual_geometry", -1e-9),

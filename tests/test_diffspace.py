@@ -20,8 +20,8 @@ from renormlab import (
     zoom,
 )
 from renormlab import _cheb
-from renormlab.diffspace import inner_side, quad_rows
-from support import monotone_profile, random_profile
+from renormlab.diffspace import inner_side, newton_inverse, quad_rows
+from support import monotone_profile, patch_series, random_profile
 
 XS = np.linspace(-1.0, 1.0, 41)
 
@@ -87,26 +87,9 @@ def test_overflowing_nonlinearity_is_refused():
             phi.inverse(0.0)
 
 
-def _patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):
-    """Route newton_inverse's per-step series evaluation through ``change``.
-
-    Returns the list of calls, one per Newton step; ``change`` sees the call
-    count and the values of phi and log phi' and returns the ones to use.
-    """
-    calls = []
-    pair = _cheb.chebval_pair
-
-    def patched(x, phi_c, logd_c):
-        calls.append(x.size)
-        return change(len(calls), *pair(x, phi_c, logd_c))
-
-    monkeypatch.setattr(_cheb, "chebval_pair", patched)
-    return calls
-
-
 def test_inverse_converges_in_a_few_newton_steps(rng, monkeypatch):
     ys = np.array([-0.5, -0.25, 0.25, 0.5])
-    steps = _patch_series(monkeypatch)
+    steps = patch_series(monkeypatch)
     for _ in range(5):
         phi = random_profile(rng)
         steps.clear()
@@ -132,7 +115,7 @@ def test_inverse_accepts_a_residual_at_the_rounding_floor(monkeypatch):
     # with |f| = 2e-15 and every step and bracket above their tolerances, so
     # only the rounding-floor test on |f| can stop it.
     phi = constant_profile(0.3)
-    steps = _patch_series(monkeypatch, lambda calls, f, logd: (f + 1e-15 * (-1.0) ** calls, logd))
+    steps = patch_series(monkeypatch, lambda calls, f, logd: (f + 1e-15 * (-1.0) ** calls, logd))
     ys = np.array([-0.7, 0.1, 0.6])
     xs = phi.inverse(ys)
     assert len(steps) >= 2
@@ -150,9 +133,46 @@ def test_inverse_stops_at_the_rounding_floor(seed):
 def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
     # a derivative a million times too steep: every Newton step stays tiny
     phi = random_profile(rng)
-    _patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
+    patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
     with pytest.raises(NonConvergence):
         phi.inverse(0.3)
+
+
+def _inverse_before_the_shared_loop(y, phi_c, logd_c, floor):
+    """newton_inverse as it was before bracketed_newton was split out of it."""
+    x = y.copy()
+    idx = np.flatnonzero(np.abs(y) < 1.0)
+    xa, ya = x[idx], y[idx]
+    lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
+    for _ in range(100):
+        if idx.size == 0:
+            return x
+        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
+        f -= ya
+        lo = np.where(f <= 0.0, xa, lo)
+        hi = np.where(f >= 0.0, xa, hi)
+        xn = xa - f / np.exp(logd)
+        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+        done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
+        xa = xn
+        if done.any():
+            x[idx[done]] = xn[done]
+            keep = ~done
+            idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
+    raise AssertionError("the reference loop ran out of steps")
+
+
+@pytest.mark.parametrize("points", [1, 2, 33, 200])
+def test_newton_inverse_keeps_its_bits(rng, points):
+    for scale in (0.3, 0.6, 1.2):
+        quad = [a[0] for a in quad_rows(random_profile(rng, scale=scale).eta_values[None, :])]
+        y = rng.uniform(-1.0, 1.0, points)
+        if points > 1:
+            y[0] = -1.0  # an endpoint, its own preimage
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = newton_inverse(y, *quad)
+            want = _inverse_before_the_shared_loop(y, *quad)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("points", [1, 2, 32, 33, 200])

@@ -1,6 +1,7 @@
 """Dynamical renormalization: structure points, windows, and the outer solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,15 @@ from renormlab.renorm import (
     side_interval,
     solve_peak_value,
 )
-from renormlab.errors import ConfigError, DomainError, NoFixedPoint, NonConvergence
+from renormlab.diffspace import identity_profile
+from renormlab.errors import (
+    ConfigError,
+    DomainError,
+    NoFixedPoint,
+    NonConvergence,
+    NoSideInterval,
+)
+from support import patch_series
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -69,6 +78,62 @@ def test_side_interval_closed_forms():
     g = _identity_map(0.55)
     bq, _, _ = side_interval(g, find_fixed_point_p(g))
     assert bq == pytest.approx(math.sqrt(21.0) / 11.0, abs=1e-12)
+    # below t = 1/2 the peak image -0.4 stays below -p for p = 0.5: no side point
+    with pytest.raises(NoSideInterval):
+        side_interval(_identity_map(0.3), 0.5)
+
+
+def _bisect_down(g, lo, hi):
+    """Lockstep 48-step bisection for the roots of the decreasing g on [lo, hi]."""
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("which", ["identity", "random"])
+def test_side_structure_matches_the_bisection_oracle(alpha, which):
+    # the two bisections the Newton solve and the closed form replaced; a
+    # 48-step bracket on (0, 1) is 3.6e-15 wide.  b's oracle starts from the
+    # kernel's own p: near t = 1/2 a change in p moves b several times as far
+    obs = (identity_profile(64) if which == "identity"
+           else random_decomposed_map(alpha, 4, 64, seed=3).observed)
+    ts = 0.5 + renorm._PEAK_SCAN_STEP * np.arange(1, int(round(0.5 / renorm._PEAK_SCAN_STEP)))
+    assert ts.size == 249
+    f0, p, b = renorm._side_structure(obs, alpha, ts)
+    assert (f0 > 0.0).all()
+
+    def f_at(x):
+        return obs._eval(-2.0 * ts * np.exp(alpha * np.log(x)) + (2.0 * ts - 1.0))
+
+    p_oracle = _bisect_down(lambda x: f_at(x) - x, np.zeros_like(ts), np.ones_like(ts))
+    b_oracle = _bisect_down(lambda x: f_at(x) + p, p.copy(), np.ones_like(ts))
+    assert np.max(np.abs(p - p_oracle)) <= 4e-15
+    assert np.max(np.abs(b - b_oracle)) <= 4e-15
+
+
+def test_side_structure_skips_levels_below_the_diagonal():
+    # where f0 <= 0 there is no fixed point: p and b stay nan, and nothing
+    # is solved there, so no log(0) or other warning escapes
+    ts = np.linspace(0.3, 0.7, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f0, p, b = renorm._side_structure(identity_profile(48), 2.0, ts)
+        assert np.isnan(renorm._side_structure(identity_profile(48), 2.0, ts[:1])[1]).all()
+    below = f0 <= 0.0
+    assert below.sum() == 21
+    assert np.isnan(p[below]).all() and np.isnan(b[below]).all()
+    assert (0.0 < p[~below]).all() and (p[~below] < b[~below]).all() and (b[~below] < 1.0).all()
+
+
+def test_side_structure_raises_when_its_budget_runs_out(monkeypatch):
+    # a derivative a million times too steep: every Newton step stays tiny
+    patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
+    with pytest.raises(NonConvergence, match="fixed point p did not converge"):
+        renorm._side_structure(identity_profile(48), 2.0, np.array([0.6, 0.8]))
 
 
 def test_rho_closed_forms():
@@ -183,6 +248,19 @@ def test_false_position_that_runs_out_of_steps_raises():
 
     with pytest.raises(NonConvergence, match="bracket width"):
         renorm._illinois(jump, 0.0, 1.0, -1.0, 1.0, 1e-300)
+
+
+def test_false_position_keeps_a_probe_the_step_cannot_move():
+    # the secant lands on 0.7, where fun is 1e-17: the next false-position
+    # point rounds back onto 0.7, which is the root to rounding
+    probes = []
+
+    def line(t):
+        probes.append(t)
+        return 3.0 * (t - 0.7) + 1e-17
+
+    assert renorm._illinois(line, 0.5, 0.9, line(0.5), line(0.9), 1e-12) == 0.7
+    assert len(probes) <= 4
 
 
 # ------------------------------------------------------------ outer solver
