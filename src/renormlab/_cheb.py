@@ -117,43 +117,30 @@ def on_grid(coeffs: np.ndarray, n: int, interior: bool = False) -> np.ndarray:
     return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], interior))
 
 
-# Largest point count chebval evaluates through the cosine form.
-_COSINE_POINTS = 32
+# Points per cosine table in chebval: a table holds _CHUNK x terms doubles.
+_CHUNK = 1024
 
 
-def _cosine_table(x: np.ndarray, terms: int) -> np.ndarray:
-    """T_j(x) = cos(j arccos x) for j < terms, one row per point; x clipped to [-1, 1]."""
-    s = np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
-    return np.cos(np.multiply.outer(s, np.arange(terms)))
+def chebval(x: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """A Chebyshev series (terms,), or a stack of them (k, terms), at points x.
 
-
-def chebval(x, coeffs):
-    """Evaluate a Chebyshev series at arbitrary points.
-
-    Small batches go through the cosine form T_j(cos s) = cos(j s), one
-    matrix product instead of a Python Clenshaw loop over the coefficients;
-    points are clipped to [-1, 1], and callers stay within roundoff slack of
-    it, where the two forms agree to machine precision.  Large batches fall
-    back to Clenshaw, which touches each point only len(coeffs) times.  For
-    the fixed grids use on_grid.
+    Returns x.shape, or (k,) + x.shape for a stack.  The cosine form
+    T_j(cos s) = cos(j s) gives a table of every T_j at every point, which
+    einsum contracts with the coefficients, one table per _CHUNK points.
+    Each point is computed with the same operations in the same order
+    whatever the other points of the call, and each row of a stack as that
+    series alone, bit for bit.  Points are clipped to [-1, 1]; callers stay
+    within roundoff slack of it.  For the fixed grids use on_grid.
     """
-    xa = np.asarray(x, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
-    if xa.size <= _COSINE_POINTS:
-        return _cosine_table(xa, c.size) @ c
-    return _C.chebval(xa, c)
-
-
-def chebval_pair(x: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """chebval(x, a) and chebval(x, b) bit for bit, from one cosine table.
-
-    The table of the longer series serves both: its leading columns are the
-    shorter series' table, entry for entry.
-    """
-    if x.size <= _COSINE_POINTS:
-        table = _cosine_table(x, max(a.size, b.size))
-        return table[:, :a.size] @ a, table[:, :b.size] @ b
-    return _C.chebval(x, a), _C.chebval(x, b)
+    if x.size > _CHUNK:
+        flat = x.reshape(-1)
+        out = np.concatenate([chebval(flat[a:a + _CHUNK], series)
+                              for a in range(0, flat.size, _CHUNK)], axis=-1)
+        return out.reshape(series.shape[:-1] + x.shape)
+    table = np.multiply.outer(np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)),
+                              np.arange(series.shape[-1]))
+    return np.einsum("...j,kj->k..." if series.ndim == 2 else "...j,j->...",
+                     np.cos(table, out=table), series)
 
 
 def bary_points(x: np.ndarray, n: int):

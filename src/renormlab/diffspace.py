@@ -48,10 +48,12 @@ def _check_unit(x, what="argument"):
 def quad_rows(eta: np.ndarray):
     """Evaluation data of a stack of profiles, one per row of eta (r, n).
 
-    Returns (phi_c, logd_c, floor): Chebyshev coefficients of phi and of
-    log phi', and the rounding floor of phi(x) - y used by the inverse.
-    With I = int exp(int eta) from -1, phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1))
-    and log phi' = int eta + log(2 / (I(1) - I(-1))); both normalisations are
+    Returns (series, floor).  series (r, 2, 2n) holds, per row, the Chebyshev
+    coefficients of phi (2n) and of log phi' (n + 1, zero-padded to 2n), one
+    contiguous stack for _cheb.chebval; floor (r,) is the rounding floor of
+    phi(x) - y used by the inverse.  With I = int exp(int eta) from -1,
+    phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1)) and
+    log phi' = int eta + log(2 / (I(1) - I(-1))); both normalisations are
     folded into the constant terms.  Every row is computed exactly as it
     would be alone (see _cheb.rowdot), so a profile's own cache equals its
     row of a decomposition's batch bit for bit.
@@ -67,15 +69,17 @@ def quad_rows(eta: np.ndarray):
         scale = 2.0 / (ends[:, 1] - ends[:, 0])
         # rounding error of phi(x) - y: a few ulps of the summed series terms
         floor = 4.0 * np.finfo(float).eps * (1.0 + scale * np.abs(i_c).sum(axis=-1))
-        phi_c = scale[:, None] * i_c
-        phi_c[:, 0] -= 1.0 + scale * ends[:, 0]
+        series = np.zeros((eta.shape[0], 2, 2 * n))
+        series[:, 0] = scale[:, None] * i_c
+        series[:, 0, 0] -= 1.0 + scale * ends[:, 0]
         logd_c[:, 0] += np.log(scale)
+        series[:, 1, :n + 1] = logd_c
     bad = ~(np.isfinite(scale) & (scale > 0.0))
     if bad.any():
         raise ResolutionError(
             f"exp(int eta) overflows: nonlinearity sup {float(np.max(np.abs(eta[bad]))):.3g} "
             f"cannot be normalised at degree {n}")
-    return phi_c, logd_c, floor
+    return series, floor
 
 
 def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
@@ -116,19 +120,19 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
         f"points (widest bracket {float(np.max(hi - lo)):.1e})")
 
 
-def newton_inverse(y: np.ndarray, phi_c: np.ndarray, logd_c: np.ndarray,
-                   floor: float) -> np.ndarray:
+def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarray:
     """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
 
-    phi_c and logd_c are the Chebyshev coefficients of phi and log phi'
-    (quad_rows); each step evaluates both from one cosine table
-    (_cheb.chebval_pair).  The endpoints -1 and 1 are their own preimages;
-    every other point starts at y in the bracket [-1, 1] and runs
+    series (2, 2n) stacks the Chebyshev coefficients of phi and log phi'
+    (quad_rows); each step evaluates both in one _cheb.chebval call, one
+    cosine table and one einsum.  The endpoints -1 and 1 are their own
+    preimages; every other point starts at y in the bracket [-1, 1] and runs
     bracketed_newton with the rounding floor ``floor``, under the same
-    np.errstate.  Raises NonConvergence if 100 steps run out.
+    np.errstate.  Each point's result is independent of the other points of
+    y, bit for bit.  Raises NonConvergence if 100 steps run out.
     """
     def step(idx, xa):
-        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
+        f, logd = _cheb.chebval(xa, series)
         f -= y[idx]
         return f, np.exp(logd)
 
@@ -140,9 +144,10 @@ class NonlinearityProfile:
     """A diffeomorphism of [-1, 1], stored as nonlinearity samples.
 
     The samples live on the Chebyshev-Lobatto grid with ``degree`` nodes.
-    Instances are immutable; evaluation data (quad_rows: the Chebyshev
-    coefficients of phi and of log phi') is built lazily on first use and
-    cached, or handed in by the decomposition whose row the profile views.
+    Instances are immutable; evaluation data (quad_rows: the stacked
+    Chebyshev coefficients of phi and of log phi', and the inverse's rounding
+    floor) is built lazily on first use and cached, or handed in by the
+    decomposition whose row the profile views.
     """
 
     __slots__ = ("eta_values", "_quad")
@@ -184,18 +189,15 @@ class NonlinearityProfile:
         return self._quad
 
     def _eval(self, x):
-        return _cheb.chebval(x, self._cache()[0])
+        return _cheb.chebval(x, self._cache()[0][0])
 
     def _deriv(self, x):
-        return np.exp(_cheb.chebval(x, self._cache()[1]))
+        return np.exp(_cheb.chebval(x, self._cache()[0][1]))
 
     def evaluate(self, x):
         """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1.
 
-        Determinism scope: the same points give the same bits, but a point's
-        last bit depends on how many points share the call (_cheb.chebval):
-        one point goes through a dot product, 2 to 32 points through a
-        matrix-vector product in the cosine form, more through Clenshaw.
+        A point's value does not depend on the other points of the call.
         """
         xv = _check_unit(x)
         # the series can miss +-1 by a few ulps
@@ -212,14 +214,13 @@ class NonlinearityProfile:
     def inverse(self, y):
         """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
 
-        Raises NonConvergence if the iteration budget runs out.  The open
-        points are evaluated together, so, as with evaluate, a point's last
-        bit depends on the other points of the call.
+        A point's value does not depend on the other points of the call.
+        Raises NonConvergence if the iteration budget runs out.
         """
         yv = _check_unit(y, "inverse argument")
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = newton_inverse(np.atleast_1d(yv), *self._cache())
-        return x[0] if np.ndim(yv) == 0 else x
+            x = newton_inverse(yv.reshape(-1), *self._cache())
+        return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 
     def to_dict(self) -> dict:
         return {"degree": self.degree, "eta": self.eta_values.tolist()}
@@ -261,9 +262,9 @@ def inner_side(eta: np.ndarray, quad):
     its derivative there (r, 2n); and h, its nonlinearity at the interior
     points (r, n).  None of it depends on the outer map.
     """
-    n = eta.shape[-1]
-    u = _cheb.on_grid(quad[0], n, interior=True)
-    d = np.exp(_cheb.on_grid(quad[1], n, interior=True))
+    n, series = eta.shape[-1], quad[0]
+    u = _cheb.on_grid(series[:, 0], n, interior=True)
+    d = np.exp(_cheb.on_grid(series[:, 1, :n + 1], n, interior=True))
     return _cheb.bary_points(u, n), d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
 
 

@@ -127,21 +127,16 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
     f(b) = -p is closed form (_side_end): Phi^{-1}(-p) lies below 2t - 1
     because Phi(2t - 1) = f0 > -p, and b is its positive preimage under q_t.
     Where f0 <= 0, p and b are nan and nothing is solved; callers mask on f0.
-
-    Determinism scope: repeating a call repeats its bits, but, as with
-    NonlinearityProfile.evaluate, a level's last bits depend on how many
-    levels share the call (_cheb.chebval_pair), so one level alone and the
-    same level in a scan may differ by an ulp.
+    A level's results do not depend on the other levels of the call.
     """
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
-    phi_c, logd_c, floor = obs._cache()
+    series, floor = obs._cache()
     f0 = obs._eval(2.0 * t - 1.0)
     idx = np.flatnonzero(f0 > 0.0)
 
     def step(i, x):
         lx, ti = np.log(x), t[i]
-        phi, logd = _cheb.chebval_pair(-2.0 * ti * np.exp(alpha * lx) + (2.0 * ti - 1.0),
-                                       phi_c, logd_c)
+        phi, logd = _cheb.chebval(-2.0 * ti * np.exp(alpha * lx) + (2.0 * ti - 1.0), series)
         return x - phi, 1.0 + 2.0 * alpha * ti * np.exp((alpha - 1.0) * lx + logd)
 
     p, b = np.full_like(t, np.nan), np.full_like(t, np.nan)
@@ -324,8 +319,10 @@ def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> fl
     the false-position point rounds onto tb, the newest end, while the
     bracket is still wider than four ulps of tb (fb is then below what the
     step can resolve); it returns the probe with the smallest |fun|, the
-    ends included.  Raises NonConvergence if the bracket is still wider
-    than tol after _ILLINOIS_STEPS steps.
+    ends included.  It also stops once the bracket is two adjacent floats,
+    whose midpoint rounds onto an end already probed.  Raises NonConvergence
+    if the bracket is then, or after _ILLINOIS_STEPS steps, still wider than
+    tol.
     """
     best = min((abs(fa), ta), (abs(fb), tb))
     if best[0] == 0.0:
@@ -337,6 +334,8 @@ def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> fl
         lo, hi = (ta, tb) if ta < tb else (tb, ta)
         if not lo < tm < hi:
             tm = 0.5 * (ta + tb)
+            if tm == ta or tm == tb:  # two adjacent floats, both probed
+                break
         fm = fun(tm)
         best = min(best, (abs(fm), tm))
         if fm == 0.0 or abs(tb - ta) <= tol:
@@ -346,9 +345,10 @@ def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> fl
         else:
             ta, fa = tb, fb
         tb, fb = tm, fm
+    if abs(tb - ta) <= tol:
+        return best[1]
     raise NonConvergence(
-        f"false position did not converge in {_ILLINOIS_STEPS} steps "
-        f"(bracket width {abs(tb - ta):.1e}, tol {tol:.1e})")
+        f"false position did not converge (bracket width {abs(tb - ta):.1e}, tol {tol:.1e})")
 
 
 def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:

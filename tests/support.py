@@ -5,6 +5,7 @@ seed; nothing here touches global RNG state.
 """
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from renormlab import (
     Decomposition,
@@ -14,13 +15,17 @@ from renormlab import (
     OrientedInterval,
 )
 from renormlab import _cheb
-from renormlab._cheb import chebval, nodes
+from renormlab._cheb import nodes
 
 
 def random_profile(rng, degree=64, scale=0.3, terms=8):
-    """Smooth random nonlinearity: a short Chebyshev series, decaying terms."""
+    """Smooth random nonlinearity: a short Chebyshev series, decaying terms.
+
+    The samples come from numpy's own Chebyshev evaluation, not the
+    package's kernel, so the test data does not move with that kernel.
+    """
     coeffs = rng.standard_normal(terms) * scale * 0.6 ** np.arange(terms)
-    return NonlinearityProfile(chebval(nodes(degree), coeffs))
+    return NonlinearityProfile(chebyshev.chebval(nodes(degree), coeffs))
 
 
 def monotone_profile(degree=64, slope=0.4):
@@ -64,19 +69,22 @@ def random_decomposition(rng, depth, grid=64, scale=0.25):
 def patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):
     """Route the Newton solvers' per-step series evaluation through ``change``.
 
-    Both users of diffspace.bracketed_newton evaluate phi and log phi' through
-    _cheb.chebval_pair once a step: newton_inverse and the fixed point p of
-    renorm._side_structure.
+    Both users of diffspace.bracketed_newton evaluate the stacked series of
+    phi and log phi' (diffspace.quad_rows) through one _cheb.chebval call a
+    step: newton_inverse and the fixed point p of renorm._side_structure.
+    Evaluations of a single series pass through unchanged.
 
     Returns the list of calls, one per Newton step; ``change`` sees the call
     count and the values of phi and log phi' and returns the ones to use.
     """
     calls = []
-    pair = _cheb.chebval_pair
+    chebval = _cheb.chebval
 
-    def patched(x, phi_c, logd_c):
+    def patched(x, series):
+        if series.ndim == 1:
+            return chebval(x, series)
         calls.append(x.size)
-        return change(len(calls), *pair(x, phi_c, logd_c))
+        return change(len(calls), *chebval(x, series))
 
-    monkeypatch.setattr(_cheb, "chebval_pair", patched)
+    monkeypatch.setattr(_cheb, "chebval", patched)
     return calls

@@ -40,7 +40,12 @@ from renormlab.renorm import (
     renormalize,
     side_interval,
 )
-from renormlab.spectral import superstable_cascade, unstable_eigenvalue
+from renormlab.spectral import (
+    cascade_orbit_scaling,
+    scaling_ratios,
+    superstable_cascade,
+    unstable_eigenvalue,
+)
 
 from support import monotone_profile, random_geometry, random_interval, random_profile
 
@@ -319,3 +324,16 @@ def test_criterion_9_exponential_attraction():
     _verdict(9, ok,
              f"worst ratio {worst:.3f} vs kappa+0.1 = {kappa + 0.1:.3f} "
              f"from step 2 over {len(records)} steps")
+
+
+# ------------------------------------------- outside the acceptance gate
+
+
+def test_scaling_ratio_matches_the_cascade_orbit(fp8, fp15):
+    # the fixed point's p against the orbit scaling of the superstable
+    # cascade at m = 12 (gaps 1.8e-7 and 3.0e-8); alpha 3 is left out, its
+    # cascade ratios still drift at m = 10-12
+    for rep in (fp8, fp15):
+        ratio = scaling_ratios(rep, 1)[0]
+        oracle = cascade_orbit_scaling(rep.alpha, 12)[-1]
+        assert abs(ratio - oracle) <= 1e-6 * oracle, rep.alpha

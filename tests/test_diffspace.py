@@ -1,7 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from renormlab import (
     DomainError,
@@ -138,7 +140,7 @@ def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
         phi.inverse(0.3)
 
 
-def _inverse_before_the_shared_loop(y, phi_c, logd_c, floor):
+def _inverse_before_the_shared_loop(y, series, floor):
     """newton_inverse as it was before bracketed_newton was split out of it."""
     x = y.copy()
     idx = np.flatnonzero(np.abs(y) < 1.0)
@@ -147,7 +149,7 @@ def _inverse_before_the_shared_loop(y, phi_c, logd_c, floor):
     for _ in range(100):
         if idx.size == 0:
             return x
-        f, logd = _cheb.chebval_pair(xa, phi_c, logd_c)
+        f, logd = _cheb.chebval(xa, series)
         f -= ya
         lo = np.where(f <= 0.0, xa, lo)
         hi = np.where(f >= 0.0, xa, hi)
@@ -176,15 +178,60 @@ def test_newton_inverse_keeps_its_bits(rng, points):
 
 
 @pytest.mark.parametrize("points", [1, 2, 32, 33, 200])
-def test_chebval_pair_equals_two_chebval_calls(rng, points):
-    # phi has 2n coefficients and log phi' n + 1: the shorter series reads the
-    # leading columns of the longer one's cosine table
-    phi_c, logd_c, _ = (a[0] for a in quad_rows(random_profile(rng).eta_values[None, :]))
+def test_each_row_of_a_stacked_evaluation_equals_that_series_alone(rng, points):
+    # the stack of phi (2n terms) and log phi' (n + 1 terms, zero-padded)
+    series = quad_rows(random_profile(rng).eta_values[None, :])[0][0]
     x = np.sort(rng.uniform(-1.0, 1.0, points))
     x[0] = -1.0
-    f, logd = _cheb.chebval_pair(x, phi_c, logd_c)
-    assert np.array_equal(f, _cheb.chebval(x, phi_c))
-    assert np.array_equal(logd, _cheb.chebval(x, logd_c))
+    f, logd = _cheb.chebval(x, series)
+    assert np.array_equal(f, _cheb.chebval(x, series[0]))
+    assert np.array_equal(logd, _cheb.chebval(x, series[1]))
+
+
+@pytest.mark.parametrize("points", [1, 4, 32, 249, 10_000])
+def test_chebval_matches_numpy_within_a_few_ulps_of_the_terms(rng, points):
+    # both halves of an evaluation block against numpy's Clenshaw, within
+    # 10 eps sum|c|: the kernel's own rounding plus that of the reference
+    # (at most 6 eps sum|c| over 20 random pairs of profiles)
+    series = quad_rows(np.array([random_profile(rng, scale=s).eta_values
+                                 for s in (0.3, 1.2)]))[0]
+    x = rng.uniform(-1.0, 1.0, points)
+    x[0], x[-1] = -1.0, 1.0
+    for c in series.reshape(-1, series.shape[-1]):
+        err = np.max(np.abs(_cheb.chebval(x, c) - chebyshev.chebval(x, c)))
+        assert err <= 10.0 * np.finfo(float).eps * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("points", [0, 1, 4, 32, 33, 249, _cheb._CHUNK + 1])
+def test_many_point_calls_equal_one_point_calls(points):
+    phi = random_profile(np.random.default_rng(5), scale=0.6)
+    x = np.random.default_rng(points).uniform(-1.0, 1.0, points)
+    fx, inv = phi.evaluate(x), phi.inverse(x)
+    assert fx.shape == inv.shape == (points,)
+    assert np.array_equal(fx, [phi.evaluate(v) for v in x])
+    assert np.array_equal(inv, [phi.inverse(v) for v in x])
+    if points % 2 == 0 and points:
+        grid = x.reshape(2, -1)
+        assert np.array_equal(phi.evaluate(grid), fx.reshape(2, -1))
+        assert np.array_equal(phi.inverse(grid), inv.reshape(2, -1))
+
+
+def test_many_point_calls_allocate_one_chunk_of_table_at_a_time():
+    # unchunked, the cosine table of 2e5 points by 2n = 128 terms would take
+    # 205 MB on its own; the bounds are 8.5 MB and 34 MB.  The inverse keeps
+    # a few point-sized arrays per Newton step (brackets, iterates, values)
+    phi = random_profile(np.random.default_rng(8), scale=0.6)
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, 200_000)
+    phi.inverse(x[:2])  # build the evaluation data outside the measurement
+    table = _cheb._CHUNK * 2 * phi.degree * 8
+    for method, copies in ((phi.evaluate, 2), (phi.inverse, 10)):
+        tracemalloc.start()
+        try:
+            method(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= copies * 2 * x.nbytes + 2 * table, (method.__name__, peak)
 
 
 def test_serialization_round_trip(rng):

@@ -115,6 +115,16 @@ def test_side_structure_matches_the_bisection_oracle(alpha, which):
     assert np.max(np.abs(b - b_oracle)) <= 4e-15
 
 
+def test_side_structure_of_a_scan_equals_one_level_at_a_time():
+    obs = random_decomposed_map(2.0, 4, 64, seed=3).observed
+    ts = 0.5 + renorm._PEAK_SCAN_STEP * np.arange(1, int(round(0.5 / renorm._PEAK_SCAN_STEP)))
+    scan = renorm._side_structure(obs, 2.0, ts)
+    for i in range(ts.size):
+        alone = renorm._side_structure(obs, 2.0, ts[i:i + 1])
+        for got, want in zip(scan, alone):
+            assert np.array_equal(got[i:i + 1], want, equal_nan=True)
+
+
 def test_side_structure_skips_levels_below_the_diagonal():
     # where f0 <= 0 there is no fixed point: p and b stay nan, and nothing
     # is solved there, so no log(0) or other warning escapes
@@ -261,6 +271,50 @@ def test_false_position_keeps_a_probe_the_step_cannot_move():
 
     assert renorm._illinois(line, 0.5, 0.9, line(0.5), line(0.9), 1e-12) == 0.7
     assert len(probes) <= 4
+
+
+def _illinois_that_reprobes(fun, ta, tb, fa, fb, tol):
+    """renorm._illinois as it was before it stopped on two adjacent floats."""
+    best = min((abs(fa), ta), (abs(fb), tb))
+    if best[0] == 0.0:
+        return best[1]
+    for _ in range(renorm._ILLINOIS_STEPS):
+        tm = tb - fb * (tb - ta) / (fb - fa)
+        if tm == tb and abs(tb - ta) > 4.0 * abs(np.spacing(tb)):
+            return best[1]
+        lo, hi = (ta, tb) if ta < tb else (tb, ta)
+        if not lo < tm < hi:
+            tm = 0.5 * (ta + tb)
+        fm = fun(tm)
+        best = min(best, (abs(fm), tm))
+        if fm == 0.0 or abs(tb - ta) <= tol:
+            return best[1]
+        if (fm < 0.0) == (fb < 0.0):
+            fa *= 0.5
+        else:
+            ta, fa = tb, fb
+        tb, fb = tm, fm
+    raise AssertionError("the reference loop ran out of steps")
+
+
+def test_false_position_probes_no_point_twice(monkeypatch):
+    # the depth-5 alpha-1.5 solve brackets t* by two adjacent floats, whose
+    # midpoint rounds onto an end; the peak value stays the same
+    solves = []
+    illinois = renorm._illinois
+
+    def compared(fun, ta, tb, fa, fb, tol):
+        probes, before = [ta, tb], [ta, tb]
+        got = illinois(lambda t: probes.append(t) or fun(t), ta, tb, fa, fb, tol)
+        want = _illinois_that_reprobes(lambda t: before.append(t) or fun(t), ta, tb, fa, fb, tol)
+        solves.append((got, want, probes, before))
+        return got
+
+    monkeypatch.setattr(renorm, "_illinois", compared)
+    find_fixed_point(SolverConfig(alpha=1.5, depth=5))
+    assert all(got == want for got, want, _, _ in solves)
+    assert all(len(set(probes)) == len(probes) for _, _, probes, _ in solves)
+    assert any(len(set(before)) < len(before) for _, _, _, before in solves)
 
 
 # ------------------------------------------------------------ outer solver
