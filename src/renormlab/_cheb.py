@@ -137,8 +137,8 @@ def chebval(x: np.ndarray, series: np.ndarray) -> np.ndarray:
         out = np.concatenate([chebval(flat[a:a + _CHUNK], series)
                               for a in range(0, flat.size, _CHUNK)], axis=-1)
         return out.reshape(series.shape[:-1] + x.shape)
-    table = np.multiply.outer(np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)),
-                              np.arange(series.shape[-1]))
+    table = (np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))[..., None]
+             * np.arange(series.shape[-1], dtype=float))
     return np.einsum("...j,kj->k..." if series.ndim == 2 else "...j,j->...",
                      np.cos(table, out=table), series)
 

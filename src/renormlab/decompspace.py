@@ -316,13 +316,12 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     out = np.empty((dec.times.size, 4))
-    with np.errstate(divide="ignore", invalid="ignore"):  # see newton_inverse
-        for r, quad in enumerate(zip(*dec._batch())):
-            ends = newton_inverse(ends, *quad)
-            if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
-                raise GeometryError("pullback interval degenerates at index "
-                                    f"{dec.times.indices_descending()[r]!r}")
-            out[r] = ends
+    for r, quad in enumerate(zip(*dec._batch())):
+        ends = newton_inverse(ends, *quad)
+        if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
+            raise GeometryError("pullback interval degenerates at index "
+                                f"{dec.times.indices_descending()[r]!r}")
+        out[r] = ends
     return Geometry.from_rows(s1, out)
 
 

@@ -22,6 +22,7 @@ point; everything else in the package stays inside the diffeomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan
 
 import numpy as np
 
@@ -87,37 +88,55 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
     """Roots of increasing functions, one per point, by Newton kept in a bracket.
 
     Solves the points x[idx], starting from their values in x, each in its
-    own bracket [lo, hi] (arrays over idx, or scalars); the roots are written
-    into x, which is returned.  step(idx, xa) gives the function and its
-    derivative at the open points xa, whose positions in x are idx.  A point
-    takes a Newton step when it lands inside its bracket and bisects
-    otherwise (an iterate with f == 0 closes both sides), and stops on its
-    own, frozen from then on, once its step is below 1e-15, its bracket below
-    4e-16 or its residual at ``floor``; only the points still open are
-    evaluated.  A zero slope gives an inf or nan step, which bisects: callers
-    run this under np.errstate(divide="ignore", invalid="ignore").  Raises
-    NonConvergence, naming ``what``, if 100 steps run out.
+    own finite bracket [lo, hi] (arrays over idx, or scalars); the roots are
+    written into x, which is returned.  step(idx, xa) gives the function and
+    its derivative at the open points xa, whose positions in x are idx, and
+    is all the numpy work of a Newton step.  The bookkeeping runs point by
+    point on Python floats, which on the few points of most calls costs less
+    than numpy's per-call overhead, with the IEEE arithmetic whole-array
+    operations would do, in the same order: a point takes a Newton step when
+    it lands inside its bracket and bisects otherwise (so does a zero slope;
+    an iterate with f == 0 closes both sides), and stops on its own, dropped
+    from the open points, once its step is below 1e-15, its bracket below
+    4e-16 or its residual at ``floor``.  The points are solved _cheb._CHUNK
+    at a time, each chunk to the end, so a step's series evaluation is one
+    cosine table.  Raises NonConvergence, naming ``what`` and counting the
+    open points of every chunk, if 100 steps run out.
     """
-    xa = x[idx]  # the open points, compacted; a point leaves only when it stops
-    for _ in range(100):
-        if idx.size == 0:
-            return x
-        f, slope = step(idx, xa)
-        lo = np.where(f <= 0.0, xa, lo)
-        hi = np.where(f >= 0.0, xa, hi)
-        xn = xa - f / slope
-        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
-        done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
-        xa = xn
-        if done.any():
-            x[idx[done]] = xn[done]
-            keep = ~done
-            idx, xa, lo, hi = idx[keep], xa[keep], lo[keep], hi[keep]
-    if idx.size == 0:
-        return x
-    raise NonConvergence(
-        f"{what} did not converge in 100 Newton steps at {idx.size} of {x.size} "
-        f"points (widest bracket {float(np.max(hi - lo)):.1e})")
+    floor, stuck, widest = float(floor), 0, 0.0
+    for a in range(0, idx.size, _cheb._CHUNK):
+        ia = idx[a:a + _cheb._CHUNK]
+        xa = x[ia]
+        xs = xa.tolist()
+        los = lo[a:a + ia.size].tolist() if isinstance(lo, np.ndarray) else [float(lo)] * ia.size
+        his = hi[a:a + ia.size].tolist() if isinstance(hi, np.ndarray) else [float(hi)] * ia.size
+        for _ in range(100):
+            f, slope = step(ia, xa)
+            keep = []
+            for j, (xj, fj, sj) in enumerate(zip(xs, f.tolist(), slope.tolist())):
+                l = xj if fj <= 0.0 else los[j]
+                h = xj if fj >= 0.0 else his[j]
+                xn = xj - fj / sj if sj else nan
+                if not l <= xn <= h:
+                    xn = 0.5 * (l + h)
+                xs[j], los[j], his[j] = xn, l, h
+                if not (abs(xn - xj) <= 1e-15 or h - l <= 4e-16 or abs(fj) <= floor):
+                    keep.append(j)
+            xa = np.array(xs)
+            if len(keep) < len(xs):  # write every iterate, then drop the stopped points
+                x[ia] = xa
+                if not keep:
+                    break
+                ia, xa = ia[keep], xa[keep]
+                xs, los, his = xa.tolist(), [los[j] for j in keep], [his[j] for j in keep]
+        else:
+            stuck += len(xs)
+            widest = max(widest, max(h - l for l, h in zip(los, his)))
+    if stuck:
+        raise NonConvergence(
+            f"{what} did not converge in 100 Newton steps at {stuck} of {x.size} "
+            f"points (widest bracket {widest:.1e})")
+    return x
 
 
 def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarray:
@@ -127,16 +146,16 @@ def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarra
     (quad_rows); each step evaluates both in one _cheb.chebval call, one
     cosine table and one einsum.  The endpoints -1 and 1 are their own
     preimages; every other point starts at y in the bracket [-1, 1] and runs
-    bracketed_newton with the rounding floor ``floor``, under the same
-    np.errstate.  Each point's result is independent of the other points of
-    y, bit for bit.  Raises NonConvergence if 100 steps run out.
+    bracketed_newton with the rounding floor ``floor``.  Each point's result
+    is independent of the other points of y, bit for bit.  Raises
+    NonConvergence if 100 steps run out.
     """
     def step(idx, xa):
         f, logd = _cheb.chebval(xa, series)
         f -= y[idx]
         return f, np.exp(logd)
 
-    return bracketed_newton(step, y.copy(), np.flatnonzero(np.abs(y) < 1.0), -1.0, 1.0,
+    return bracketed_newton(step, y.copy(), (np.abs(y) < 1.0).nonzero()[0], -1.0, 1.0,
                             floor, "inverse")
 
 
@@ -218,8 +237,7 @@ class NonlinearityProfile:
         Raises NonConvergence if the iteration budget runs out.
         """
         yv = _check_unit(y, "inverse argument")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = newton_inverse(yv.reshape(-1), *self._cache())
+        x = newton_inverse(yv.reshape(-1), *self._cache())
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 
     def to_dict(self) -> dict:

@@ -141,7 +141,7 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
 
     p, b = np.full_like(t, np.nan), np.full_like(t, np.nan)
     p[idx] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # see bracketed_newton
+    with np.errstate(divide="ignore"):  # log(0) if an iterate reaches 0
         p = bracketed_newton(step, p, idx, 0.0, 1.0, floor, "fixed point p")
     b[idx] = _side_end(obs, alpha, t[idx], p[idx])
     return f0, p, b

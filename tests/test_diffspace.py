@@ -21,9 +21,9 @@ from renormlab import (
     renormalize,
     zoom,
 )
-from renormlab import _cheb
-from renormlab.diffspace import inner_side, newton_inverse, quad_rows
-from support import monotone_profile, patch_series, random_profile
+from renormlab import _cheb, diffspace, renorm
+from renormlab.diffspace import bracketed_newton, inner_side, newton_inverse, quad_rows
+from support import monotone_profile, patch_series, random_profile, vectorised_bracketed_newton
 
 XS = np.linspace(-1.0, 1.0, 41)
 
@@ -138,6 +138,28 @@ def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
     patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
     with pytest.raises(NonConvergence):
         phi.inverse(0.3)
+    # more points than one chunk: the error counts the open points of all chunks
+    with pytest.raises(NonConvergence, match="at 1100 of 1100 points"):
+        phi.inverse(np.linspace(-0.9, 0.9, 1100))
+
+
+def test_inverse_bisects_on_a_zero_slope(rng, monkeypatch):
+    # log phi' = -inf on the first step: the slope is 0, and each point
+    # moves to the middle of its bracket instead of dividing by it
+    phi = random_profile(rng)
+    ys = np.array([-0.6, 0.1, 0.5])
+    f = phi.evaluate(ys) - ys
+    steps = patch_series(monkeypatch, lambda calls, f, logd: (
+        f, np.full_like(logd, -np.inf) if calls == 1 else logd))
+    seen = []
+    patched = _cheb.chebval
+    monkeypatch.setattr(_cheb, "chebval", lambda x, series: seen.append(x.copy()) or patched(x, series))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = phi.inverse(ys)
+    assert len(steps) >= 2
+    assert np.array_equal(seen[1], np.where(f >= 0.0, 0.5 * (ys - 1.0), 0.5 * (ys + 1.0)))
+    assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-14
 
 
 def _inverse_before_the_shared_loop(y, series, floor):
@@ -175,6 +197,60 @@ def test_newton_inverse_keeps_its_bits(rng, points):
             got = newton_inverse(y, *quad)
             want = _inverse_before_the_shared_loop(y, *quad)
         assert np.array_equal(got, want)
+
+
+def _synthetic_roots(points):
+    # x + x^3 about a root per point, in a bracket of its own; some points
+    # start on their root (f == 0), some see a NaN residual or a zero slope
+    # at their start
+    rng = np.random.default_rng(points)
+    root = rng.uniform(-0.5, 0.5, points)
+    lo, hi = root - rng.uniform(0.1, 1.0, points), root + rng.uniform(0.1, 1.0, points)
+    x0 = lo + rng.uniform(0.0, 1.0, points) * (hi - lo)
+    x0[::5] = root[::5]
+
+    def step(idx, xa):
+        d = xa - root[idx]
+        f, slope = d + d ** 3, 1.0 + 3.0 * d * d
+        first = xa == x0[idx]
+        f[first & (idx % 3 == 1)] = np.nan
+        slope[first & (idx % 3 == 2)] = 0.0
+        return f, slope
+
+    # one position past the points stays as it is
+    return step, np.append(x0, 7.0), np.arange(points), lo, hi
+
+
+@pytest.mark.parametrize("kind", ["inverse", "fixed point", "synthetic"])
+@pytest.mark.parametrize("points", [1, 4, 249, 1_025, 2_100])
+def test_bracketed_newton_equals_the_vectorised_loop(monkeypatch, kind, points):
+    # the per-point loop against the whole-array reference loop, across the
+    # chunk boundaries of 1,025 and 2,100 points
+    rng = np.random.default_rng(points)
+    if kind == "synthetic":
+        step, x, idx, lo, hi = _synthetic_roots(points)
+        got = bracketed_newton(step, x.copy(), idx, lo, hi, 1e-15, kind)
+        want = vectorised_bracketed_newton(step, x.copy(), idx, lo, hi, 1e-15, kind)
+        assert got[-1] == 7.0
+        assert np.array_equal(got, want)
+        return
+    if kind == "inverse":
+        phi = random_profile(rng, scale=0.6)
+        y = rng.uniform(-1.0, 1.0, points)
+        y[0] = -1.0
+
+        def run():
+            return phi.inverse(y)
+    else:
+        obs = random_decomposed_map(2.0, 3, 64, seed=points).observed
+        ts = np.linspace(0.5, 1.0, points + 2)[1:-1]
+
+        def run():
+            return np.array(renorm._side_structure(obs, 2.0, ts))
+    got = run()
+    monkeypatch.setattr(diffspace, "bracketed_newton", vectorised_bracketed_newton)
+    monkeypatch.setattr(renorm, "bracketed_newton", vectorised_bracketed_newton)
+    assert np.array_equal(got, run(), equal_nan=True)
 
 
 @pytest.mark.parametrize("points", [1, 2, 32, 33, 200])
