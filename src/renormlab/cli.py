@@ -53,7 +53,6 @@ _SHARED = {
     "grid": dict(type=int, default=64, help="Chebyshev grid degree"),
     "tol": dict(type=float, default=1e-8, help="outer residual tolerance"),
     "max-iter": dict(type=int, default=200, help="outer iteration cap"),
-    "damping": dict(type=float, default=1.0, help="blend weight in (0, 1]; 1 takes the full step"),
     "out": dict(type=str, help="output path (default stdout)"),
 }
 
@@ -196,11 +195,11 @@ def _build_parser() -> _Parser:
     _add_shared(alphas, "alpha")
     alphas.add_argument("--alpha-sweep", type=str,
                         help="comma list of alphas solved in turn, one output file each")
-    _add_shared(p, "depth", "grid", "tol", "max-iter", "damping", "out")
+    _add_shared(p, "depth", "grid", "tol", "max-iter", "out")
     p.set_defaults(handler=_cmd_fixed_point)
 
     p = sub.add_parser("orbit", help="solve for a periodic orbit of length k")
-    _add_shared(p, "alpha", "depth", "grid", "tol", "max-iter", "damping", "out")
+    _add_shared(p, "alpha", "depth", "grid", "tol", "max-iter", "out")
     p.add_argument("-k", type=int, required=True, help="orbit length, at least 1")
     p.set_defaults(handler=_cmd_orbit)
 

@@ -26,7 +26,6 @@ from .decompspace import (
     compose_all,
     decomposition_distance,
     geometric_renormalize,
-    geometry_blend,
     geometry_distance,
     identity_decomposition,
     pullback_intervals,
@@ -63,8 +62,8 @@ _ILLINOIS_STEPS = 80
 # alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
 _MAX_SOLVER_BYTES = 2 ** 31
 
-# Longest orbit find_periodic_orbit takes: each outer pass makes k undamped
-# steps, about 0.3 s each at depth 8, for up to max_iter passes.
+# Longest orbit find_periodic_orbit takes: each outer pass makes k steps,
+# about 0.3 s each at depth 8, for up to max_iter passes.
 _MAX_ORBIT_LENGTH = 16
 
 # Most steps renormalization_orbit_diagnostics tracks: from a random start the
@@ -419,14 +418,13 @@ def solve_peak_value(phi: Decomposition, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the outer solvers; the default damping 1.0 takes the full step."""
+    """Knobs for the outer solvers: alpha, the tree depth and grid, tol and the pass cap."""
 
     alpha: float
     depth: int = 8
     grid: int = 64
     tol: float = 1e-8
     max_iter: int = 200
-    damping: float = 1.0
 
     def __post_init__(self):
         if not 1.0 < self.alpha < np.inf:
@@ -439,8 +437,6 @@ class SolverConfig:
             raise ConfigError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError("damping must lie in (0, 1]")
         nodes = 2 ** (min(self.depth, 62) + 1) - 1  # deeper is far over the limit anyway
         if 8 * 16 * self.grid * (nodes + self.grid) > _MAX_SOLVER_BYTES:
             raise ConfigError(f"depth {self.depth} at grid {self.grid} would need over "
@@ -453,9 +449,8 @@ class FixedPointReport:
 
     residual_geometry is the distance between the dynamical geometry of the
     certified map and the geometry it was built from; residual_peak is the
-    defect |rho - t| of the peak-value invariance.  delta_estimate is filled
-    in by the spectral layer when requested; coincident marks cycle elements
-    that collapse onto a fixed point.
+    defect |rho - t| of the peak-value invariance; coincident marks cycle
+    elements that collapse onto a fixed point.
     """
 
     alpha: float
@@ -467,7 +462,6 @@ class FixedPointReport:
     residual_geometry: float
     residual_peak: float
     iterations: int
-    delta_estimate: float | None = None
     coincident: bool | None = None
 
     def to_dict(self) -> dict:
@@ -482,8 +476,6 @@ class FixedPointReport:
             "geometry": self.geometry_star.to_dict(),
             "decomposition": self.pure_star.to_dict(self.alpha),
         }
-        if self.delta_estimate is not None:
-            data["delta_estimate"] = float(self.delta_estimate)
         if self.coincident is not None:
             data["coincident"] = bool(self.coincident)
         return data
@@ -519,8 +511,6 @@ class FixedPointReport:
                 residual_geometry=residuals[0],
                 residual_peak=residuals[1],
                 iterations=iterations,
-                delta_estimate=(None if data.get("delta_estimate") is None
-                                else float(data["delta_estimate"])),
                 coincident=data.get("coincident"),
             )
         except (TypeError, KeyError, ValueError, OverflowError, DomainError,
@@ -564,7 +554,7 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
         trace.append(resid)
         if resid <= config.tol:
             return maps, geoms, closure, it
-        g = geometry_blend(config.damping, g_img, g)
+        g = g_img
         t_prev = maps[0].t
     raise NonConvergence(
         f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} "
@@ -601,11 +591,10 @@ def find_fixed_point(config: SolverConfig,
     """Outer iteration on the geometry for a truncation fixed point.
 
     State is the geometry g: each pass solves the pure decomposition of g,
-    re-solves the invariant peak value, takes the resulting dynamical
-    geometry T(g), and blends it into g with the damping weight (1 by
-    default, the full step).  Convergence is declared when the geometry
+    re-solves the invariant peak value, and takes the resulting dynamical
+    geometry T(g) as the next g.  Convergence is declared when the geometry
     movement plus the peak-value movement drops below tol.  The report is
-    the last pass's undamped step from the returned g: t* and the pure
+    the last pass's step from the returned g: t* and the pure
     decomposition come from it, residual_geometry is |T(g) - g| and
     residual_peak is recomputed through peak_value_rho.
     """
@@ -657,8 +646,7 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     return records
 
 
-def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int, *,
-                          scale: float = 0.25) -> DecomposedMap:
+def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int) -> DecomposedMap:
     """A random analytic decomposed map with its peak value already solved.
 
     Node nonlinearities are short Chebyshev series with geometrically
@@ -668,7 +656,7 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int, *,
     rng = np.random.default_rng(seed)
     times = timetree.DecompositionTimes(depth)
     decay = 0.6 ** np.arange(8)
-    coeffs = np.array([rng.standard_normal(8) * decay * (scale * 0.45 ** len(w))
+    coeffs = np.array([rng.standard_normal(8) * decay * (0.25 * 0.45 ** len(w))
                        for w in times.indices_descending()])
     dec = Decomposition.from_rows(times, _cheb.on_grid(coeffs, grid))
     obs = compose_all(dec)

@@ -4,14 +4,17 @@ Two independent routes to the same numbers.  The cascade route never touches
 the renormalization machinery: it iterates the bare fold q_t(x) = -2t|x|^a
 + 2t - 1 and locates the superstable parameter sequence, whose gap ratios
 converge to the parameter-space constant delta and whose critical orbits
-yield the spatial scaling.  The operator route differentiates one truncated
-renormalization step at a converged fixed point and reads delta off as the
-dominant eigenvalue.  Agreement of the two is the working correctness test
-for the whole laboratory.
+yield the spatial scaling.  It runs on plain Python floats, one scan point
+and one bisection midpoint at a time, so its bits depend on the C library's
+pow alone and not on a numpy kernel.  The operator route differentiates one
+truncated renormalization step at a converged fixed point and reads delta off
+as the dominant eigenvalue.  Agreement of the two is the working correctness
+test for the whole laboratory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +23,9 @@ from .decompspace import Decomposition
 from .errors import BracketError, ConfigError, NonConvergence
 from .renorm import DecomposedMap, FixedPointReport, _renormalizable_structure, renormalize
 
-_SCAN_BATCH = 128
+# The scan takes at least this many points before its reach ends.
+_SCAN_POINTS = 128
 _BISECT_WIDTH = 1e-14
-
-# Bisection steps evaluated ahead in one batch: 2^6 - 1 = 63 midpoints, of
-# which a walk uses 6, so a 47-step bisection makes 8 iterate calls, not 47.
-_SPECULATIVE_LEVELS = 6
 
 # Deepest cascade level: level k iterates 2^k steps, so each level doubles the
 # cost, and past m = 13 the gap ratios lose digits to the bisection width
@@ -38,50 +38,27 @@ _MAX_CASCADE_LEVEL = 16
 _MAX_SCALING_LEVELS = 12
 
 
-def _critical_iterate(alpha: float, k: int, t_values: np.ndarray) -> np.ndarray:
-    """q_t^(2^k)(0) for an array of fold levels, by direct iteration."""
-    t = np.asarray(t_values, dtype=float)
+def _critical_iterate(alpha: float, k: int, t: float) -> float:
+    """q_t^(2^k)(0) for one fold level, by direct iteration on Python floats."""
     slope, top = -2.0 * t, 2.0 * t - 1.0
-    x = np.zeros_like(t)
+    x = 0.0
     for _ in range(2 ** k):
-        x = slope * np.abs(x) ** alpha + top
+        x = slope * abs(x) ** alpha + top
     return x
 
 
-def _midpoint_tree(lo: float, hi: float, levels: int) -> np.ndarray:
-    """Every midpoint the next `levels` bisection steps of [lo, hi] can reach.
-
-    Heap order: entry 0 is 0.5 * (lo + hi), and the entry for a bracket
-    has its lower half's midpoint at 2i + 1 and its upper half's at 2i + 2.
-    Each is computed by the same 0.5 * (lo + hi) as a step would.
-    """
-    los, his = np.array([lo]), np.array([hi])
-    mids = []
-    for _ in range(levels):
-        mid = 0.5 * (los + his)
-        mids.append(mid)
-        los = np.stack([los, mid], axis=1).ravel()
-        his = np.stack([mid, his], axis=1).ravel()
-    return np.concatenate(mids)
-
-
 def _bisect_iterate(alpha: float, k: int, lo: float, hi: float) -> float:
-    # Speculative bisection: the midpoints of the next _SPECULATIVE_LEVELS
-    # steps go through one _critical_iterate call, then the walk by sign takes
-    # the same steps, and returns the same value, as one call per midpoint.
-    g_lo = float(_critical_iterate(alpha, k, np.array([lo]))[0])
+    """Zero of the 2^k critical iterate in [lo, hi], one midpoint a step."""
+    g_lo = _critical_iterate(alpha, k, lo)
     while hi - lo > _BISECT_WIDTH:
-        tree = _midpoint_tree(lo, hi, _SPECULATIVE_LEVELS)
-        mids, g = tree.tolist(), _critical_iterate(alpha, k, tree).tolist()
-        i = 0
-        while i < len(mids) and hi - lo > _BISECT_WIDTH:
-            mid, g_mid = mids[i], g[i]
-            if g_mid == 0.0:
-                return mid
-            if (g_mid < 0.0) == (g_lo < 0.0):
-                lo, g_lo, i = mid, g_mid, 2 * i + 2
-            else:
-                hi, i = mid, 2 * i + 1
+        mid = 0.5 * (lo + hi)
+        g_mid = _critical_iterate(alpha, k, mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -92,24 +69,21 @@ def _next_superstable(alpha: float, k: int, t_prev: float, predicted: float) -> 
     critical orbit is periodic with period dividing 2^k, and the cascade
     ordering puts none of those strictly between t_{k-1} and t_k; the first
     sign change above t_prev therefore brackets t_k, provided the scan step
-    resolves the gap.  The step starts at predicted/8 and shrinks on retry.
+    resolves the gap.  The scan visits t_prev + j*h below 1, at least 128
+    points and on to 8*predicted past t_prev; the step h starts at
+    predicted/8 and shrinks eightfold on each of three retries.
     """
     h = predicted / 8.0
     for _ in range(4):
-        start, prev_t, prev_v = t_prev, None, None
-        while start < 1.0 and start - t_prev < 8.0 * predicted:
-            grid = start + h * np.arange(1, _SCAN_BATCH + 1)
-            grid = grid[grid < 1.0]
-            if grid.size == 0:
+        prev_t, prev_v = None, None
+        for j in range(1, max(_SCAN_POINTS, round(8.0 * predicted / h)) + 1):
+            t = t_prev + j * h
+            if t >= 1.0:
                 break
-            vals = _critical_iterate(alpha, k, grid)
-            ts = grid if prev_t is None else np.concatenate([[prev_t], grid])
-            vs = vals if prev_v is None else np.concatenate([[prev_v], vals])
-            flips = np.flatnonzero(vs[:-1] * vs[1:] <= 0.0)
-            if flips.size:
-                i = int(flips[0])
-                return _bisect_iterate(alpha, k, float(ts[i]), float(ts[i + 1]))
-            start, prev_t, prev_v = float(grid[-1]), float(grid[-1]), float(vals[-1])
+            v = _critical_iterate(alpha, k, t)
+            if prev_v is not None and prev_v * v <= 0.0:
+                return _bisect_iterate(alpha, k, prev_t, t)
+            prev_t, prev_v = t, v
         h /= 8.0
     raise BracketError(
         f"could not bracket the superstable level of period 2^{k} above t={t_prev:.12f}")
@@ -143,13 +117,14 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     by a gap-predicted scan and sharpened by bisection.  Raises ConfigError
     unless alpha > 1 is finite, and ValueError unless 1 <= m <= 16.
     """
-    if not 1.0 < alpha < np.inf:
+    if not 1.0 < alpha < math.inf:
         raise ConfigError("alpha must exceed 1 and be finite")
     if m < 1:
         raise ValueError("cascade needs at least one level beyond t_0")
     if m > _MAX_CASCADE_LEVEL:
         raise ValueError(f"cascade level {m} is past the deepest level {_MAX_CASCADE_LEVEL}: "
                          "each level doubles the cost and deeper estimates lose digits")
+    alpha = float(alpha)  # a numpy scalar would route every pow through numpy
     levels = [0.5]
     predicted = 0.8  # generous first guess; later gaps are predicted from earlier ones
     for k in range(1, m + 1):
@@ -158,7 +133,7 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
         levels.append(t_k)
     deltas = tuple((levels[k - 1] - levels[k - 2]) / (levels[k] - levels[k - 1])
                    for k in range(2, m + 1))
-    return CascadeTable(float(alpha), tuple(levels), deltas)
+    return CascadeTable(alpha, tuple(levels), deltas)
 
 
 def cascade_orbit_scaling(alpha: float, m: int) -> list:
@@ -169,8 +144,7 @@ def cascade_orbit_scaling(alpha: float, m: int) -> list:
     converge to the universal spatial scaling of the cascade.
     """
     table = superstable_cascade(alpha, m)
-    d = [float(_critical_iterate(alpha, k - 1, np.array([table.t_values[k]]))[0])
-         for k in range(1, m + 1)]
+    d = [_critical_iterate(table.alpha, k - 1, table.t_values[k]) for k in range(1, m + 1)]
     return [abs(d[i + 1] / d[i]) for i in range(len(d) - 1)]
 
 

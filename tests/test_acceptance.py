@@ -331,8 +331,10 @@ def test_criterion_9_exponential_attraction():
 
 def test_scaling_ratio_matches_the_cascade_orbit(fp8, fp15):
     # the fixed point's p against the orbit scaling of the superstable
-    # cascade at m = 12 (gaps 1.8e-7 and 3.0e-8); alpha 3 is left out, its
-    # cascade ratios still drift at m = 10-12
+    # cascade at m = 12 (gaps 1.8e-7 at alpha 2 and 2.3e-7 at alpha 1.5).
+    # The m = 12 ratio sits in the iterate's rounding noise: a last-bit
+    # change in pow moves the alpha-1.5 gap between 3.0e-8 and 2.3e-7.
+    # alpha 3 is left out, its cascade ratios still drift at m = 10-12
     for rep in (fp8, fp15):
         ratio = scaling_ratios(rep, 1)[0]
         oracle = cascade_orbit_scaling(rep.alpha, 12)[-1]

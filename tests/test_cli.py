@@ -27,6 +27,7 @@ def test_usage_errors_exit_1():
                  ["no-such-command"],
                  # an option the subcommand does not read is unknown to it
                  ["fixed-point", "--alpha", "2", "--seed", "1"],
+                 ["fixed-point", "--alpha", "2", "--damping", "0.5"],
                  ["cascade", "--alpha", "2", "-m", "3", "--depth", "40"],
                  ["fixed-point", "--alpha", "2", "--alpha-sweep", "1.5,3", "--out", "x.json"]):
         with pytest.raises(SystemExit) as exc:
@@ -36,8 +37,8 @@ def test_usage_errors_exit_1():
 
 # The options each subcommand's handler reads, and no others.
 OPTION_SETS = {
-    "fixed-point": {"alpha", "alpha-sweep", "depth", "grid", "tol", "max-iter", "damping", "out"},
-    "orbit": {"alpha", "depth", "grid", "tol", "max-iter", "damping", "k", "out"},
+    "fixed-point": {"alpha", "alpha-sweep", "depth", "grid", "tol", "max-iter", "out"},
+    "orbit": {"alpha", "depth", "grid", "tol", "max-iter", "k", "out"},
     "window": {"alpha", "depth", "grid", "out"},
     "cascade": {"alpha", "m", "out"},
     "spectrum": {"alpha", "in", "levels", "out"},
@@ -51,7 +52,7 @@ def test_each_subcommand_takes_exactly_its_options():
                     for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in sub.choices.items()}
     assert found == OPTION_SETS
-    assert sum(map(len, found.values())) == 33
+    assert sum(map(len, found.values())) == 31
 
 
 def _readme_commands():
