@@ -2,8 +2,8 @@
 
 The layers, bottom up: diffspace holds diffeomorphisms of [-1, 1] in
 nonlinearity coordinates together with the zoom operators that restrict and
-rescale them; timetree indexes the binary tree of dyadic decomposition
-times; decompspace assembles tree-indexed decompositions, the geometric
+rescale them; decompspace owns the binary tree of decomposition times and
+its one row order, and assembles tree-indexed decompositions, the geometric
 renormalization over a fixed interval geometry and its pure fixed points;
 renorm couples the geometry to the dynamics of the decomposed unimodal map
 f = Phi o q_t and solves for fixed points and periodic orbits of the
@@ -13,7 +13,9 @@ them against direct cascade iteration of the bare fold family.
 
 from .decompspace import (
     KAPPA_MARGIN,
+    ROOT,
     Decomposition,
+    DecompositionTimes,
     Geometry,
     compose_all,
     decomposition_distance,
@@ -42,7 +44,6 @@ from .diffspace import (
 from .errors import (
     BracketError,
     ConfigError,
-    DepthError,
     DepthMismatch,
     DomainError,
     GeometryError,
@@ -80,18 +81,6 @@ from .spectral import (
     scaling_ratios,
     superstable_cascade,
     unstable_eigenvalue,
-)
-from .timetree import (
-    ROOT,
-    DecompositionTimes,
-    a1,
-    a1_inverse,
-    a2,
-    a2_inverse,
-    compare,
-    enumerate_descending,
-    level,
-    validate_path,
 )
 
 __version__ = "0.1.0"

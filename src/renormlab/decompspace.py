@@ -12,20 +12,24 @@ level is dropped, so after depth + 1 steps nothing of the start survives.
 Its unique fixed point, the pure decomposition of the geometry, is
 therefore built exactly by one top-down pass.
 
-Both keep one row per index in descending time order: the depth-d tree is
-the 2w block, the root, then the 1w block, each block in the depth-(d-1)
-order of w, so row r sits at level d - j for r + 1 = 2^j * odd.  The
-relabelling is two block moves: the node at the k-th odd row (the k-th
-index of the depth-(d-1) order) has children 2w and 1w at rows k and 2^d + k.
+A time index is a word over {1, 2}; the empty word ROOT is the root, and
+the depth-d tree holds every word of length at most d.  This module owns
+their one order, descending time: the depth-d order is the 2w block, the
+root, then the 1w block, each block in the depth-(d-1) order of w, so row r
+sits at level d - j for r + 1 = 2^j * odd.  Decompositions and geometries
+keep one row per index in that order, and the words are only labels of the
+rows.  The relabelling is two block moves: the node at the k-th odd row
+(the k-th index of the depth-(d-1) order) has children 2w and 1w at rows k
+and 2^d + k.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from . import timetree
 from .diffspace import (
     NonlinearityProfile,
     OrientedInterval,
@@ -50,6 +54,38 @@ _CACHE_ROWS = 64
 _COMPOSE_ROWS = 8
 _ZOOM_ROWS = 8
 
+ROOT = ""
+
+
+@lru_cache(maxsize=64)
+def _descending(depth: int) -> tuple[str, ...]:
+    if depth == 0:
+        return (ROOT,)
+    prev = _descending(depth - 1)
+    return tuple("2" + w for w in prev) + (ROOT,) + tuple("1" + w for w in prev)
+
+
+class DecompositionTimes:
+    """The full binary tree of time indices up to a fixed depth."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        if depth < 0:
+            raise DomainError("depth must be nonnegative")
+        self.depth = depth
+
+    @property
+    def size(self) -> int:
+        return 2 ** (self.depth + 1) - 1
+
+    def indices_descending(self) -> tuple[str, ...]:
+        """All indices, largest composition time first: the row order."""
+        return _descending(self.depth)
+
+    def __repr__(self):
+        return f"DecompositionTimes(depth={self.depth})"
+
 
 def _full_tree_depth(n: int) -> int | None:
     """Depth of the full binary tree with n nodes, or None if n is no such size."""
@@ -69,17 +105,17 @@ class Decomposition:
 
     __slots__ = ("times", "eta", "nodes", "_quad")
 
-    def __init__(self, times: timetree.DecompositionTimes, nodes: dict):
+    def __init__(self, times: DecompositionTimes, nodes: dict):
         paths = times.indices_descending()
         if set(nodes) != set(paths):
             raise DomainError("decomposition nodes must cover the index tree exactly")
-        grid = nodes[timetree.ROOT].degree
+        grid = nodes[ROOT].degree
         if any(nodes[w].degree != grid for w in paths):
             raise DomainError("decomposition nodes must share a grid degree")
         self._adopt(times, np.array([nodes[w].eta_values for w in paths]))
 
     @classmethod
-    def from_rows(cls, times: timetree.DecompositionTimes, eta) -> "Decomposition":
+    def from_rows(cls, times: DecompositionTimes, eta) -> "Decomposition":
         """A decomposition whose row r is the node at times.indices_descending()[r]."""
         eta = np.array(eta, dtype=float)
         if eta.ndim != 2 or eta.shape[0] != times.size or eta.shape[1] < 4:
@@ -139,14 +175,14 @@ class Decomposition:
             nodes = {str(n["path"]): NonlinearityProfile(n["eta"]) for n in data["nodes"]}
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed decomposition: {type(exc).__name__}: {exc}") from exc
-        return cls(timetree.DecompositionTimes(depth), nodes)
+        return cls(DecompositionTimes(depth), nodes)
 
     def __repr__(self):
         return f"Decomposition(depth={self.depth}, grid={self.grid}, norm={self.norm():.3g})"
 
 
 def identity_decomposition(depth: int, grid: int) -> Decomposition:
-    times = timetree.DecompositionTimes(depth)
+    times = DecompositionTimes(depth)
     return Decomposition.from_rows(times, np.zeros((times.size, grid)))
 
 
@@ -192,8 +228,12 @@ def compose_all(dec: Decomposition) -> NonlinearityProfile:
 
 
 def partial_composition(dec: Decomposition, tau: str) -> NonlinearityProfile:
-    """Compose the nodes with index at or above tau, descending: the first rows."""
-    return _compose_descending(dec, len(dec.times.suffix_set(tau)))
+    """Compose the nodes with index at or above tau, descending: the rows up to tau's."""
+    try:
+        count = dec.times.indices_descending().index(tau) + 1
+    except ValueError:
+        raise DomainError(f"{tau!r} is no index of the depth-{dec.depth} tree") from None
+    return _compose_descending(dec, count)
 
 
 class Geometry:
@@ -210,7 +250,7 @@ class Geometry:
     __slots__ = ("side_root", "ends", "depth")
 
     def __init__(self, side_root: OrientedInterval, s1: dict, s2: dict, depth: int):
-        paths = timetree.DecompositionTimes(depth).indices_descending()
+        paths = DecompositionTimes(depth).indices_descending()
         if set(s1) != set(paths) or set(s2) != set(paths):
             raise GeometryError("geometry intervals must cover the index tree exactly")
         if any(s1[w].flag != "+" or s2[w].flag != "-" for w in paths):
@@ -248,7 +288,7 @@ class Geometry:
 
     def _intervals(self, col: int):
         """(path, lo, hi) of every row's s1 (col 0) or s2 (col 2) interval."""
-        paths = timetree.DecompositionTimes(self.depth).indices_descending()
+        paths = DecompositionTimes(self.depth).indices_descending()
         return [(w, lo, hi) for w, (lo, hi) in zip(paths, self.ends[:, col:col + 2].tolist())]
 
     s1 = property(lambda self: MappingProxyType(
@@ -349,7 +389,7 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     """
     if g.depth != dec.depth:
         raise DepthMismatch(f"geometry depth {g.depth} differs from decomposition depth {dec.depth}")
-    times = timetree.DecompositionTimes(dec.depth if truncate else dec.depth + 1)
+    times = DecompositionTimes(dec.depth if truncate else dec.depth + 1)
     src = slice(1, None, 2) if truncate else slice(None)
     half = 2 ** times.depth
     out = np.empty((times.size, dec.grid))
@@ -366,7 +406,7 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decompos
     node 2w, one level at a time.  This is bit for bit what depth + 1 steps
     of geometric_renormalize produce from any start on the same grid.
     """
-    times = timetree.DecompositionTimes(g.depth)
+    times = DecompositionTimes(g.depth)
     half = 2 ** g.depth
     out = np.empty((times.size, grid))
     out[half - 1] = branch_zoom(alpha, g.side_root, grid).eta_values

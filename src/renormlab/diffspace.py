@@ -286,17 +286,16 @@ def inner_side(eta: np.ndarray, quad):
     return _cheb.bary_points(u, n), d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
 
 
-def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h, *,
-                 check: bool = True) -> np.ndarray:
+def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h) -> np.ndarray:
     """Fold the rows of inner_eta (r, n), in order, innermost into outer_eta.
 
     Row j of the result holds the samples of outer o inner_0 o ... o inner_j;
     (pts, d, h) is the inner side of the rows (inner_side).  Only the
     resample of the running result and the chain rule stay in the
-    sequential loop.  With
-    ``check`` every row is then compared against its direct chain-rule
-    values at the interior points, all rows in one resample, and the first
-    row whose residual exceeds the grid resolution raises ResolutionError.
+    sequential loop.  Every row is then compared against its direct
+    chain-rule values at the interior points, all rows in one resample, and
+    the first row whose residual exceeds the grid resolution raises
+    ResolutionError.
     """
     n = inner_eta.shape[-1]
     ov, out = np.empty(d.shape), np.empty(inner_eta.shape)
@@ -304,32 +303,30 @@ def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h, *,
     for j, row_pts in enumerate(_cheb.bary_rows(pts)):
         ov[j] = _cheb.bary_apply(result[None, :], *row_pts)[0]
         result = out[j] = ov[j, :n] * d[j, :n] + inner_eta[j]
-    if check:
-        direct = ov[:, n:] * d[:, n:] + h
-        interp = _cheb.resample_rows(out, _cheb.interior_nodes(n)[None, :])
-        resid = np.maximum.reduce(np.abs(direct - interp), axis=-1)
-        scale = 1.0 + np.maximum.reduce(np.abs(out), axis=-1)
-        bad = np.flatnonzero(resid > RESOLUTION_RTOL * scale)
-        if bad.size:
-            raise ResolutionError(f"composition residual {float(resid[bad[0]]):.3e} "
-                                  f"exceeds grid resolution at degree {n}")
+    direct = ov[:, n:] * d[:, n:] + h
+    interp = _cheb.resample_rows(out, _cheb.interior_nodes(n)[None, :])
+    resid = np.maximum.reduce(np.abs(direct - interp), axis=-1)
+    scale = 1.0 + np.maximum.reduce(np.abs(out), axis=-1)
+    bad = np.flatnonzero(resid > RESOLUTION_RTOL * scale)
+    if bad.size:
+        raise ResolutionError(f"composition residual {float(resid[bad[0]]):.3e} "
+                              f"exceeds grid resolution at degree {n}")
     return out
 
 
-def compose(outer: NonlinearityProfile, inner: NonlinearityProfile, *,
-            check: bool = True) -> NonlinearityProfile:
+def compose(outer: NonlinearityProfile, inner: NonlinearityProfile) -> NonlinearityProfile:
     """The composition outer o inner, resampled onto the shared grid.
 
     Uses the chain rule for nonlinearities and re-interpolates at the grid
-    nodes.  When ``check`` is set, the result is compared against the direct
-    chain-rule values at off-grid points; a large mismatch means the grid
-    cannot carry the composition and raises ResolutionError.
+    nodes.  The result is compared against the direct chain-rule values at
+    off-grid points; a large mismatch means the grid cannot carry the
+    composition and raises ResolutionError.
     """
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
     inner_eta = inner.eta_values[None, :]
     side = inner_side(inner_eta, [a[None] for a in inner._cache()])
-    return NonlinearityProfile(compose_rows(outer.eta_values, inner_eta, *side, check=check)[0])
+    return NonlinearityProfile(compose_rows(outer.eta_values, inner_eta, *side)[0])
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class GeometryError(RenormlabError):
     """An interval geometry violates its admissibility constraints."""
 
 
-class DepthError(RenormlabError):
-    """A time index would leave the finite tree it belongs to."""
-
-
 class DepthMismatch(RenormlabError):
     """Two tree-indexed objects of different depths were combined."""
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _cheb, timetree
+from . import _cheb
 from .decompspace import (
     Decomposition,
+    DecompositionTimes,
     Geometry,
     compose_all,
     decomposition_distance,
@@ -61,6 +62,11 @@ _ILLINOIS_STEPS = 80
 # 16 float64 grids per tree node (eta, cached coefficients, a few decompositions
 # alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
 _MAX_SOLVER_BYTES = 2 ** 31
+
+# Most outer passes SolverConfig allows.  A tol below the rounding floor (a
+# residual of about 3e-15 at depth 8) never converges, and a depth-8 pass takes
+# about 0.1 s, so this cap ends such a run within about two minutes.
+_MAX_OUTER_PASSES = 1000
 
 # Longest orbit find_periodic_orbit takes: each outer pass makes k steps,
 # about 0.3 s each at depth 8, for up to max_iter passes.
@@ -192,6 +198,12 @@ def _rescaled_peak(t, l, r):
     return rho
 
 
+def _peak_rho(obs: NonlinearityProfile, t, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rho at fold levels t over [l, r] = Phi^{-1}([p, b]), one inverse for all levels."""
+    ends = obs.inverse(np.concatenate([p, b]))
+    return _rescaled_peak(t, ends[:p.size], ends[p.size:])
+
+
 def peak_value_rho(f: DecomposedMap) -> float:
     """The fold parameter of the rescaled first return map.
 
@@ -200,8 +212,8 @@ def peak_value_rho(f: DecomposedMap) -> float:
     this equal to 2*t*p^alpha / (r - l).
     """
     f0, p, b = _checked_structure(f)
-    ends = f.observed.inverse(np.array([p, b]))
-    return min(max(_rescaled_peak(f.t, float(ends[0]), float(ends[1])), 0.0), 1.0)
+    rho = float(_peak_rho(f.observed, f.t, np.array([p]), np.array([b]))[0])
+    return min(max(rho, 0.0), 1.0)
 
 
 def dynamical_geometry(f: DecomposedMap) -> Geometry:
@@ -394,13 +406,11 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     """Invariant fold level: t with rho(t) = t, bracketed on the scan grid."""
     ts, p, b, mask = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
     idx = np.flatnonzero(mask)
-    ends = obs.inverse(np.concatenate([p[idx], b[idx]]))
-    gap = _rescaled_peak(ts[idx], ends[:idx.size], ends[idx.size:]) - ts[idx]
+    gap = _peak_rho(obs, ts[idx], p[idx], b[idx]) - ts[idx]
 
     def gap_at(t):
         f0s, ps, bs = _side_structure(obs, alpha, np.array([t]))
-        e = obs.inverse(np.array([float(ps[0]), float(bs[0])]))
-        return _rescaled_peak(t, float(e[0]), float(e[1])) - t
+        return float(_peak_rho(obs, t, ps, bs)[0]) - t
 
     adjacent = (np.diff(idx) == 1) & (gap[:-1] * gap[1:] <= 0.0)
     cross = np.flatnonzero(adjacent)
@@ -435,8 +445,8 @@ class SolverConfig:
             raise ConfigError("grid must be at least 16")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        if not 1 <= self.max_iter <= _MAX_OUTER_PASSES:
+            raise ConfigError(f"max_iter must be at least 1 and at most {_MAX_OUTER_PASSES}")
         nodes = 2 ** (min(self.depth, 62) + 1) - 1  # deeper is far over the limit anyway
         if 8 * 16 * self.grid * (nodes + self.grid) > _MAX_SOLVER_BYTES:
             raise ConfigError(f"depth {self.depth} at grid {self.grid} would need over "
@@ -654,7 +664,7 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int) -> Dec
     resolvable on the grid and a renormalization window exists.
     """
     rng = np.random.default_rng(seed)
-    times = timetree.DecompositionTimes(depth)
+    times = DecompositionTimes(depth)
     decay = 0.6 ** np.arange(8)
     coeffs = np.array([rng.standard_normal(8) * decay * (0.25 * 0.45 ** len(w))
                        for w in times.indices_descending()])

@@ -81,6 +81,12 @@ def test_validation_errors_exit_1(capsys):
     assert main(["fixed-point", "--alpha", "2", "--depth", "40"]) == 1
     assert "GiB" in capsys.readouterr().err
 
+    # the pass cap is checked before any pass runs
+    start = time.perf_counter()
+    assert main(["fixed-point", "--alpha", "2", "--max-iter", "1000000"]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "max_iter must be at least 1 and at most 1000" in capsys.readouterr().err
+
     assert main(["cascade", "--alpha", "0.5"]) == 1
     assert "alpha must exceed 1" in capsys.readouterr().err
 

@@ -14,7 +14,9 @@ from renormlab.diffspace import (
     zoom,
 )
 from renormlab.decompspace import (
+    ROOT,
     Decomposition,
+    DecompositionTimes,
     Geometry,
     KAPPA_MARGIN,
     compose_all,
@@ -29,7 +31,6 @@ from renormlab.decompspace import (
     pullback_intervals,
     pure_decomposition,
 )
-from renormlab.timetree import ROOT, DecompositionTimes
 from renormlab.errors import DepthMismatch, DomainError, GeometryError, ResolutionError
 
 from support import random_decomposition, random_geometry
@@ -204,6 +205,13 @@ def test_partial_composition_slices_the_suffix(rng):
     assert np.array_equal(mid.eta_values, want.eta_values)
 
 
+def test_partial_composition_refuses_words_outside_the_tree(rng):
+    dec = random_decomposition(rng, 2)
+    for tau in ("3", "103", "111", "2121", 1):
+        with pytest.raises(DomainError, match="no index of the depth-2 tree"):
+            partial_composition(dec, tau)
+
+
 # ----------------------------------------------------------------- geometry
 
 
@@ -267,7 +275,23 @@ def test_geometry_blend_endpoints(rng):
     assert mid.side_root.lo == pytest.approx(want, abs=1e-15)
 
 
-def test_block_layout_agrees_with_timetree_words():
+def test_descending_order_small_depths():
+    assert ROOT == ""
+    assert DecompositionTimes(1).indices_descending() == ("2", "", "1")
+    assert DecompositionTimes(2).indices_descending() == (
+        "22", "2", "21", "", "12", "1", "11")
+
+
+def test_times_size_matches_the_row_count():
+    for depth in range(5):
+        times = DecompositionTimes(depth)
+        assert times.size == 2 ** (depth + 1) - 1 == len(times.indices_descending())
+        assert repr(times) == f"DecompositionTimes(depth={depth})"
+    with pytest.raises(DomainError):
+        DecompositionTimes(-1)
+
+
+def test_block_layout_gives_each_row_its_level():
     # descending order: the 2w block, the root, the 1w block, each block in
     # the depth-(d-1) order of w; the rows with children are the odd rows
     assert DecompositionTimes(0).indices_descending() == (ROOT,)

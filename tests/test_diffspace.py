@@ -348,14 +348,6 @@ def test_compose_is_associative_up_to_resolution(rng):
     assert np.max(np.abs(left.eta_values - right.eta_values)) < 1e-9
 
 
-def test_compose_check_only_adds_the_residual_test(rng):
-    outer, inner = random_profile(rng), random_profile(rng)
-    checked = compose(outer, inner)
-    assert np.array_equal(compose(outer, inner, check=False).eta_values, checked.eta_values)
-    wild = constant_profile(18.0, 16)
-    assert np.all(np.isfinite(compose(wild, wild, check=False).eta_values))
-
-
 def test_shared_resample_points_match_each_rows_own(rng):
     profiles = [random_profile(rng) for _ in range(5)]
     n = profiles[0].degree

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from renormlab import DecompositionTimes, OrientedInterval  # noqa: E402
 from renormlab._cheb import integrate_coeffs, to_coeffs  # noqa: E402
 from renormlab.diffspace import RESOLUTION_RTOL, compose, linear_combination, zoom  # noqa: E402
-from renormlab.timetree import compare  # noqa: E402
 from support import random_profile  # noqa: E402
 
 # few, reproducible examples: these run in every tier-1 pass
@@ -22,8 +21,6 @@ unit_points = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max
 intervals = st.builds(
     lambda c, h, flag: OrientedInterval(c - h, c + h, flag),
     st.floats(-0.5, 0.5), st.floats(1e-3, 0.5), st.sampled_from(["+", "-"]))
-
-words = st.text(alphabet="12", max_size=6)
 
 
 @FEW
@@ -98,15 +95,10 @@ def test_compose_is_associative_up_to_the_resolution_check(seed, scale):
 def test_indices_descending_is_strictly_ordered(depth):
     order = DecompositionTimes(depth).indices_descending()
     assert len(set(order)) == len(order) == 2 ** (depth + 1) - 1
-    assert all(compare(a, b) == 1 for a, b in zip(order, order[1:]))
+    assert set("".join(order)) <= {"1", "2"} and max(map(len, order)) == depth
 
+    # the dyadic time of a word: letter i adds +-2^-(i+1), 2 up and 1 down
+    def time(w):
+        return sum((1.0 if c == "2" else -1.0) / 2 ** (i + 1) for i, c in enumerate(w))
 
-@FEW
-@given(a=words, b=words, c=words)
-def test_compare_agrees_with_the_descending_order(a, b, c):
-    rank = {w: i for i, w in enumerate(DecompositionTimes(6).indices_descending())}
-    # earlier in the descending order means a later composition time
-    assert compare(a, b) == int(np.sign(rank[b] - rank[a]))
-    assert compare(a, b) == -compare(b, a)
-    if compare(a, b) > 0 and compare(b, c) > 0:
-        assert compare(a, c) > 0
+    assert all(time(a) > time(b) for a, b in zip(order, order[1:]))

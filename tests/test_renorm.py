@@ -331,6 +331,9 @@ def test_solver_config_validation():
         SolverConfig(alpha=2.0, tol=0.0)
     with pytest.raises(ConfigError, match="max_iter"):
         SolverConfig(alpha=2.0, max_iter=0)
+    with pytest.raises(ConfigError, match="at most 1000"):
+        SolverConfig(alpha=2.0, max_iter=1001)
+    SolverConfig(alpha=2.0, max_iter=1000)
     # the size guard is an estimate: nothing is allocated before it raises
     with pytest.raises(ConfigError, match="GiB"):
         SolverConfig(alpha=2.0, depth=40)
