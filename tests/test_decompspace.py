@@ -275,13 +275,6 @@ def test_geometry_blend_endpoints(rng):
     assert mid.side_root.lo == pytest.approx(want, abs=1e-15)
 
 
-def test_descending_order_small_depths():
-    assert ROOT == ""
-    assert DecompositionTimes(1).indices_descending() == ("2", "", "1")
-    assert DecompositionTimes(2).indices_descending() == (
-        "22", "2", "21", "", "12", "1", "11")
-
-
 def test_times_size_matches_the_row_count():
     for depth in range(5):
         times = DecompositionTimes(depth)

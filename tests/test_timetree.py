@@ -1,95 +1,60 @@
+"""The time tree: ROOT and the descending word order that lays out decomposition rows."""
+
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from renormlab import (
-    ROOT,
-    DecompositionTimes,
-    DepthError,
-    a1,
-    a1_inverse,
-    a2,
-    a2_inverse,
-    compare,
-    enumerate_descending,
-    level,
-    validate_path,
-)
+from renormlab.decompspace import ROOT, DecompositionTimes, partial_composition
+from renormlab.diffspace import compose
 from renormlab.errors import DomainError
+
+from support import random_decomposition
+
+
+def _fold(dec, words):
+    # the explicit fold of compose() over the nodes, latest node outermost
+    result = None
+    for w in words:
+        result = dec.nodes[w] if result is None else compose(result, dec.nodes[w])
+    return result
 
 
 def test_root_and_levels():
     assert ROOT == ""
-    assert level(ROOT) == 0
-    assert level("121") == 3
+    assert DecompositionTimes(0).indices_descending() == (ROOT,)
+    rows = DecompositionTimes(3).indices_descending()
+    assert rows[len(rows) // 2] == ROOT
+    assert "121" in rows and "1211" not in rows
+    # a word's level is its length: level k holds 2**k words
+    assert Counter(map(len, rows)) == {0: 1, 1: 2, 2: 4, 3: 8}
 
 
-def test_validate_path_rejects_other_symbols():
-    assert validate_path("1212") == "1212"
-    with pytest.raises(DomainError):
-        validate_path("103")
+def test_validate_path_rejects_other_symbols(rng):
+    dec = random_decomposition(rng, 4)
+    rows = dec.times.indices_descending()
+    got = partial_composition(dec, "1212")
+    want = _fold(dec, rows[:rows.index("1212") + 1])
+    assert np.array_equal(got.eta_values, want.eta_values)
+    for tau in ("103", "3", "12a2"):
+        with pytest.raises(DomainError):
+            partial_composition(dec, tau)
 
 
 def test_descending_order_small_depths():
-    assert enumerate_descending(DecompositionTimes(1)) == ("2", "", "1")
-    assert enumerate_descending(DecompositionTimes(2)) == (
+    assert DecompositionTimes(1).indices_descending() == ("2", "", "1")
+    assert DecompositionTimes(2).indices_descending() == (
         "22", "2", "21", "", "12", "1", "11")
 
 
-def test_compare_is_a_strict_total_order():
-    times = DecompositionTimes(3)
-    order = times.indices_descending()
-    for a, b in zip(order, order[1:]):
-        assert compare(a, b) > 0
-        assert compare(b, a) < 0
-    assert compare("12", "12") == 0
-
-
-def test_subtree_maps_strip_their_leading_letter():
-    assert a1("121") == "21"
-    assert a2("21") == "1"
+def test_suffix_set_is_a_descending_prefix(rng):
+    # partial_composition(tau) composes the rows at or above tau: a prefix
+    # of the descending order, the whole tree at its minimal word
+    dec = random_decomposition(rng, 2)
+    for tau, prefix in (("", ("22", "2", "21", "")),
+                        ("1", ("22", "2", "21", "", "12", "1")),
+                        ("11", dec.times.indices_descending())):
+        got = partial_composition(dec, tau)
+        assert np.array_equal(got.eta_values, _fold(dec, prefix).eta_values)
     with pytest.raises(DomainError):
-        a1("21")
-    with pytest.raises(DomainError):
-        a2("")
-    for w in ("", "1", "22", "121"):
-        assert a1(a1_inverse(w, depth=4)) == w
-        assert a2(a2_inverse(w, depth=4)) == w
-
-
-def test_subtree_inverse_depth_guard():
-    with pytest.raises(DepthError):
-        a1_inverse("1111", depth=4)
-    with pytest.raises(DepthError):
-        a2_inverse("2222", depth=4)
-
-
-def test_subtree_embeddings_preserve_time_order():
-    times = DecompositionTimes(2)
-    order = times.indices_descending()
-    lifted1 = [a1_inverse(w, 3) for w in order]
-    lifted2 = [a2_inverse(w, 3) for w in order]
-    for seq in (lifted1, lifted2):
-        for a, b in zip(seq, seq[1:]):
-            assert compare(a, b) > 0
-    # the whole upper-letter subtree is later than the lower-letter one
-    assert compare(lifted2[-1], lifted1[0]) > 0
-
-
-def test_times_container_accounting():
-    times = DecompositionTimes(3)
-    assert times.size == 2 ** 4 - 1
-    assert len(times.indices_descending()) == times.size
-    assert "121" in times
-    assert "1211" not in times
-    assert set(times.level_indices(0)) == {""}
-    assert set(times.level_indices(2)) == {"11", "12", "21", "22"}
-    assert times == DecompositionTimes(3)
-    assert times != DecompositionTimes(2)
-
-
-def test_suffix_set_is_a_descending_prefix():
-    times = DecompositionTimes(2)
-    assert times.suffix_set("") == ("22", "2", "21", "")
-    assert times.suffix_set("1") == ("22", "2", "21", "", "12", "1")
-    assert times.suffix_set("11") == times.indices_descending()
-    with pytest.raises(DepthError):
-        times.suffix_set("111")
+        partial_composition(dec, "111")
