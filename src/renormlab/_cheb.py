@@ -41,6 +41,17 @@ def interior_nodes(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def interior_bary(n: int):
+    """bary_points of interior_nodes(n) as one shared row, read-only; built once per n.
+
+    No interior point sits on a grid node, so the hit data is None.
+    """
+    k, hit = bary_points(interior_nodes(n)[None, :], n)
+    k.setflags(write=False)
+    return k, hit
+
+
+@lru_cache(maxsize=64)
 def bary_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[1::2] = -1.0
@@ -129,8 +140,11 @@ def chebval(x: np.ndarray, series: np.ndarray) -> np.ndarray:
     einsum contracts with the coefficients, one table per _CHUNK points.
     Each point is computed with the same operations in the same order
     whatever the other points of the call, and each row of a stack as that
-    series alone, bit for bit.  Points are clipped to [-1, 1]; callers stay
-    within roundoff slack of it.  For the fixed grids use on_grid.
+    series alone, bit for bit.  The table has one column per term given, so
+    the profiles pass their series cut to its significant width
+    (diffspace.series_width), series[..., :width].  Points are clipped to
+    [-1, 1]; callers stay within roundoff slack of it.  For the fixed grids
+    use on_grid.
     """
     if x.size > _CHUNK:
         flat = x.reshape(-1)

@@ -39,6 +39,7 @@ from .diffspace import (
     inner_side,
     newton_inverse,
     quad_rows,
+    series_width,
     zoom_rows,
 )
 from .errors import DepthMismatch, DomainError, GeometryError
@@ -135,11 +136,18 @@ class Decomposition:
         self._quad = None
 
     def _batch(self):
-        """Evaluation data of every row (diffspace.quad_rows), also handed to the nodes."""
+        """Evaluation data of every row, also handed to the nodes.
+
+        (series, floor, width): diffspace.quad_rows and each row's
+        diffspace.series_width, the same as each node would build alone.
+        """
         if self._quad is None:
-            parts = [quad_rows(self.eta[start:start + _CACHE_ROWS])
-                     for start in range(0, self.eta.shape[0], _CACHE_ROWS)]
-            self._quad = tuple(np.concatenate(a) for a in zip(*parts))
+            parts = []
+            for start in range(0, self.eta.shape[0], _CACHE_ROWS):
+                series, floor = quad_rows(self.eta[start:start + _CACHE_ROWS])
+                parts.append((series, floor, series_width(series)))
+            series, floor, width = (np.concatenate(a) for a in zip(*parts))
+            self._quad = (series, floor, width.tolist())
             for node, *row in zip(self.nodes.values(), *self._quad):
                 node._quad = tuple(row)
         return self._quad
@@ -213,12 +221,12 @@ def _compose_descending(dec: Decomposition, count: int) -> NonlinearityProfile:
     # run in one batch per chunk; only the resample of the running result
     # and the chain rule stay sequential (compose_rows), which is bit for bit
     # the fold of compose() over the same nodes.
-    quad = dec._batch()
+    series = dec._batch()[0]
     result = dec.eta[0]
     for start in range(1, count, _COMPOSE_ROWS):
         chunk = slice(start, min(start + _COMPOSE_ROWS, count))
         inner = dec.eta[chunk]
-        result = compose_rows(result, inner, *inner_side(inner, [a[chunk] for a in quad]))[-1]
+        result = compose_rows(result, inner, *inner_side(inner, (series[chunk],)))[-1]
     return NonlinearityProfile(result)
 
 
@@ -347,7 +355,8 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
     first pulls both intervals back through that row's node, then records
     them, so row r of the result holds the preimages under the composition
     of the nodes in rows 0..r.  Each step is the node's own inverse, on the
-    evaluation data built for all nodes in one batch.  The result is
+    evaluation data built for all nodes in one batch, its series cut to the
+    node's width.  The result is
     packaged as a geometry with side_root = s1.
     """
     if s2.flag != "-" or abs(s2.lo + s2.hi) > 1e-9:
@@ -356,8 +365,8 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     out = np.empty((dec.times.size, 4))
-    for r, quad in enumerate(zip(*dec._batch())):
-        ends = newton_inverse(ends, *quad)
+    for r, (series, floor, width) in enumerate(zip(*dec._batch())):
+        ends = newton_inverse(ends, series[:, :width], floor)
         if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
             raise GeometryError("pullback interval degenerates at index "
                                 f"{dec.times.indices_descending()[r]!r}")

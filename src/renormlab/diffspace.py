@@ -37,6 +37,16 @@ RESOLUTION_RTOL = 1e-6
 
 _UNIT_SLACK = 1e-9
 
+# Off-grid evaluations drop the tail of a series once it sums to at most
+# _TAIL_RTOL * sum|c| (series_width).  phi's coefficients are scale * i_c with
+# -1 - scale * I(-1) added to the constant term, and I(-1) is 0 up to
+# rounding, so sum|c| <= 1 + scale * sum|i_c|: the dropped tail moves phi(x)
+# by at most eps/8 (1 + scale sum|i_c|), 1/32 of the inverse's rounding
+# floor 4 eps (1 + scale sum|i_c|) (quad_rows) and below the rounding of the
+# full sum itself.  In log phi' the same share moves phi' by a relative
+# eps/8 of sum|c|, which only changes a Newton step, not its residual.
+_TAIL_RTOL = np.finfo(float).eps / 8.0
+
 
 def _check_unit(x, what="argument"):
     """Validate |x| <= 1 up to rounding slack and clip into [-1, 1]."""
@@ -52,8 +62,11 @@ def quad_rows(eta: np.ndarray):
     Returns (series, floor).  series (r, 2, 2n) holds, per row, the Chebyshev
     coefficients of phi (2n) and of log phi' (n + 1, zero-padded to 2n), one
     contiguous stack for _cheb.chebval; floor (r,) is the rounding floor of
-    phi(x) - y used by the inverse.  With I = int exp(int eta) from -1,
-    phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1)) and
+    phi(x) - y used by the inverse.  The on-grid products here and in
+    inner_side use every term; off-grid evaluations take each row's
+    series_width, which the caches (NonlinearityProfile and the
+    decomposition's batch) compute once beside this data.  With
+    I = int exp(int eta) from -1, phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1)) and
     log phi' = int eta + log(2 / (I(1) - I(-1))); both normalisations are
     folded into the constant terms.  Every row is computed exactly as it
     would be alone (see _cheb.rowdot), so a profile's own cache equals its
@@ -81,6 +94,22 @@ def quad_rows(eta: np.ndarray):
             f"exp(int eta) overflows: nonlinearity sup {float(np.max(np.abs(eta[bad]))):.3g} "
             f"cannot be normalised at degree {n}")
     return series, floor
+
+
+def series_width(series: np.ndarray) -> np.ndarray:
+    """Leading terms an off-grid evaluation needs, per row of series (r, 2, 2n).
+
+    For phi and for log phi' alike, the smallest L whose dropped tail
+    sum_{j >= L} |c_j| is at most _TAIL_RTOL * sum |c|; the row's width is
+    the larger of the two, and at least 2.  It depends on the row's own
+    coefficients alone, so a profile has the same width alone and in a
+    batch.
+    """
+    # tail[..., L] = sum_{j >= L} |c_j|, summed from the small end; tail[..., 0] = sum |c|
+    tail = np.abs(series[..., ::-1])
+    tail = np.cumsum(tail, axis=-1, out=tail)[..., ::-1]
+    width = np.count_nonzero(tail > _TAIL_RTOL * tail[..., :1], axis=-1)
+    return np.maximum(width.max(axis=-1), 2)
 
 
 def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
@@ -142,9 +171,11 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
 def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarray:
     """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
 
-    series (2, 2n) stacks the Chebyshev coefficients of phi and log phi'
+    series (2, m) stacks the Chebyshev coefficients of phi and log phi'
     (quad_rows); each step evaluates both in one _cheb.chebval call, one
-    cosine table and one einsum.  The endpoints -1 and 1 are their own
+    cosine table of m columns and one einsum.  Callers pass the stack cut to
+    its width, series[:, :width] (series_width), so m is the terms the row
+    needs rather than 2n.  The endpoints -1 and 1 are their own
     preimages; every other point starts at y in the bracket [-1, 1] and runs
     bracketed_newton with the rounding floor ``floor``.  Each point's result
     is independent of the other points of y, bit for bit.  Raises
@@ -165,8 +196,10 @@ class NonlinearityProfile:
     The samples live on the Chebyshev-Lobatto grid with ``degree`` nodes.
     Instances are immutable; evaluation data (quad_rows: the stacked
     Chebyshev coefficients of phi and of log phi', and the inverse's rounding
-    floor) is built lazily on first use and cached, or handed in by the
-    decomposition whose row the profile views.
+    floor; series_width: how many of those terms an off-grid evaluation
+    needs) is built lazily on first use and cached, or handed in by the
+    decomposition whose row the profile views.  evaluate, derivative and
+    inverse evaluate the series cut to that width; compose uses every term.
     """
 
     __slots__ = ("eta_values", "_quad")
@@ -203,15 +236,22 @@ class NonlinearityProfile:
         return float(np.max(np.abs(self.eta_values)))
 
     def _cache(self):
+        """(series, floor, width): quad_rows and series_width of this profile."""
         if self._quad is None:
-            self._quad = tuple(a[0] for a in quad_rows(self.eta_values[None, :]))
+            series, floor = quad_rows(self.eta_values[None, :])
+            self._quad = (series[0], floor[0], int(series_width(series)[0]))
         return self._quad
 
+    def _offgrid(self):
+        """The series of phi and log phi' cut to their width, and the floor."""
+        series, floor, width = self._cache()
+        return series[:, :width], floor
+
     def _eval(self, x):
-        return _cheb.chebval(x, self._cache()[0][0])
+        return _cheb.chebval(x, self._offgrid()[0][0])
 
     def _deriv(self, x):
-        return np.exp(_cheb.chebval(x, self._cache()[0][1]))
+        return np.exp(_cheb.chebval(x, self._offgrid()[0][1]))
 
     def evaluate(self, x):
         """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1.
@@ -237,7 +277,7 @@ class NonlinearityProfile:
         Raises NonConvergence if the iteration budget runs out.
         """
         yv = _check_unit(y, "inverse argument")
-        x = newton_inverse(yv.reshape(-1), *self._cache())
+        x = newton_inverse(yv.reshape(-1), *self._offgrid())
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 
     def to_dict(self) -> dict:
@@ -283,7 +323,7 @@ def inner_side(eta: np.ndarray, quad):
     n, series = eta.shape[-1], quad[0]
     u = _cheb.on_grid(series[:, 0], n, interior=True)
     d = np.exp(_cheb.on_grid(series[:, 1, :n + 1], n, interior=True))
-    return _cheb.bary_points(u, n), d, _cheb.resample_rows(eta, _cheb.interior_nodes(n)[None, :])
+    return _cheb.bary_points(u, n), d, _cheb.bary_apply(eta, *_cheb.interior_bary(n))
 
 
 def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h) -> np.ndarray:
@@ -304,7 +344,7 @@ def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h) -> np.
         ov[j] = _cheb.bary_apply(result[None, :], *row_pts)[0]
         result = out[j] = ov[j, :n] * d[j, :n] + inner_eta[j]
     direct = ov[:, n:] * d[:, n:] + h
-    interp = _cheb.resample_rows(out, _cheb.interior_nodes(n)[None, :])
+    interp = _cheb.bary_apply(out, *_cheb.interior_bary(n))
     resid = np.maximum.reduce(np.abs(direct - interp), axis=-1)
     scale = 1.0 + np.maximum.reduce(np.abs(out), axis=-1)
     bad = np.flatnonzero(resid > RESOLUTION_RTOL * scale)
@@ -325,7 +365,7 @@ def compose(outer: NonlinearityProfile, inner: NonlinearityProfile) -> Nonlinear
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
     inner_eta = inner.eta_values[None, :]
-    side = inner_side(inner_eta, [a[None] for a in inner._cache()])
+    side = inner_side(inner_eta, (inner._cache()[0][None],))
     return NonlinearityProfile(compose_rows(outer.eta_values, inner_eta, *side)[0])
 
 

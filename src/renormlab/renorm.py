@@ -132,10 +132,12 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
     f(b) = -p is closed form (_side_end): Phi^{-1}(-p) lies below 2t - 1
     because Phi(2t - 1) = f0 > -p, and b is its positive preimage under q_t.
     Where f0 <= 0, p and b are nan and nothing is solved; callers mask on f0.
-    A level's results do not depend on the other levels of the call.
+    Phi's series are evaluated up to their width (diffspace.series_width),
+    as in Phi's own evaluate and inverse.  A level's results do not depend
+    on the other levels of the call.
     """
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
-    series, floor = obs._cache()
+    series, floor = obs._offgrid()
     f0 = obs._eval(2.0 * t - 1.0)
     idx = np.flatnonzero(f0 > 0.0)
 

@@ -12,9 +12,11 @@ from renormlab import (
     NonlinearityProfile,
     OrientedInterval,
     ResolutionError,
+    SolverConfig,
     branch_zoom,
     compose,
     constant_profile,
+    find_fixed_point,
     identity_profile,
     linear_combination,
     random_decomposed_map,
@@ -22,8 +24,20 @@ from renormlab import (
     zoom,
 )
 from renormlab import _cheb, diffspace, renorm
-from renormlab.diffspace import bracketed_newton, inner_side, newton_inverse, quad_rows
-from support import monotone_profile, patch_series, random_profile, vectorised_bracketed_newton
+from renormlab.diffspace import (
+    bracketed_newton,
+    inner_side,
+    newton_inverse,
+    quad_rows,
+    series_width,
+)
+from support import (
+    monotone_profile,
+    patch_series,
+    random_decomposition,
+    random_profile,
+    vectorised_bracketed_newton,
+)
 
 XS = np.linspace(-1.0, 1.0, 41)
 
@@ -276,6 +290,71 @@ def test_chebval_matches_numpy_within_a_few_ulps_of_the_terms(rng, points):
     for c in series.reshape(-1, series.shape[-1]):
         err = np.max(np.abs(_cheb.chebval(x, c) - chebyshev.chebval(x, c)))
         assert err <= 10.0 * np.finfo(float).eps * np.abs(c).sum()
+
+
+def _chopped_profiles(source):
+    if source == "random":
+        rng = np.random.default_rng(11)
+        return [random_profile(rng, scale=s) for s in (0.3, 0.6, 1.2) for _ in range(3)]
+    report = find_fixed_point(SolverConfig(alpha=2.0, depth=5))
+    return list(report.pure_star.nodes.values())
+
+
+@pytest.mark.parametrize("source", ["random", "depth-5 fixed point"])
+def test_chopped_evaluation_stays_within_the_dropped_tail(source):
+    # off the grid a profile evaluates its series cut to its width; that moves
+    # each value by at most the dropped tail, (eps/8) sum|c|, plus rounding
+    # (at most 0.63 eps sum|c| seen here at 10,000 points)
+    eps = np.finfo(float).eps
+    x = np.random.default_rng(12).uniform(-1.0, 1.0, 10_000)
+    for phi in _chopped_profiles(source):
+        series, _, width = phi._cache()
+        assert 2 <= width < series.shape[-1]
+        full = _cheb.chebval(x, series)
+        chopped = _cheb.chebval(x, series[:, :width])
+        for got, want, c in zip(chopped, full, series):
+            assert np.max(np.abs(got - want)) <= (eps / 8.0 + 2.0 * eps) * np.abs(c).sum()
+        assert np.array_equal(phi.evaluate(x), chopped[0])
+        assert np.array_equal(phi.derivative(x), np.exp(chopped[1]))
+
+
+def test_a_rows_width_is_the_same_alone_and_in_a_batch(rng):
+    dec = random_decomposition(rng, 4)
+    series, _, widths = dec._batch()
+    assert len(set(widths)) > 1  # the rows differ, so a batch-wide width would show
+    assert series_width(series).tolist() == widths
+    for r, (w, node) in enumerate(dec.nodes.items()):
+        assert NonlinearityProfile(node.eta_values)._cache()[2] == widths[r], w
+        assert series_width(series[r:r + 1]).tolist() == [widths[r]]
+
+
+def test_a_series_that_does_not_decay_keeps_every_term(rng):
+    # a rough profile's phi series falls off only like 1/j^2, and a series
+    # whose last term is still 2e-14 of the first keeps that term
+    rough = NonlinearityProfile(0.3 * rng.standard_normal(64))
+    series = rough._cache()[0]
+    assert rough._cache()[2] == series.shape[-1] == 128
+    slow = np.zeros((2, 2, 128))
+    slow[0, 0] = 0.78 ** np.arange(128)
+    slow[1, 1] = rng.standard_normal(128)
+    assert series_width(slow).tolist() == [128, 128]
+
+
+def test_the_identity_keeps_at_least_two_terms():
+    phi = identity_profile(64)
+    assert phi._cache()[2] >= 2
+    assert np.max(np.abs(phi.evaluate(XS) - XS)) < 1e-15
+    assert np.max(np.abs(phi.inverse(XS) - XS)) < 1e-15
+    # an all-zero stack would need no term at all
+    assert series_width(np.zeros((1, 2, 8))).tolist() == [2]
+
+
+def test_interior_point_data_is_built_once_and_read_only():
+    k, hit = _cheb.interior_bary(64)
+    assert _cheb.interior_bary(64)[0] is k
+    assert hit is None and not k.flags.writeable
+    fresh = _cheb.bary_points(_cheb.interior_nodes(64)[None, :], 64)
+    assert np.array_equal(k, fresh[0]) and fresh[1] is None
 
 
 @pytest.mark.parametrize("points", [0, 1, 4, 32, 33, 249, _cheb._CHUNK + 1])
