@@ -20,7 +20,6 @@ from .decompspace import (
     compose_all,
     decomposition_distance,
     decomposition_linear_combination,
-    decomposition_norm,
     geometric_renormalize,
     geometry_blend,
     geometry_distance,

@@ -32,12 +32,9 @@ def nodes(n: int) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=64)
 def interior_nodes(n: int) -> np.ndarray:
     """First-kind Chebyshev points, ascending; all strictly between grid nodes."""
-    x = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    x.setflags(write=False)
-    return x
+    return -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
 
 
 @lru_cache(maxsize=64)

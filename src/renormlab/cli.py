@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .decompspace import compose_all, identity_decomposition
+from .decompspace import identity_decomposition
+from .diffspace import identity_profile
 from .errors import ConfigError, DomainError, NoFixedPoint, NonConvergence, RenormlabError
 from .renorm import (
     DecomposedMap,
@@ -46,13 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The options several subcommands share; each subcommand takes only those its
-# handler reads.
+# handler reads.  Unset solver options stay out of the namespace: SolverConfig
+# holds the only defaults.
 _SHARED = {
     "alpha": dict(type=float, help="critical exponent, must exceed 1"),
-    "depth": dict(type=int, default=8, help="decomposition tree depth"),
-    "grid": dict(type=int, default=64, help="Chebyshev grid degree"),
-    "tol": dict(type=float, default=1e-8, help="outer residual tolerance"),
-    "max-iter": dict(type=int, default=200, help="outer iteration cap"),
+    "depth": dict(type=int, default=argparse.SUPPRESS, help="decomposition tree depth"),
+    "grid": dict(type=int, default=argparse.SUPPRESS, help="Chebyshev grid degree"),
+    "tol": dict(type=float, default=argparse.SUPPRESS, help="outer residual tolerance"),
+    "max-iter": dict(type=int, default=argparse.SUPPRESS, help="outer iteration cap"),
     "out": dict(type=str, help="output path (default stdout)"),
 }
 
@@ -72,7 +74,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _config(args, alpha=None) -> SolverConfig:
-    """The SolverConfig of the parsed options; the ones a subcommand lacks keep their defaults."""
+    """The SolverConfig of the parsed options; the ones not given keep their defaults."""
     given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     given["alpha"] = _alpha(args) if alpha is None else alpha
     return SolverConfig(**given)
@@ -132,9 +134,9 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_window(args) -> int:
+    # the bare fold's window: only the observed identity is read, not dec
     cfg = _config(args)
-    dec = identity_decomposition(cfg.depth, cfg.grid)
-    obs = compose_all(dec)
+    dec, obs = identity_decomposition(0, cfg.grid), identity_profile(cfg.grid)
     result = _window(obs, cfg.alpha)
     lines = [f"# window t_min={result.t_min!r} t_max={result.t_max!r}"]
     if result.multiple:
@@ -204,7 +206,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("window", help="renormalizable peak-value window of the identity")
-    _add_shared(p, "alpha", "depth", "grid", "out")
+    _add_shared(p, "alpha", "grid", "out")
     p.set_defaults(handler=_cmd_window)
 
     p = sub.add_parser("cascade", help="superstable cascade of the bare fold family")

@@ -31,6 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .diffspace import (
+    DEFAULT_DEGREE,
     NonlinearityProfile,
     OrientedInterval,
     branch_zoom,
@@ -39,7 +40,6 @@ from .diffspace import (
     inner_side,
     newton_inverse,
     quad_rows,
-    series_width,
     zoom_rows,
 )
 from .errors import DepthMismatch, DomainError, GeometryError
@@ -101,7 +101,7 @@ class Decomposition:
     the order of the composition fold, the pullback and the stored report.
     ``nodes[w]`` is a NonlinearityProfile viewing row w; the evaluation data
     of every row is built in one batch the first time a fold or pullback
-    needs it.
+    needs it, and a node view builds its own only if it is evaluated.
     """
 
     __slots__ = ("times", "eta", "nodes", "_quad")
@@ -136,20 +136,16 @@ class Decomposition:
         self._quad = None
 
     def _batch(self):
-        """Evaluation data of every row, also handed to the nodes.
+        """Evaluation data of every row, read by the compose fold and the pullback.
 
-        (series, floor, width): diffspace.quad_rows and each row's
-        diffspace.series_width, the same as each node would build alone.
+        (series, floor, width): diffspace.quad_rows of the rows, _CACHE_ROWS
+        at a time, each row the same as its node would build alone.
         """
         if self._quad is None:
-            parts = []
-            for start in range(0, self.eta.shape[0], _CACHE_ROWS):
-                series, floor = quad_rows(self.eta[start:start + _CACHE_ROWS])
-                parts.append((series, floor, series_width(series)))
+            parts = [quad_rows(self.eta[start:start + _CACHE_ROWS])
+                     for start in range(0, self.eta.shape[0], _CACHE_ROWS)]
             series, floor, width = (np.concatenate(a) for a in zip(*parts))
             self._quad = (series, floor, width.tolist())
-            for node, *row in zip(self.nodes.values(), *self._quad):
-                node._quad = tuple(row)
         return self._quad
 
     @property
@@ -194,10 +190,6 @@ def identity_decomposition(depth: int, grid: int) -> Decomposition:
     return Decomposition.from_rows(times, np.zeros((times.size, grid)))
 
 
-def decomposition_norm(dec: Decomposition) -> float:
-    return dec.norm()
-
-
 def decomposition_distance(a: Decomposition, b: Decomposition) -> float:
     if a.depth != b.depth:
         raise DepthMismatch(f"depths {a.depth} and {b.depth} differ")
@@ -226,7 +218,7 @@ def _compose_descending(dec: Decomposition, count: int) -> NonlinearityProfile:
     for start in range(1, count, _COMPOSE_ROWS):
         chunk = slice(start, min(start + _COMPOSE_ROWS, count))
         inner = dec.eta[chunk]
-        result = compose_rows(result, inner, *inner_side(inner, (series[chunk],)))[-1]
+        result = compose_rows(result, inner, *inner_side(inner, series[chunk]))[-1]
     return NonlinearityProfile(result)
 
 
@@ -407,7 +399,7 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     return Decomposition.from_rows(times, out)
 
 
-def pure_decomposition(g: Geometry, alpha: float, *, grid: int = 64) -> Decomposition:
+def pure_decomposition(g: Geometry, alpha: float, *, grid: int = DEFAULT_DEGREE) -> Decomposition:
     """Fixed point of the depth-truncated geometric renormalization.
 
     The root is the zoomed folding branch over g.side_root; every node w

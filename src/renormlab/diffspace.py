@@ -59,13 +59,12 @@ def _check_unit(x, what="argument"):
 def quad_rows(eta: np.ndarray):
     """Evaluation data of a stack of profiles, one per row of eta (r, n).
 
-    Returns (series, floor).  series (r, 2, 2n) holds, per row, the Chebyshev
-    coefficients of phi (2n) and of log phi' (n + 1, zero-padded to 2n), one
-    contiguous stack for _cheb.chebval; floor (r,) is the rounding floor of
-    phi(x) - y used by the inverse.  The on-grid products here and in
-    inner_side use every term; off-grid evaluations take each row's
-    series_width, which the caches (NonlinearityProfile and the
-    decomposition's batch) compute once beside this data.  With
+    Returns (series, floor, width).  series (r, 2, 2n) holds, per row, the
+    Chebyshev coefficients of phi (2n) and of log phi' (n + 1, zero-padded
+    to 2n), one contiguous stack for _cheb.chebval; floor (r,) is the
+    rounding floor of phi(x) - y used by the inverse; width (r,) is each
+    row's series_width.  The on-grid products here and in inner_side use
+    every term; off-grid evaluations take the row's first width terms.  With
     I = int exp(int eta) from -1, phi = -1 + 2 (I - I(-1)) / (I(1) - I(-1)) and
     log phi' = int eta + log(2 / (I(1) - I(-1))); both normalisations are
     folded into the constant terms.  Every row is computed exactly as it
@@ -93,7 +92,7 @@ def quad_rows(eta: np.ndarray):
         raise ResolutionError(
             f"exp(int eta) overflows: nonlinearity sup {float(np.max(np.abs(eta[bad]))):.3g} "
             f"cannot be normalised at degree {n}")
-    return series, floor
+    return series, floor, series_width(series)
 
 
 def series_width(series: np.ndarray) -> np.ndarray:
@@ -195,11 +194,10 @@ class NonlinearityProfile:
 
     The samples live on the Chebyshev-Lobatto grid with ``degree`` nodes.
     Instances are immutable; evaluation data (quad_rows: the stacked
-    Chebyshev coefficients of phi and of log phi', and the inverse's rounding
-    floor; series_width: how many of those terms an off-grid evaluation
-    needs) is built lazily on first use and cached, or handed in by the
-    decomposition whose row the profile views.  evaluate, derivative and
-    inverse evaluate the series cut to that width; compose uses every term.
+    Chebyshev coefficients of phi and of log phi', the inverse's rounding
+    floor and how many of those terms an off-grid evaluation needs) is built
+    lazily on first use and cached.  evaluate, derivative and inverse
+    evaluate the series cut to that width; compose uses every term.
     """
 
     __slots__ = ("eta_values", "_quad")
@@ -236,10 +234,10 @@ class NonlinearityProfile:
         return float(np.max(np.abs(self.eta_values)))
 
     def _cache(self):
-        """(series, floor, width): quad_rows and series_width of this profile."""
+        """(series, floor, width): quad_rows of this profile."""
         if self._quad is None:
-            series, floor = quad_rows(self.eta_values[None, :])
-            self._quad = (series[0], floor[0], int(series_width(series)[0]))
+            series, floor, width = quad_rows(self.eta_values[None, :])
+            self._quad = (series[0], floor[0], int(width[0]))
         return self._quad
 
     def _offgrid(self):
@@ -249,9 +247,6 @@ class NonlinearityProfile:
 
     def _eval(self, x):
         return _cheb.chebval(x, self._offgrid()[0][0])
-
-    def _deriv(self, x):
-        return np.exp(_cheb.chebval(x, self._offgrid()[0][1]))
 
     def evaluate(self, x):
         """phi(x) for scalar or array x in [-1, 1]; exact at x = -1 and x = 1.
@@ -264,7 +259,7 @@ class NonlinearityProfile:
 
     def derivative(self, x):
         """phi'(x); strictly positive."""
-        return self._deriv(_check_unit(x))
+        return np.exp(_cheb.chebval(_check_unit(x), self._offgrid()[0][1]))
 
     def eta_at(self, x):
         """Barycentric interpolation of the nonlinearity samples at x."""
@@ -312,15 +307,16 @@ def linear_combination(a: float, phi: NonlinearityProfile,
     return NonlinearityProfile(a * phi.eta_values + b * psi.eta_values)
 
 
-def inner_side(eta: np.ndarray, quad):
+def inner_side(eta: np.ndarray, series: np.ndarray):
     """The inner-node half of compose for a stack of inner profiles.
 
-    For each row: the barycentric point data (_cheb.bary_points) of u, the
-    inner map at the grid nodes followed by the interior points (r, 2n); d,
-    its derivative there (r, 2n); and h, its nonlinearity at the interior
-    points (r, n).  None of it depends on the outer map.
+    Per row of eta (r, n) and of its quad_rows series (r, 2, 2n): the
+    barycentric point data (_cheb.bary_points) of u, the inner map at the
+    grid nodes followed by the interior points (r, 2n); d, its derivative
+    there (r, 2n); and h, its nonlinearity at the interior points (r, n).
+    None of it depends on the outer map.
     """
-    n, series = eta.shape[-1], quad[0]
+    n = eta.shape[-1]
     u = _cheb.on_grid(series[:, 0], n, interior=True)
     d = np.exp(_cheb.on_grid(series[:, 1, :n + 1], n, interior=True))
     return _cheb.bary_points(u, n), d, _cheb.bary_apply(eta, *_cheb.interior_bary(n))
@@ -365,7 +361,7 @@ def compose(outer: NonlinearityProfile, inner: NonlinearityProfile) -> Nonlinear
     if outer.degree != inner.degree:
         raise DomainError("profiles must share a grid degree")
     inner_eta = inner.eta_values[None, :]
-    side = inner_side(inner_eta, (inner._cache()[0][None],))
+    side = inner_side(inner_eta, inner._cache()[0][None])
     return NonlinearityProfile(compose_rows(outer.eta_values, inner_eta, *side)[0])
 
 

@@ -33,6 +33,7 @@ from .decompspace import (
     pure_decomposition,
 )
 from .diffspace import (
+    DEFAULT_DEGREE,
     FoldingMap,
     NonlinearityProfile,
     OrientedInterval,
@@ -187,21 +188,19 @@ def is_renormalizable(f: DecomposedMap) -> bool:
 
 
 def _rescaled_peak(t, l, r):
-    """rho = (q_t(0) - l)/(r - l), [l, r] the preimage of the side interval.
+    """rho = (q_t(0) - l)/(r - l), [l, r] the preimage of the side interval; scalars or arrays."""
+    return (2.0 * t - 1.0 - l) / (r - l)
 
-    Scalars or arrays; raises DomainError unless every rho lies in [0, 1]
-    up to 1e-9.
-    """
-    rho = (2.0 * t - 1.0 - l) / (r - l)
-    flat = np.atleast_1d(rho)
-    bad = ~((flat >= -1e-9) & (flat <= 1.0 + 1e-9))
-    if bad.any():
-        raise DomainError(f"rescaled peak value {float(flat[bad][0]):.6f} falls outside [0, 1]")
-    return rho
+
+def _checked_rho(rho: float) -> float:
+    """rho clipped to [0, 1]; raises DomainError unless it lies there up to 1e-9."""
+    if not -1e-9 <= rho <= 1.0 + 1e-9:
+        raise DomainError(f"rescaled peak value {rho:.6f} falls outside [0, 1]")
+    return min(max(rho, 0.0), 1.0)
 
 
 def _peak_rho(obs: NonlinearityProfile, t, p: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rho at fold levels t over [l, r] = Phi^{-1}([p, b]), one inverse for all levels."""
+    """Unchecked rho at fold levels t over [l, r] = Phi^{-1}([p, b]), one inverse for all."""
     ends = obs.inverse(np.concatenate([p, b]))
     return _rescaled_peak(t, ends[:p.size], ends[p.size:])
 
@@ -214,8 +213,7 @@ def peak_value_rho(f: DecomposedMap) -> float:
     this equal to 2*t*p^alpha / (r - l).
     """
     f0, p, b = _checked_structure(f)
-    rho = float(_peak_rho(f.observed, f.t, np.array([p]), np.array([b]))[0])
-    return min(max(rho, 0.0), 1.0)
+    return _checked_rho(float(_peak_rho(f.observed, f.t, np.array([p]), np.array([b]))[0]))
 
 
 def dynamical_geometry(f: DecomposedMap) -> Geometry:
@@ -261,7 +259,7 @@ def renormalize(f: DecomposedMap, *, truncate: bool = True) -> RenormStep:
     geom = _pullback(f, p, b)
     # the last row's s1 pullback is the full preimage of S1 under the composition
     lo, hi = geom.ends[-1, :2].tolist()
-    rho = min(max(_rescaled_peak(f.t, lo, hi), 0.0), 1.0)
+    rho = _checked_rho(_rescaled_peak(f.t, lo, hi))
     new_dec = geometric_renormalize(geom, f.alpha, f.decomposition, truncate=truncate)
     return RenormStep(DecomposedMap(new_dec, rho, f.alpha), geom, p, b, rho)
 
@@ -293,9 +291,6 @@ class WindowResult:
     @property
     def multiple(self) -> bool:
         return len(self.windows) > 1
-
-    def __iter__(self):
-        return iter((self.t_min, self.t_max))
 
 
 def _renormalizable(f0: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -405,21 +400,31 @@ def _window(obs: NonlinearityProfile, alpha: float) -> WindowResult:
 
 
 def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
-    """Invariant fold level: t with rho(t) = t, bracketed on the scan grid."""
+    """Invariant fold level: t with rho(t) = t, bracketed on the scan grid.
+
+    f0 = Phi(2t - 1) rises with t, so the levels with f0 > 0 are one run and
+    rho is defined on all of it.  rho is 0 at the first window's bottom edge
+    and 1 at its top, and above the top it exceeds 1 (there 2t - 1 > r).  So
+    the gap rho(t) - t, computed unchecked, changes sign between the first
+    window's first level and the first level past its top, which closes the
+    bracket when the crossing lies within the window's last scan step.
+    """
     ts, p, b, mask = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
-    idx = np.flatnonzero(mask)
-    gap = _peak_rho(obs, ts[idx], p[idx], b[idx]) - ts[idx]
+    start = int(np.argmax(mask))
+    past = np.flatnonzero(~mask[start:])
+    run = slice(start, start + int(past[0]) + 1 if past.size else ts.size)
+    t_run = ts[run]
+    gap = _peak_rho(obs, t_run, p[run], b[run]) - t_run
 
     def gap_at(t):
         f0s, ps, bs = _side_structure(obs, alpha, np.array([t]))
         return float(_peak_rho(obs, t, ps, bs)[0]) - t
 
-    adjacent = (np.diff(idx) == 1) & (gap[:-1] * gap[1:] <= 0.0)
-    cross = np.flatnonzero(adjacent)
+    cross = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)
     if cross.size == 0:
         raise NoFixedPoint("the rescaled peak value never crosses the diagonal in the window")
     i = int(cross[0])
-    return _illinois(gap_at, float(ts[idx[i]]), float(ts[idx[i] + 1]),
+    return _illinois(gap_at, float(t_run[i]), float(t_run[i + 1]),
                      float(gap[i]), float(gap[i + 1]), _PEAK_TOL)
 
 
@@ -434,7 +439,7 @@ class SolverConfig:
 
     alpha: float
     depth: int = 8
-    grid: int = 64
+    grid: int = DEFAULT_DEGREE
     tol: float = 1e-8
     max_iter: int = 200
 
@@ -634,27 +639,29 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     to the pure decomposition of its own dynamical geometry, and that
     geometry's contraction factor.  After each record the map is renormalized
     (truncated) and the peak value re-solved, which keeps the orbit inside
-    the renormalizable window.  Raises ConfigError unless 1 <= steps <= 32.
+    the renormalizable window; the geometry a step renormalizes with is the
+    record's, so only the last record pulls back on its own.  Raises
+    ConfigError unless 1 <= steps <= 32.
     """
     if not 1 <= steps <= _MAX_DIAGNOSTIC_STEPS:
         raise ConfigError(f"steps must be at least 1 and at most {_MAX_DIAGNOSTIC_STEPS}")
+
+    def record(step, g, geom):
+        pure = pure_decomposition(geom, g.alpha, grid=g.decomposition.grid)
+        return {"step": step, "peak": g.t,
+                "distance": decomposition_distance(g.decomposition, pure),
+                "kappa": geom.contraction_factor}
+
     records = []
     current = f
-    for step in range(steps):
-        geom = dynamical_geometry(current)
-        pure = pure_decomposition(geom, current.alpha, grid=current.decomposition.grid)
-        records.append({
-            "step": step,
-            "peak": current.t,
-            "distance": decomposition_distance(current.decomposition, pure),
-            "kappa": geom.contraction_factor,
-        })
-        if step == steps - 1:
-            break
-        new_dec = renormalize(current).renormalized.decomposition
+    for step in range(steps - 1):
+        out = renormalize(current)
+        records.append(record(step, current, out.geometry_used))
+        new_dec = out.renormalized.decomposition
         obs = compose_all(new_dec)
         current = DecomposedMap(new_dec, _solve_peak(obs, current.alpha),
                                 current.alpha, observed=obs)
+    records.append(record(steps - 1, current, dynamical_geometry(current)))
     return records
 
 

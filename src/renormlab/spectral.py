@@ -37,6 +37,17 @@ _MAX_CASCADE_LEVEL = 16
 # off and level 18 leaves the renormalizable window.
 _MAX_SCALING_LEVELS = 12
 
+# Band the ratio of consecutive delta estimates must stay in.  At m = 12 and
+# alpha 1.05 to 10 every ratio lies within 0.839 and 1.018; a scan that skips
+# a level's first zero moves it by a factor of two or more (alpha 12, m = 10:
+# delta_5 = 14.08, then delta_6 = 5.19).
+_DELTA_DRIFT = (0.75, 1.25)
+
+# unstable_eigenvalue's difference step, Rayleigh-quotient tol and step budget.
+_EIG_EPS = 1e-5
+_EIG_TOL = 1e-6
+_EIG_MAX_STEPS = 60
+
 
 def _critical_iterate(alpha: float, k: int, t: float) -> float:
     """q_t^(2^k)(0) for one fold level, by direct iteration on Python floats."""
@@ -115,7 +126,11 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     t_0 = 1/2 (the peak sits at the critical point); each later level is the
     first zero of the 2^k critical iterate above the previous one, bracketed
     by a gap-predicted scan and sharpened by bisection.  Raises ConfigError
-    unless alpha > 1 is finite, and ValueError unless 1 <= m <= 16.
+    unless alpha > 1 is finite, and ValueError unless 1 <= m <= 16.  Raises
+    BracketError rather than return a table it cannot vouch for: when a
+    level does not rise above the previous one (the scan step fell below the
+    spacing of floats), or when, from the second estimate on, delta_k over
+    delta_{k-1} leaves _DELTA_DRIFT (the scan skipped a level's first zero).
     """
     if not 1.0 < alpha < math.inf:
         raise ConfigError("alpha must exceed 1 and be finite")
@@ -125,15 +140,21 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
         raise ValueError(f"cascade level {m} is past the deepest level {_MAX_CASCADE_LEVEL}: "
                          "each level doubles the cost and deeper estimates lose digits")
     alpha = float(alpha)  # a numpy scalar would route every pow through numpy
-    levels = [0.5]
+    levels, deltas = [0.5], []
     predicted = 0.8  # generous first guess; later gaps are predicted from earlier ones
     for k in range(1, m + 1):
         t_k = _next_superstable(alpha, k, levels[-1], predicted)
+        if not t_k > levels[-1]:
+            raise BracketError(f"level {k} of period 2^{k} does not rise above "
+                               f"t_{k - 1} = {levels[-1]!r}")
         predicted = (t_k - levels[-1]) / 3.5
         levels.append(t_k)
-    deltas = tuple((levels[k - 1] - levels[k - 2]) / (levels[k] - levels[k - 1])
-                   for k in range(2, m + 1))
-    return CascadeTable(alpha, tuple(levels), deltas)
+        if k >= 2:
+            deltas.append((levels[k - 1] - levels[k - 2]) / (levels[k] - levels[k - 1]))
+        if k >= 3 and not _DELTA_DRIFT[0] <= deltas[-1] / deltas[-2] <= _DELTA_DRIFT[1]:
+            raise BracketError(f"delta_{k} = {deltas[-1]:.6g} after delta_{k - 1} = "
+                               f"{deltas[-2]:.6g}: the scan lost track of the cascade")
+    return CascadeTable(alpha, tuple(levels), tuple(deltas))
 
 
 def cascade_orbit_scaling(alpha: float, m: int) -> list:
@@ -158,8 +179,7 @@ def _unpack(vec: np.ndarray, template):
             float(vec[-1]))
 
 
-def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
-                        tol: float = 1e-6, max_iter: int = 60) -> float:
+def unstable_eigenvalue(report: FixedPointReport) -> float:
     """Dominant eigenvalue of the truncated renormalization differential.
 
     The operator acts on (decomposition, peak value) pairs; its differential
@@ -181,12 +201,12 @@ def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
     v[-1] = 1.0
     lam_prev = None
     trace = []
-    for _ in range(max_iter):
-        jv = (step(x0 + eps * v) - f0) / eps
+    for _ in range(_EIG_MAX_STEPS):
+        jv = (step(x0 + _EIG_EPS * v) - f0) / _EIG_EPS
         # einsum, not BLAS: a threaded BLAS dot splits its sum by thread count
         lam = float(np.einsum("i,i->", v, jv))
         trace.append(lam)
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        if lam_prev is not None and abs(lam - lam_prev) <= _EIG_TOL * max(1.0, abs(lam)):
             return lam
         norm = float(np.sqrt(np.einsum("i,i->", jv, jv)))
         if norm == 0.0:
@@ -195,8 +215,8 @@ def unstable_eigenvalue(report: FixedPointReport, eps: float = 1e-5, *,
         v = jv / norm
         lam_prev = lam
     raise NonConvergence(
-        f"power iteration did not settle within {max_iter} steps "
-        f"(relative tol {tol:g})", tuple(trace))
+        f"power iteration did not settle within {_EIG_MAX_STEPS} steps "
+        f"(relative tol {_EIG_TOL:g})", tuple(trace))
 
 
 def scaling_ratios(report: FixedPointReport, levels: int) -> list:

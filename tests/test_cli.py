@@ -29,6 +29,8 @@ def test_usage_errors_exit_1():
                  ["fixed-point", "--alpha", "2", "--seed", "1"],
                  ["fixed-point", "--alpha", "2", "--damping", "0.5"],
                  ["cascade", "--alpha", "2", "-m", "3", "--depth", "40"],
+                 # the window is the bare fold's, whatever a depth would say
+                 ["window", "--alpha", "2", "--depth", "2"],
                  ["fixed-point", "--alpha", "2", "--alpha-sweep", "1.5,3", "--out", "x.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -39,7 +41,7 @@ def test_usage_errors_exit_1():
 OPTION_SETS = {
     "fixed-point": {"alpha", "alpha-sweep", "depth", "grid", "tol", "max-iter", "out"},
     "orbit": {"alpha", "depth", "grid", "tol", "max-iter", "k", "out"},
-    "window": {"alpha", "depth", "grid", "out"},
+    "window": {"alpha", "grid", "out"},
     "cascade": {"alpha", "m", "out"},
     "spectrum": {"alpha", "in", "levels", "out"},
     "orbit-diagnostics": {"alpha", "depth", "grid", "seed", "steps", "out"},
@@ -52,7 +54,7 @@ def test_each_subcommand_takes_exactly_its_options():
                     for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in sub.choices.items()}
     assert found == OPTION_SETS
-    assert sum(map(len, found.values())) == 31
+    assert sum(map(len, found.values())) == 30
 
 
 def _readme_commands():
@@ -302,7 +304,7 @@ def test_loop_counts_are_bounded_before_any_step(argv, report_file, monkeypatch,
 
 
 def test_window_csv(capsys):
-    assert main(["window", "--alpha", "2", "--depth", "2", "--grid", "48"]) == 0
+    assert main(["window", "--alpha", "2", "--grid", "48"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("# window t_min=")
     head = dict(part.split("=") for part in lines[0][2:].split() if "=" in part)
@@ -316,8 +318,8 @@ def test_window_csv(capsys):
         assert 0.5 <= float(t_str) <= float(head["t_max"]) + 1e-12
 
 
-def test_window_composes_once(monkeypatch, capsys):
-    # the scan and the rho sweep share one composed profile
+def test_window_composes_nothing(monkeypatch, capsys):
+    # the scan and the rho sweep read the identity profile itself
     original, calls = decompspace.compose_all, []
 
     def counted(dec):
@@ -327,12 +329,20 @@ def test_window_composes_once(monkeypatch, capsys):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "renormlab"]:
         if getattr(module, "compose_all", None) is original:
             monkeypatch.setattr(module, "compose_all", counted)
-    assert main(["window", "--alpha", "2", "--depth", "2", "--grid", "48"]) == 0
+    assert main(["window", "--alpha", "2", "--grid", "48"]) == 0
     assert capsys.readouterr().out.startswith("# window t_min=")
-    assert len(calls) == 1
+    assert calls == []
 
 
 # ----------------------------------------------------------------- cascade
+
+
+@pytest.mark.parametrize("alpha, m", [("9", "16"), ("12", "10")])
+def test_cascade_that_loses_a_level_exits_2(alpha, m, capsys):
+    assert main(["cascade", "--alpha", alpha, "-m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_cascade_csv(capsys):

@@ -22,7 +22,6 @@ from renormlab.decompspace import (
     compose_all,
     decomposition_distance,
     decomposition_linear_combination,
-    decomposition_norm,
     geometric_renormalize,
     geometry_blend,
     geometry_distance,
@@ -96,11 +95,12 @@ def test_nodes_are_read_only_views_of_the_rows(rng):
 
 def test_node_cache_alone_equals_its_row_of_the_batch(rng):
     dec = random_decomposition(rng, 8)
-    compose_all(dec)  # builds the evaluation data of all 511 rows in one batch
+    batch = dec._batch()  # the evaluation data of all 511 rows, 64 rows a call
+    rows = dec.times.indices_descending()
     for w in ("", "1", "2", "21", "1212", "2" * 8, "1" * 8, "12211221"):
         alone = NonlinearityProfile(dec.nodes[w].eta_values)._cache()
-        for mine, batched in zip(alone, dec.nodes[w]._cache()):
-            assert np.array_equal(mine, batched), w
+        for mine, batched in zip(alone, batch):
+            assert np.array_equal(mine, batched[rows.index(w)]), w
 
 
 def test_decomposition_from_dict_refuses_a_node_count_off_the_depth():
@@ -133,7 +133,7 @@ def test_from_dict_checks_the_node_count_before_building_a_tree():
 def test_norm_and_distance_basics(rng):
     a = random_decomposition(rng, 2)
     b = random_decomposition(rng, 2)
-    assert decomposition_norm(a) == a.norm() > 0.0
+    assert a.norm() > 0.0
     assert decomposition_distance(a, a) == 0.0
     assert decomposition_distance(a, b) == decomposition_distance(b, a) > 0.0
     with pytest.raises(DepthMismatch):

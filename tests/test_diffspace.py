@@ -203,7 +203,7 @@ def _inverse_before_the_shared_loop(y, series, floor):
 @pytest.mark.parametrize("points", [1, 2, 33, 200])
 def test_newton_inverse_keeps_its_bits(rng, points):
     for scale in (0.3, 0.6, 1.2):
-        quad = [a[0] for a in quad_rows(random_profile(rng, scale=scale).eta_values[None, :])]
+        quad = [a[0] for a in quad_rows(random_profile(rng, scale=scale).eta_values[None, :])[:2]]
         y = rng.uniform(-1.0, 1.0, points)
         if points > 1:
             y[0] = -1.0  # an endpoint, its own preimage
@@ -437,7 +437,7 @@ def test_shared_resample_points_match_each_rows_own(rng):
     assert np.array_equal(shared, _cheb.resample_rows(rows, np.tile(x, (5, 1))))
     for p, row in zip(profiles, shared):
         assert np.array_equal(row, p.eta_at(x))
-    h = inner_side(rows, quad_rows(rows))[2]
+    h = inner_side(rows, quad_rows(rows)[0])[2]
     assert np.array_equal(h, shared[:, :n])
 
 

@@ -222,8 +222,7 @@ def test_window_of_the_bare_fold():
     res = renormalization_window(identity_decomposition(2, 64), 2.0)
     assert not res.multiple
     assert len(res.windows) == 1
-    t_min, t_max = res
-    assert t_min == res.t_min and t_max == res.t_max
+    t_min, t_max = res.t_min, res.t_max
     assert abs(t_min - 0.5) < 1e-6
     assert abs(t_max - 0.9196433776) < 1e-6
     # semantic check on the edges
@@ -248,6 +247,25 @@ def test_solve_peak_value_against_scalar_oracle():
     assert t_star == pytest.approx(0.8938462803945875, abs=1e-9)
     # invariance holds at the solution
     assert peak_value_rho(_identity_map(t_star, grid=64)) == pytest.approx(t_star, abs=1e-10)
+
+
+def test_peak_solve_closes_its_bracket_past_the_windows_top():
+    # at alpha 12 the bare fold's crossing lies within the window's last scan
+    # step, so the first level past the top, where rho > 1, closes the bracket
+    obs = identity_profile(64)
+    ts, _, _, mask = renorm._scan_window(obs, 12.0, renorm._PEAK_SCAN_STEP)
+    t_star = solve_peak_value(identity_decomposition(1, 64), 12.0)
+    assert ts[mask][-1] < t_star < renorm._window(obs, 12.0).t_max
+    rho = peak_value_rho(_identity_map(t_star, alpha=12.0, grid=64))
+    assert abs(rho - t_star) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0])
+def test_fixed_point_across_the_alpha_range(alpha):
+    # alpha 7 and 12 put the crossing in the window's last scan step
+    report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
+    assert report.residual_geometry <= 1e-8 and report.residual_peak <= 1e-12
+    assert is_renormalizable(DecomposedMap(report.pure_star, report.t_star, alpha))
 
 
 def test_false_position_that_runs_out_of_steps_raises():
@@ -438,6 +456,16 @@ def test_orbit_diagnostics_records(small_report):
         assert 0.0 < rec["kappa"] < 1.0
     # starting on the fixed point, successive iterates barely move
     assert recs[0]["distance"] < 1e-5
+
+
+def test_orbit_diagnostics_pull_back_once_a_step(small_report, monkeypatch):
+    # each step renormalizes with the geometry its record reports
+    calls, original = [], renorm.pullback_intervals
+    monkeypatch.setattr(renorm, "pullback_intervals",
+                        lambda *args: calls.append(1) or original(*args))
+    f = DecomposedMap(small_report.pure_star, small_report.t_star, small_report.alpha)
+    renormalization_orbit_diagnostics(f, 3)
+    assert len(calls) == 3
 
 
 def test_random_decomposed_map_is_deterministic():

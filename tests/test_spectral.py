@@ -14,7 +14,7 @@ from renormlab.spectral import (
     superstable_cascade,
     unstable_eigenvalue,
 )
-from renormlab.errors import ConfigError, DomainError, NonConvergence
+from renormlab.errors import BracketError, ConfigError, DomainError, NonConvergence
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -71,6 +71,28 @@ def test_cascade_rejects_empty_request():
         cascade_orbit_scaling(2.0, 40)
     with pytest.raises(ConfigError, match="alpha must exceed 1"):
         superstable_cascade(1.0, 3)
+
+
+@pytest.mark.parametrize("alpha", [6.0, 8.0, 10.0])
+def test_cascade_gap_ratios_settle_at_large_alpha(alpha):
+    d = superstable_cascade(alpha, 10).delta_estimates
+    ratios = [b / a for a, b in zip(d, d[1:])]
+    assert ratios == sorted(ratios)  # they rise toward 1 ...
+    assert 1.0 - 1e-3 < ratios[-1] < 1.0  # ... and settle there
+
+
+@pytest.mark.parametrize("alpha, m", [(11.0, 10), (12.0, 10), (16.0, 10), (9.0, 16)])
+def test_cascade_refuses_a_table_that_lost_a_level(alpha, m):
+    # the scan steps past a level's first zero (alpha 11-16), or the gaps
+    # shrink to a few ulps (alpha 9, level 15): delta_k jumps by 2x or more
+    with pytest.raises(BracketError, match="lost track of the cascade"):
+        superstable_cascade(alpha, m)
+
+
+def test_cascade_refuses_a_level_that_does_not_rise(monkeypatch):
+    monkeypatch.setattr(spectral, "_next_superstable", lambda alpha, k, t_prev, predicted: t_prev)
+    with pytest.raises(BracketError, match="does not rise above t_0"):
+        superstable_cascade(2.0, 3)
 
 
 def test_cascade_other_exponent():
@@ -138,9 +160,10 @@ def test_unstable_eigenvalue_matches_cascade(report4, cascade6):
     assert abs(lam - delta_c) / delta_c < 5e-3
 
 
-def test_unstable_eigenvalue_budget_guard(report4):
-    with pytest.raises(NonConvergence):
-        unstable_eigenvalue(report4, max_iter=1)
+def test_unstable_eigenvalue_budget_guard(report4, monkeypatch):
+    monkeypatch.setattr(spectral, "_EIG_MAX_STEPS", 1)
+    with pytest.raises(NonConvergence, match="within 1 steps"):
+        unstable_eigenvalue(report4)
 
 
 def test_scaling_ratios_equal_a_loop_of_full_steps(report4):
