@@ -51,7 +51,7 @@ from .errors import (
     NoWindow,
 )
 
-# Scan steps over (1/2, 1) and tolerances of the window edges and of the
+# Scan steps over (1/2, 1] and tolerances of the window edges and of the
 # invariant peak value.
 _WINDOW_SCAN_STEP = 1e-3
 _WINDOW_EDGE_TOL = 1e-10
@@ -299,14 +299,19 @@ def _renormalizable(f0: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
-    """Scan grid over (1/2, 1), its side structure and renormalizable mask."""
-    ts = 0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step)))
+    """Scan grid over (1/2, 1], its side structure and renormalizable runs.
+
+    Each run of renormalizable levels is a (first, last) index pair.  The
+    grid ends at t = 1, whose peak image Phi(1) = 1 exceeds every side point
+    b < 1, so every run has a level past it in the grid.
+    """
+    ts = np.append(0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step))), 1.0)
     f0, p, b = _side_structure(obs, alpha, ts)
-    mask = _renormalizable(f0, b)
-    if not mask.any():
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], _renormalizable(f0, b), [False]))))
+    if not edges.size:
         raise NoWindow(
-            f"no renormalizable peak value in (0.5, 1) at scan step {scan_step:g}")
-    return ts, p, b, mask
+            f"no renormalizable peak value in (0.5, 1] at scan step {scan_step:g}")
+    return ts, p, b, edges.reshape(-1, 2) - [0, 1]
 
 
 def _bisect_predicate(pred, outside: float, inside: float, tol: float) -> float:
@@ -360,7 +365,7 @@ def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> fl
 
 
 def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
-    """Scan (1/2, 1) for renormalizable peak values and refine the edges.
+    """Scan (1/2, 1] for renormalizable peak values and refine the edges.
 
     The scan marks every grid level whose map has its peak image inside the
     side interval; connected runs become windows, each edge sharpened by
@@ -372,29 +377,18 @@ def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
 
 def _window(obs: NonlinearityProfile, alpha: float) -> WindowResult:
     """renormalization_window of the diffeomorphism whose composed profile is obs."""
-    ts, _, _, mask = _scan_window(obs, alpha, _WINDOW_SCAN_STEP)
+    ts, _, _, runs = _scan_window(obs, alpha, _WINDOW_SCAN_STEP)
 
     def renormalizable_at(t):
         f0s, _, bs = _side_structure(obs, alpha, np.array([t]))
         return bool(_renormalizable(f0s, bs)[0])
 
-    idx = np.flatnonzero(mask)
-    runs = []
-    start = prev = int(idx[0])
-    for i in idx[1:]:
-        i = int(i)
-        if i != prev + 1:
-            runs.append((start, prev))
-            start = i
-        prev = i
-    runs.append((start, prev))
-
     windows = []
     for i0, i1 in runs:
         lo_out = 0.5 if i0 == 0 else float(ts[i0 - 1])
-        hi_out = 1.0 if i1 == len(ts) - 1 else float(ts[i1 + 1])
         lo = _bisect_predicate(renormalizable_at, lo_out, float(ts[i0]), _WINDOW_EDGE_TOL)
-        hi = _bisect_predicate(renormalizable_at, hi_out, float(ts[i1]), _WINDOW_EDGE_TOL)
+        hi = _bisect_predicate(renormalizable_at, float(ts[i1 + 1]), float(ts[i1]),
+                               _WINDOW_EDGE_TOL)
         windows.append((lo, hi))
     return WindowResult(windows[0][0], windows[0][1], tuple(windows))
 
@@ -406,13 +400,14 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     rho is defined on all of it.  rho is 0 at the first window's bottom edge
     and 1 at its top, and above the top it exceeds 1 (there 2t - 1 > r).  So
     the gap rho(t) - t, computed unchecked, changes sign between the first
-    window's first level and the first level past its top, which closes the
-    bracket when the crossing lies within the window's last scan step.
+    window's first level and the first level past its top.  The scan covers
+    (1/2, 1], so that level is on the grid even when the top lies above the
+    last level below 1, and it closes the bracket when the crossing lies
+    within the window's last step.
     """
-    ts, p, b, mask = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
-    start = int(np.argmax(mask))
-    past = np.flatnonzero(~mask[start:])
-    run = slice(start, start + int(past[0]) + 1 if past.size else ts.size)
+    ts, p, b, runs = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
+    first, last = runs[0]
+    run = slice(first, last + 2)
     t_run = ts[run]
     gap = _peak_rho(obs, t_run, p[run], b[run]) - t_run
 

@@ -126,7 +126,7 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     t_0 = 1/2 (the peak sits at the critical point); each later level is the
     first zero of the 2^k critical iterate above the previous one, bracketed
     by a gap-predicted scan and sharpened by bisection.  Raises ConfigError
-    unless alpha > 1 is finite, and ValueError unless 1 <= m <= 16.  Raises
+    unless alpha > 1 is finite and 1 <= m <= 16.  Raises
     BracketError rather than return a table it cannot vouch for: when a
     level does not rise above the previous one (the scan step fell below the
     spacing of floats), or when, from the second estimate on, delta_k over
@@ -135,10 +135,10 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     if not 1.0 < alpha < math.inf:
         raise ConfigError("alpha must exceed 1 and be finite")
     if m < 1:
-        raise ValueError("cascade needs at least one level beyond t_0")
+        raise ConfigError("cascade needs at least one level beyond t_0")
     if m > _MAX_CASCADE_LEVEL:
-        raise ValueError(f"cascade level {m} is past the deepest level {_MAX_CASCADE_LEVEL}: "
-                         "each level doubles the cost and deeper estimates lose digits")
+        raise ConfigError(f"cascade level {m} is past the deepest level {_MAX_CASCADE_LEVEL}: "
+                          "each level doubles the cost and deeper estimates lose digits")
     alpha = float(alpha)  # a numpy scalar would route every pow through numpy
     levels, deltas = [0.5], []
     predicted = 0.8  # generous first guess; later gaps are predicted from earlier ones

@@ -372,14 +372,15 @@ def test_many_point_calls_equal_one_point_calls(points):
 
 
 def test_many_point_calls_allocate_one_chunk_of_table_at_a_time():
-    # unchunked, the cosine table of 2e5 points by 2n = 128 terms would take
-    # 205 MB on its own; the bounds are 8.5 MB and 34 MB.  The inverse keeps
-    # a few point-sized arrays per Newton step (brackets, iterates, values)
+    # 4e4 points: chunked, the peaks are 1.1 MB and 1.6 MB against bounds of
+    # 3.4 MB and 4.7 MB.  Unchunked, chebval's cosine table alone would take
+    # 13 MB, and the inverse, whose Newton steps keep a few point-sized
+    # arrays (brackets, iterates, values), peaks at 10 MB
     phi = random_profile(np.random.default_rng(8), scale=0.6)
-    x = np.random.default_rng(9).uniform(-1.0, 1.0, 200_000)
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, 40_000)
     phi.inverse(x[:2])  # build the evaluation data outside the measurement
     table = _cheb._CHUNK * 2 * phi.degree * 8
-    for method, copies in ((phi.evaluate, 2), (phi.inverse, 10)):
+    for method, copies in ((phi.evaluate, 2), (phi.inverse, 4)):
         tracemalloc.start()
         try:
             method(x)

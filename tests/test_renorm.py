@@ -101,8 +101,8 @@ def test_side_structure_matches_the_bisection_oracle(alpha, which):
     # kernel's own p: near t = 1/2 a change in p moves b several times as far
     obs = (identity_profile(64) if which == "identity"
            else random_decomposed_map(alpha, 4, 64, seed=3).observed)
-    ts = 0.5 + renorm._PEAK_SCAN_STEP * np.arange(1, int(round(0.5 / renorm._PEAK_SCAN_STEP)))
-    assert ts.size == 249
+    ts = renorm._scan_window(obs, alpha, renorm._PEAK_SCAN_STEP)[0]
+    assert ts.size == 250 and ts[-1] == 1.0
     f0, p, b = renorm._side_structure(obs, alpha, ts)
     assert (f0 > 0.0).all()
 
@@ -117,7 +117,7 @@ def test_side_structure_matches_the_bisection_oracle(alpha, which):
 
 def test_side_structure_of_a_scan_equals_one_level_at_a_time():
     obs = random_decomposed_map(2.0, 4, 64, seed=3).observed
-    ts = 0.5 + renorm._PEAK_SCAN_STEP * np.arange(1, int(round(0.5 / renorm._PEAK_SCAN_STEP)))
+    ts = renorm._scan_window(obs, 2.0, renorm._PEAK_SCAN_STEP)[0]
     scan = renorm._side_structure(obs, 2.0, ts)
     for i in range(ts.size):
         alone = renorm._side_structure(obs, 2.0, ts[i:i + 1])
@@ -253,16 +253,31 @@ def test_peak_solve_closes_its_bracket_past_the_windows_top():
     # at alpha 12 the bare fold's crossing lies within the window's last scan
     # step, so the first level past the top, where rho > 1, closes the bracket
     obs = identity_profile(64)
-    ts, _, _, mask = renorm._scan_window(obs, 12.0, renorm._PEAK_SCAN_STEP)
+    ts, _, _, runs = renorm._scan_window(obs, 12.0, renorm._PEAK_SCAN_STEP)
+    last = runs[0][1]
     t_star = solve_peak_value(identity_decomposition(1, 64), 12.0)
-    assert ts[mask][-1] < t_star < renorm._window(obs, 12.0).t_max
+    assert ts[last] < t_star < renorm._window(obs, 12.0).t_max < ts[last + 1]
     rho = peak_value_rho(_identity_map(t_star, alpha=12.0, grid=64))
     assert abs(rho - t_star) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0])
+def test_peak_solve_closes_its_bracket_at_the_scans_end():
+    # at alpha 24 the bare fold's window top lies above 0.998, the last scan
+    # level below 1, so the run ends there and the level t = 1 closes the
+    # bracket: the scan covers (1/2, 1], and Phi(1) = 1 exceeds every b < 1
+    t_star = solve_peak_value(identity_decomposition(1, 64), 24.0)
+    rho = peak_value_rho(_identity_map(t_star, alpha=24.0, grid=64))
+    assert abs(rho - t_star) <= 1e-12
+    obs = identity_profile(64)
+    assert 0.998 < t_star < renorm._window(obs, 24.0).t_max < 1.0
+    ts, _, _, runs = renorm._scan_window(obs, 24.0, renorm._PEAK_SCAN_STEP)
+    assert runs.tolist() == [[0, ts.size - 2]] and ts[-2:].tolist() == [0.998, 1.0]
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0, 24.0])
 def test_fixed_point_across_the_alpha_range(alpha):
-    # alpha 7 and 12 put the crossing in the window's last scan step
+    # alpha 7 and 12 put the crossing in the window's last scan step, and
+    # alpha 24 puts the window's top in the scan's last step, below t = 1
     report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert report.residual_geometry <= 1e-8 and report.residual_peak <= 1e-12
     assert is_renormalizable(DecomposedMap(report.pure_star, report.t_star, alpha))

@@ -62,12 +62,12 @@ def test_cascade_csv_format(cascade6):
 
 
 def test_cascade_rejects_empty_request():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="at least one level"):
         superstable_cascade(2.0, 0)
     # level m iterates 2^m steps; the bound holds before any of them
-    with pytest.raises(ValueError, match="deepest level 16"):
+    with pytest.raises(ConfigError, match="deepest level 16"):
         superstable_cascade(2.0, 17)
-    with pytest.raises(ValueError, match="deepest level 16"):
+    with pytest.raises(ConfigError, match="deepest level 16"):
         cascade_orbit_scaling(2.0, 40)
     with pytest.raises(ConfigError, match="alpha must exceed 1"):
         superstable_cascade(1.0, 3)
