@@ -114,7 +114,7 @@ def _cmd_fixed_point(args) -> int:
         for cfg, path in zip(configs, paths):
             try:
                 _emit(_report_json(find_fixed_point(cfg)), path)
-            except NonConvergence as exc:
+            except RenormlabError as exc:  # a failed alpha does not stop the others
                 print(f"alpha {cfg.alpha:g}: {exc}", file=sys.stderr)
                 failures += 1
             else:

@@ -69,6 +69,13 @@ _MAX_SOLVER_BYTES = 2 ** 31
 # about 0.1 s, so this cap ends such a run within about two minutes.
 _MAX_OUTER_PASSES = 1000
 
+# The outer solve mixes each pass's image with the last _ANDERSON_HISTORY
+# residual differences (Walker & Ni, SIAM J. Numer. Anal. 49, 2011); a 2 x 2
+# Gram system with det <= _ANDERSON_DET_RTOL * (product of its diagonal), two
+# differences within about 1e-5 rad of parallel, uses the last one alone.
+_ANDERSON_HISTORY = 2
+_ANDERSON_DET_RTOL = 1e-10
+
 # Longest orbit find_periodic_orbit takes: each outer pass makes k steps,
 # about 0.3 s each at depth 8, for up to max_iter passes.
 _MAX_ORBIT_LENGTH = 16
@@ -547,14 +554,43 @@ def _undamped_step(g: Geometry, alpha: float, grid: int):
     return dm, dynamical_geometry(dm)
 
 
+def _packed(g: Geometry) -> np.ndarray:
+    """The geometry as one vector: side_root.lo, side_root.hi, then the rows of ends."""
+    return np.concatenate(([g.side_root.lo, g.side_root.hi], g.ends.ravel()))
+
+
+def _anderson_mix(history) -> Geometry:
+    """Anderson type-II update from packed (x, T(x)) pairs of the last passes, oldest first.
+
+    With f = T(x) - x and dF, dG the differences of consecutive f and T(x),
+    the weights gamma minimise |f_k - dF gamma| through the 1 x 1 or 2 x 2
+    Gram system of dF, solved in closed form; a 2 x 2 system whose
+    determinant is at rounding level of its diagonal product takes the last
+    difference alone.  The next iterate is T(x_k) - dG gamma.  Raises
+    GeometryError or DomainError when that vector is no admissible geometry.
+    """
+    xs, gxs = (np.array(col) for col in zip(*history))
+    df, dg = np.diff(gxs - xs, axis=0), np.diff(gxs, axis=0)
+    gram = np.einsum("ik,jk->ij", df, df)
+    rhs = np.einsum("ik,k->i", df, gxs[-1] - xs[-1])
+    a, b, d = gram[0, 0], gram[0, -1], gram[-1, -1]
+    det = a * d - b * b  # exactly 0 for one difference
+    if det > _ANDERSON_DET_RTOL * a * d:
+        gamma = np.array([d * rhs[0] - b * rhs[1], a * rhs[1] - b * rhs[0]]) / det
+        x = gxs[-1] - np.einsum("i,ik->k", gamma, dg)
+    else:
+        x = gxs[-1] - (rhs[-1] / d if d > 0.0 else 0.0) * dg[-1]
+    return Geometry.from_rows(OrientedInterval(x[0], x[1], "+"), x[2:].reshape(-1, 4))
+
+
 def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None):
     g = (_seed_geometry(config.alpha, config.depth, config.grid)
          if initial_geometry is None else initial_geometry)
     if g.depth != config.depth:
         raise DepthMismatch(
             f"initial geometry depth {g.depth} differs from configured depth {config.depth}")
-    t_prev = None
-    trace = []
+    t_prev = closure_prev = None
+    trace, history = [], []
     for it in range(1, config.max_iter + 1):
         maps, geoms, g_img = [], [], g
         for _ in range(k):
@@ -566,8 +602,15 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
         trace.append(resid)
         if resid <= config.tol:
             return maps, geoms, closure, it
-        g = g_img
-        t_prev = maps[0].t
+        # a closure that grew restarts the mixing from this pass alone
+        if history and closure > closure_prev:
+            history = []
+        history = history[-_ANDERSON_HISTORY:] + [(_packed(g), _packed(g_img))]
+        try:
+            g = _anderson_mix(history) if len(history) > 1 else g_img
+        except (GeometryError, DomainError):
+            g = g_img
+        t_prev, closure_prev = maps[0].t, closure
     raise NonConvergence(
         f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} "
         f"steps (tol {config.tol:.1e})", tuple(trace))
@@ -604,11 +647,14 @@ def find_fixed_point(config: SolverConfig,
 
     State is the geometry g: each pass solves the pure decomposition of g,
     re-solves the invariant peak value, and takes the resulting dynamical
-    geometry T(g) as the next g.  Convergence is declared when the geometry
-    movement plus the peak-value movement drops below tol.  The report is
-    the last pass's step from the returned g: t* and the pure
-    decomposition come from it, residual_geometry is |T(g) - g| and
-    residual_peak is recomputed through peak_value_rho.
+    geometry T(g), Anderson-mixed with the residual differences of the last
+    two passes (_anderson_mix), as the next g; T(g) itself where the mixed
+    geometry is inadmissible, and the mixing restarts when |T(g) - g| grew.
+    Convergence is declared when the geometry movement plus the peak-value
+    movement drops below tol.  The report is the last pass's step from the
+    returned g: t* and the pure decomposition come from it,
+    residual_geometry is |T(g) - g| and residual_peak is recomputed through
+    peak_value_rho.
     """
     return _cycle_reports(config, *_outer_solve(config, 1, initial_geometry))[0]
 
@@ -617,10 +663,11 @@ def find_periodic_orbit(config: SolverConfig, k: int,
                         initial_geometry: Geometry | None = None):
     """Outer iteration on the k-fold renormalization step.
 
-    Returns the cycle as k reports; the last one's residual_geometry is the
-    closure defect of the cycle.  k = 1 reduces to find_fixed_point.  When
-    the cycle diameter is below tol every report is flagged coincident: the
-    orbit has collapsed onto a fixed point.
+    Each pass makes k steps from g and mixes the k-th image with the last
+    passes as find_fixed_point does.  Returns the cycle as k reports; the
+    last one's residual_geometry is the closure defect of the cycle.  k = 1
+    reduces to find_fixed_point.  When the cycle diameter is below tol every
+    report is flagged coincident: the orbit has collapsed onto a fixed point.
     """
     if not 1 <= k <= _MAX_ORBIT_LENGTH:
         raise ConfigError(f"orbit length k must be at least 1 and at most {_MAX_ORBIT_LENGTH}")

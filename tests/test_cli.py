@@ -200,6 +200,20 @@ def test_alpha_sweep_writes_per_alpha_files(tmp_path):
         assert data["residual_geometry"] <= 1e-8
 
 
+def test_alpha_sweep_keeps_going_past_an_alpha_that_fails(tmp_path, capsys):
+    # alpha 1.0001 has no invariant peak value (NoFixedPoint) and alpha 100
+    # an inadmissible seed geometry (GeometryError); alpha 2 is still written
+    out = tmp_path / "sweep.json"
+    code = main(["fixed-point", "--alpha-sweep", "1.0001,2,100", "--depth", "3", "--grid", "32",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("alpha 1.0001: the rescaled peak value never crosses")
+    assert err[1].startswith("alpha 100: interval half-length")
+    assert json.loads((tmp_path / "sweep-alpha2.json").read_text())["alpha"] == 2.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep-alpha2.json"]
+
+
 def test_alpha_sweep_needs_out():
     assert main(["fixed-point", "--alpha-sweep", "2,2.5", *FAST]) == 1
 

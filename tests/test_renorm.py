@@ -35,6 +35,7 @@ from renormlab.diffspace import identity_profile
 from renormlab.errors import (
     ConfigError,
     DomainError,
+    GeometryError,
     NoFixedPoint,
     NonConvergence,
     NoSideInterval,
@@ -280,6 +281,9 @@ def test_fixed_point_across_the_alpha_range(alpha):
     # alpha 24 puts the window's top in the scan's last step, below t = 1
     report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert report.residual_geometry <= 1e-8 and report.residual_peak <= 1e-12
+    if alpha == 24.0:
+        # the mixed outer iteration; the plain one contracts slowly here (31 passes)
+        assert report.iterations <= 12
     assert is_renormalizable(DecomposedMap(report.pure_star, report.t_star, alpha))
 
 
@@ -407,6 +411,42 @@ def test_reports_are_certified_by_the_last_pass(monkeypatch):
     calls.clear()
     reports = find_periodic_orbit(SMALL, 2)
     assert len(calls) == 2 * reports[0].iterations
+
+
+@pytest.mark.parametrize("alpha, passes", [(1.5, 5), (2.0, 6), (3.0, 7)])
+def test_mixed_outer_iteration_takes_fewer_passes(alpha, passes):
+    # the plain iteration takes 7, 8 and 10 passes
+    report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
+    assert report.iterations <= passes and report.residual_geometry <= 1e-8
+
+
+def test_outer_iteration_without_mixing_is_the_plain_iteration(monkeypatch):
+    # a mixed geometry that is never admissible leaves the plain image each
+    # pass: the unmixed depth-5 alpha-2 solve, bit for bit
+    def refused(history):
+        raise GeometryError("inadmissible")
+
+    monkeypatch.setattr(renorm, "_anderson_mix", refused)
+    report = find_fixed_point(SolverConfig(alpha=2.0, depth=5))
+    assert report.iterations == 8 and report.t_star == 0.8866562808573457
+
+
+def test_mixing_takes_the_last_difference_when_the_two_are_parallel():
+    # residuals 1, 1.7 and 2.9 times u: the 2 x 2 Gram system is singular, so
+    # the step is the one the last two pairs alone give
+    x = renorm._packed(renorm._seed_geometry(2.0, 2, 32))
+    u, w = 1e-4 * np.random.default_rng(0).standard_normal((2, x.size))
+    history = [(x + j * w, x + j * w + s * u) for j, s in ((0, 1.0), (1, 1.7), (2, 2.9))]
+    alone = renorm._anderson_mix(history[1:])
+    assert geometry_distance(renorm._anderson_mix(history), alone) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha, t_plain", [
+    (1.5, 0.8117142929782812), (2.0, 0.8866562808596954), (3.0, 0.9408989826824429)])
+def test_mixed_and_plain_iterations_agree_at_a_tight_tol(alpha, t_plain):
+    # t* of the plain iteration at tol 1e-13 and depth 5
+    report = find_fixed_point(SolverConfig(alpha=alpha, depth=5, tol=1e-13))
+    assert abs(report.t_star - t_plain) <= 2.0 * np.spacing(t_plain)
 
 
 def test_fixed_point_is_dynamically_consistent(small_report):
