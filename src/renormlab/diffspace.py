@@ -384,10 +384,6 @@ class OrientedInterval:
             raise DomainError(f"need -1 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
 
     @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def half_length(self) -> float:
         return 0.5 * (self.hi - self.lo)
 
@@ -449,8 +445,8 @@ def branch_zoom(alpha: float, s1: OrientedInterval, degree: int = DEFAULT_DEGREE
 
     Raises DomainError if the interval touches 0 or leaves (0, 1).
     """
-    if not alpha > 1.0:
-        raise DomainError("alpha must exceed 1")
+    if not 1.0 < alpha < np.inf:
+        raise DomainError("alpha must exceed 1 and be finite")
     if not (0.0 < s1.lo and s1.hi < 1.0):
         raise DomainError("branch interval must stay inside (0, 1)")
     if s1.flag != "+":
@@ -467,8 +463,8 @@ class FoldingMap:
     t: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise DomainError("alpha must exceed 1")
+        if not 1.0 < self.alpha < np.inf:
+            raise DomainError("alpha must exceed 1 and be finite")
         if not 0.0 <= self.t <= 1.0:
             raise DomainError("peak value t must lie in [0, 1]")
 

@@ -51,13 +51,11 @@ from .errors import (
     NoWindow,
 )
 
-# Scan steps over (1/2, 1] and tolerances of the window edges and of the
-# invariant peak value.
+# Scan steps over (1/2, 1] and the tolerance of the window edges; the
+# invariant peak value stops on bracketed_newton's own tests.
 _WINDOW_SCAN_STEP = 1e-3
 _WINDOW_EDGE_TOL = 1e-10
 _PEAK_SCAN_STEP = 2e-3
-_PEAK_TOL = 1e-12
-_ILLINOIS_STEPS = 80
 
 # SolverConfig refuses more estimated bytes than this, so --depth 40 fails fast:
 # 16 float64 grids per tree node (eta, cached coefficients, a few decompositions
@@ -310,8 +308,11 @@ def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
 
     Each run of renormalizable levels is a (first, last) index pair.  The
     grid ends at t = 1, whose peak image Phi(1) = 1 exceeds every side point
-    b < 1, so every run has a level past it in the grid.
+    b < 1, so every run has a level past it in the grid.  Raises DomainError
+    unless 1 < alpha < inf, before any level is solved.
     """
+    if not 1.0 < alpha < np.inf:
+        raise DomainError("alpha must exceed 1 and be finite")
     ts = np.append(0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step))), 1.0)
     f0, p, b = _side_structure(obs, alpha, ts)
     edges = np.flatnonzero(np.diff(np.concatenate(([False], _renormalizable(f0, b), [False]))))
@@ -330,45 +331,6 @@ def _bisect_predicate(pred, outside: float, inside: float, tol: float) -> float:
         else:
             outside = mid
     return inside
-
-
-def _illinois(fun, ta: float, tb: float, fa: float, fb: float, tol: float) -> float:
-    """Root of fun on a sign-change bracket by false position, Illinois cut.
-
-    Stops at an exact zero, once the bracket is no wider than tol, or when
-    the false-position point rounds onto tb, the newest end, while the
-    bracket is still wider than four ulps of tb (fb is then below what the
-    step can resolve); it returns the probe with the smallest |fun|, the
-    ends included.  It also stops once the bracket is two adjacent floats,
-    whose midpoint rounds onto an end already probed.  Raises NonConvergence
-    if the bracket is then, or after _ILLINOIS_STEPS steps, still wider than
-    tol.
-    """
-    best = min((abs(fa), ta), (abs(fb), tb))
-    if best[0] == 0.0:
-        return best[1]
-    for _ in range(_ILLINOIS_STEPS):
-        tm = tb - fb * (tb - ta) / (fb - fa)
-        if tm == tb and abs(tb - ta) > 4.0 * abs(np.spacing(tb)):
-            return best[1]
-        lo, hi = (ta, tb) if ta < tb else (tb, ta)
-        if not lo < tm < hi:
-            tm = 0.5 * (ta + tb)
-            if tm == ta or tm == tb:  # two adjacent floats, both probed
-                break
-        fm = fun(tm)
-        best = min(best, (abs(fm), tm))
-        if fm == 0.0 or abs(tb - ta) <= tol:
-            return best[1]
-        if (fm < 0.0) == (fb < 0.0):
-            fa *= 0.5
-        else:
-            ta, fa = tb, fb
-        tb, fb = tm, fm
-    if abs(tb - ta) <= tol:
-        return best[1]
-    raise NonConvergence(
-        f"false position did not converge (bracket width {abs(tb - ta):.1e}, tol {tol:.1e})")
 
 
 def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
@@ -406,28 +368,40 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     f0 = Phi(2t - 1) rises with t, so the levels with f0 > 0 are one run and
     rho is defined on all of it.  rho is 0 at the first window's bottom edge
     and 1 at its top, and above the top it exceeds 1 (there 2t - 1 > r).  So
-    the gap rho(t) - t, computed unchecked, changes sign between the first
+    the gap rho(t) - t, computed unchecked, rises through 0 between the first
     window's first level and the first level past its top.  The scan covers
     (1/2, 1], so that level is on the grid even when the top lies above the
     last level below 1, and it closes the bracket when the crossing lies
-    within the window's last step.
+    within the window's last step.  The first such bracket is refined by
+    bracketed_newton from its bottom end, with the secant through the
+    previous probe (at first the top end) as the slope: its first step is
+    the false-position point, and a repeated probe, of slope 0, bisects.
+    Each level is solved once; the ends keep their gaps from the scan.
     """
     ts, p, b, runs = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
     first, last = runs[0]
     run = slice(first, last + 2)
     t_run = ts[run]
     gap = _peak_rho(obs, t_run, p[run], b[run]) - t_run
-
-    def gap_at(t):
-        f0s, ps, bs = _side_structure(obs, alpha, np.array([t]))
-        return float(_peak_rho(obs, t, ps, bs)[0]) - t
-
-    cross = np.flatnonzero(gap[:-1] * gap[1:] <= 0.0)
+    cross = np.flatnonzero((gap[:-1] <= 0.0) & (gap[1:] >= 0.0))
     if cross.size == 0:
         raise NoFixedPoint("the rescaled peak value never crosses the diagonal in the window")
     i = int(cross[0])
-    return _illinois(gap_at, float(t_run[i]), float(t_run[i + 1]),
-                     float(gap[i]), float(gap[i + 1]), _PEAK_TOL)
+    lo, hi = float(t_run[i]), float(t_run[i + 1])
+    gaps = {lo: float(gap[i]), hi: float(gap[i + 1])}
+    prev = [hi]
+
+    def step(_, x):
+        t, tp = float(x[0]), prev[0]
+        if t not in gaps:
+            _, ps, bs = _side_structure(obs, alpha, x)
+            gaps[t] = float(_peak_rho(obs, t, ps, bs)[0]) - t
+        prev[0] = t
+        slope = (gaps[t] - gaps[tp]) / (t - tp) if t != tp else 0.0
+        return np.array([gaps[t]]), np.array([slope])
+
+    return float(bracketed_newton(step, np.array([lo]), np.array([0]), lo, hi, 0.0,
+                                  "peak value")[0])
 
 
 def solve_peak_value(phi: Decomposition, alpha: float) -> float:

@@ -31,7 +31,7 @@ from renormlab.renorm import (
     side_interval,
     solve_peak_value,
 )
-from renormlab.diffspace import identity_profile
+from renormlab.diffspace import FoldingMap, OrientedInterval, branch_zoom, identity_profile
 from renormlab.errors import (
     ConfigError,
     DomainError,
@@ -287,71 +287,76 @@ def test_fixed_point_across_the_alpha_range(alpha):
     assert is_renormalizable(DecomposedMap(report.pure_star, report.t_star, alpha))
 
 
-def test_false_position_that_runs_out_of_steps_raises():
-    # a sign step has no root: the bracket closes on the jump at 0.3 but
-    # never below a tolerance of 1e-300
-    def jump(t):
-        return -1.0 if t < 0.3 else 1.0
-
-    with pytest.raises(NonConvergence, match="bracket width"):
-        renorm._illinois(jump, 0.0, 1.0, -1.0, 1.0, 1e-300)
+def _gap(obs, alpha, t):
+    """rho(t) - t at one fold level, unchecked."""
+    _, p, b = renorm._side_structure(obs, alpha, np.array([t]))
+    return float(renorm._peak_rho(obs, t, p, b)[0]) - t
 
 
-def test_false_position_keeps_a_probe_the_step_cannot_move():
-    # the secant lands on 0.7, where fun is 1e-17: the next false-position
-    # point rounds back onto 0.7, which is the root to rounding
-    probes = []
-
-    def line(t):
-        probes.append(t)
-        return 3.0 * (t - 0.7) + 1e-17
-
-    assert renorm._illinois(line, 0.5, 0.9, line(0.5), line(0.9), 1e-12) == 0.7
-    assert len(probes) <= 4
-
-
-def _illinois_that_reprobes(fun, ta, tb, fa, fb, tol):
-    """renorm._illinois as it was before it stopped on two adjacent floats."""
-    best = min((abs(fa), ta), (abs(fb), tb))
-    if best[0] == 0.0:
-        return best[1]
-    for _ in range(renorm._ILLINOIS_STEPS):
-        tm = tb - fb * (tb - ta) / (fb - fa)
-        if tm == tb and abs(tb - ta) > 4.0 * abs(np.spacing(tb)):
-            return best[1]
-        lo, hi = (ta, tb) if ta < tb else (tb, ta)
-        if not lo < tm < hi:
-            tm = 0.5 * (ta + tb)
-        fm = fun(tm)
-        best = min(best, (abs(fm), tm))
-        if fm == 0.0 or abs(tb - ta) <= tol:
-            return best[1]
-        if (fm < 0.0) == (fb < 0.0):
-            fa *= 0.5
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 12.0, 24.0])
+@pytest.mark.parametrize("which", ["identity", "random"])
+def test_peak_solve_matches_the_bisection_oracle(alpha, which):
+    # a plain bisection of the gap's sign from the scan's crossing bracket
+    # down to two adjacent floats; the secant refinement lands in that bracket
+    obs = (identity_profile(64) if which == "identity"
+           else random_decomposed_map(2.0, 3, 64, seed=5).observed)
+    ts, p, b, runs = renorm._scan_window(obs, alpha, renorm._PEAK_SCAN_STEP)
+    run = slice(runs[0][0], runs[0][1] + 2)
+    gap = renorm._peak_rho(obs, ts[run], p[run], b[run]) - ts[run]
+    assert gap[0] < 0.0
+    i = int(np.flatnonzero(gap >= 0.0)[0])
+    lo, hi = float(ts[run][i - 1]), float(ts[run][i])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _gap(obs, alpha, mid) < 0.0:
+            lo = mid
         else:
-            ta, fa = tb, fb
-        tb, fb = tm, fm
-    raise AssertionError("the reference loop ran out of steps")
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    assert lo <= renorm._solve_peak(obs, alpha) <= hi
 
 
-def test_false_position_probes_no_point_twice(monkeypatch):
-    # the depth-5 alpha-1.5 solve brackets t* by two adjacent floats, whose
-    # midpoint rounds onto an end; the peak value stays the same
-    solves = []
-    illinois = renorm._illinois
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 7.0, 24.0])
+def test_peak_solve_solves_each_level_once(alpha, monkeypatch):
+    # single-level solves per peak solve, past the 250-level scan: 3-4 here,
+    # none twice; the bound of 5 fails a solver that needs 6, as the
+    # false-position loop did at alpha 1.5, 3 and 24
+    solves, inside = [], [False]
+    side, solve = renorm._side_structure, renorm._solve_peak
 
-    def compared(fun, ta, tb, fa, fb, tol):
-        probes, before = [ta, tb], [ta, tb]
-        got = illinois(lambda t: probes.append(t) or fun(t), ta, tb, fa, fb, tol)
-        want = _illinois_that_reprobes(lambda t: before.append(t) or fun(t), ta, tb, fa, fb, tol)
-        solves.append((got, want, probes, before))
-        return got
+    def counted_side(obs, a, t_values):
+        if inside[0] and np.size(t_values) == 1:
+            solves[-1].append(float(np.ravel(t_values)[0]))
+        return side(obs, a, t_values)
 
-    monkeypatch.setattr(renorm, "_illinois", compared)
-    find_fixed_point(SolverConfig(alpha=1.5, depth=5))
-    assert all(got == want for got, want, _, _ in solves)
-    assert all(len(set(probes)) == len(probes) for _, _, probes, _ in solves)
-    assert any(len(set(before)) < len(before) for _, _, _, before in solves)
+    def counted_solve(obs, a):
+        solves.append([])
+        inside[0] = True
+        try:
+            return solve(obs, a)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(renorm, "_side_structure", counted_side)
+    monkeypatch.setattr(renorm, "_solve_peak", counted_solve)
+    find_fixed_point(SolverConfig(alpha=alpha, depth=5))
+    assert solves and all(len(levels) <= 5 for levels in solves)
+    assert all(len(set(levels)) == len(levels) for levels in solves)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.0, 0.5])
+def test_alpha_outside_one_to_infinity_is_a_domain_error(alpha):
+    # checked before any fold level is solved, so before any RuntimeWarning
+    dec = identity_decomposition(1, 16)
+    calls = [lambda: FoldingMap(alpha, 0.7),
+             lambda: DecomposedMap(dec, 0.7, alpha),
+             lambda: branch_zoom(alpha, OrientedInterval(0.5, 0.9), 16),
+             lambda: renormalization_window(dec, alpha),
+             lambda: solve_peak_value(dec, alpha),
+             lambda: random_decomposed_map(alpha, 2, 16, 0)]
+    for call in calls:
+        with pytest.raises(DomainError, match="alpha must exceed 1 and be finite"):
+            call()
 
 
 # ------------------------------------------------------------ outer solver
