@@ -23,9 +23,11 @@ from .decompspace import identity_decomposition
 from .diffspace import identity_profile
 from .errors import ConfigError, DomainError, NoFixedPoint, NonConvergence, RenormlabError
 from .renorm import (
+    _MAX_SOLVER_BYTES,
     DecomposedMap,
     FixedPointReport,
     SolverConfig,
+    _solver_bytes,
     _window,
     find_fixed_point,
     find_periodic_orbit,
@@ -97,6 +99,93 @@ def _alpha_path(out_path: str, alpha: float) -> str:
     return f"{root}-alpha{alpha:g}{ext or '.json'}"
 
 
+def _solve_one(cfg: SolverConfig):
+    """One alpha of a sweep: (report JSON text, None), or (None, the RenormlabError)."""
+    try:
+        return _report_json(find_fixed_point(cfg)), None
+    except RenormlabError as exc:  # a failed alpha does not stop the others
+        return None, exc
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pin(cpus):
+    """Keep this sweep worker on one CPU, the next that the queue cpus holds."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _sweep(configs, paths) -> int:
+    """Solve each config, write its report in argument order, and return the exit code.
+
+    The alphas are solved in forked worker processes, one per usable CPU and
+    no more than fit in _MAX_SOLVER_BYTES together; with one worker, or no
+    fork, they are solved in turn in this process.  Either way this process
+    writes every file and prints every line, so neither depends on the
+    worker count.  An alpha whose worker dies reads "worker process died";
+    the pool is shut down, its queued solves cancelled, on every way out.
+    """
+    # the alphas share one depth and grid, so one solve's estimate serves all
+    workers = min(len(configs), _usable_cpus(), _MAX_SOLVER_BYTES // _solver_bytes(configs[0]))
+    if workers < 2 or not hasattr(os, "fork"):
+        return _write_sweep(configs, paths, map(_solve_one, configs))
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker imports numpy and the package afresh,
+    # which costs more than a depth-5 solve.  The executor forks every worker
+    # before it starts its own thread.
+    fork = multiprocessing.get_context("fork")
+    pinning = {}
+    if hasattr(os, "sched_setaffinity"):
+        # Linux can leave two fresh workers on one CPU for a whole solve while
+        # another CPU idles, so each worker takes a CPU of its own, in turn
+        cpus, usable = fork.SimpleQueue(), sorted(os.sched_getaffinity(0))
+        for k in range(workers):
+            cpus.put(usable[k % len(usable)])
+        pinning = dict(initializer=_pin, initargs=(cpus,))
+    pool = ProcessPoolExecutor(workers, mp_context=fork, **pinning)
+    try:
+        futures = []
+        for cfg in configs:
+            try:
+                futures.append(pool.submit(_solve_one, cfg))
+            except BrokenProcessPool:  # a worker died before this alpha was queued
+                futures.append(None)
+
+        def results():
+            for future in futures:
+                try:
+                    if future is None:
+                        raise BrokenProcessPool
+                    yield future.result()
+                except BrokenProcessPool:
+                    yield None, "worker process died"
+
+        return _write_sweep(configs, paths, results())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_sweep(configs, paths, results) -> int:
+    """Write each (text, error) result to its path, or print its error; the exit code."""
+    failures = 0
+    for cfg, path, (text, exc) in zip(configs, paths, results):
+        if exc is not None:
+            print(f"alpha {cfg.alpha:g}: {exc}", file=sys.stderr)
+            failures += 1
+        else:
+            _emit(text, path)
+            print(f"alpha {cfg.alpha:g}: wrote {path}")
+    return 2 if failures else 0
+
+
 def _cmd_fixed_point(args) -> int:
     if args.alpha_sweep:
         alphas = [float(a) for a in args.alpha_sweep.split(",") if a.strip()]
@@ -110,16 +199,7 @@ def _cmd_fixed_point(args) -> int:
             if path in paths[:i]:
                 raise ConfigError(f"--alpha-sweep alphas {alphas[paths.index(path)]:g} and "
                                   f"{alphas[i]:g} would both write {path}")
-        failures = 0
-        for cfg, path in zip(configs, paths):
-            try:
-                _emit(_report_json(find_fixed_point(cfg)), path)
-            except RenormlabError as exc:  # a failed alpha does not stop the others
-                print(f"alpha {cfg.alpha:g}: {exc}", file=sys.stderr)
-                failures += 1
-            else:
-                print(f"alpha {cfg.alpha:g}: wrote {path}")
-        return 2 if failures else 0
+        return _sweep(configs, paths)
 
     report = find_fixed_point(_config(args))
     _emit(_report_json(report), args.out)
@@ -196,7 +276,7 @@ def _build_parser() -> _Parser:
     alphas = p.add_mutually_exclusive_group()
     _add_shared(alphas, "alpha")
     alphas.add_argument("--alpha-sweep", type=str,
-                        help="comma list of alphas solved in turn, one output file each")
+                        help="comma list of alphas, solved one per CPU, one output file each")
     _add_shared(p, "depth", "grid", "tol", "max-iter", "out")
     p.set_defaults(handler=_cmd_fixed_point)
 

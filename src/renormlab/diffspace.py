@@ -125,11 +125,13 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
     operations would do, in the same order: a point takes a Newton step when
     it lands inside its bracket and bisects otherwise (so does a zero slope;
     an iterate with f == 0 closes both sides), and stops on its own, dropped
-    from the open points, once its step is below 1e-15, its bracket below
-    4e-16 or its residual at ``floor``.  The points are solved _cheb._CHUNK
-    at a time, each chunk to the end, so a step's series evaluation is one
-    cosine table.  Raises NonConvergence, naming ``what`` and counting the
-    open points of every chunk, if 100 steps run out.
+    from the open points, once its step is below 1e-15 with a residual that
+    is a number, its bracket below 4e-16 or its residual at ``floor``.  From
+    step 40 on every point bisects, so a bracket in [-1, 1] closes within
+    the 100-step budget; a nan residual never narrows it.  The points are
+    solved _cheb._CHUNK at a time, each chunk to the end, so a step's series
+    evaluation is one cosine table.  Raises NonConvergence, naming ``what``
+    and counting the open points of every chunk, if 100 steps run out.
     """
     floor, stuck, widest = float(floor), 0, 0.0
     for a in range(0, idx.size, _cheb._CHUNK):
@@ -138,17 +140,20 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
         xs = xa.tolist()
         los = lo[a:a + ia.size].tolist() if isinstance(lo, np.ndarray) else [float(lo)] * ia.size
         his = hi[a:a + ia.size].tolist() if isinstance(hi, np.ndarray) else [float(hi)] * ia.size
-        for _ in range(100):
+        for k in range(100):
             f, slope = step(ia, xa)
+            # from step 40 on every point bisects, as on a zero slope
+            slopes = slope.tolist() if k < 40 else [0.0] * len(xs)
             keep = []
-            for j, (xj, fj, sj) in enumerate(zip(xs, f.tolist(), slope.tolist())):
+            for j, (xj, fj, sj) in enumerate(zip(xs, f.tolist(), slopes)):
                 l = xj if fj <= 0.0 else los[j]
                 h = xj if fj >= 0.0 else his[j]
                 xn = xj - fj / sj if sj else nan
                 if not l <= xn <= h:
                     xn = 0.5 * (l + h)
                 xs[j], los[j], his[j] = xn, l, h
-                if not (abs(xn - xj) <= 1e-15 or h - l <= 4e-16 or abs(fj) <= floor):
+                if not (abs(xn - xj) <= 1e-15 and fj == fj or h - l <= 4e-16
+                        or abs(fj) <= floor):
                     keep.append(j)
             xa = np.array(xs)
             if len(keep) < len(xs):  # write every iterate, then drop the stopped points

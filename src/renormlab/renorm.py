@@ -57,9 +57,9 @@ _WINDOW_SCAN_STEP = 1e-3
 _WINDOW_EDGE_TOL = 1e-10
 _PEAK_SCAN_STEP = 2e-3
 
-# SolverConfig refuses more estimated bytes than this, so --depth 40 fails fast:
-# 16 float64 grids per tree node (eta, cached coefficients, a few decompositions
-# alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
+# SolverConfig refuses a solve whose estimated bytes (_solver_bytes) exceed this,
+# so --depth 40 fails fast, and an alpha sweep runs no more solves at once than
+# fit in it together.
 _MAX_SOLVER_BYTES = 2 ** 31
 
 # Most outer passes SolverConfig allows.  A tol below the rounding floor (a
@@ -409,6 +409,17 @@ def solve_peak_value(phi: Decomposition, alpha: float) -> float:
     return _solve_peak(compose_all(phi), alpha)
 
 
+def _solver_bytes(cfg) -> int:
+    """Estimated peak bytes of one solve at cfg's depth and grid.
+
+    16 float64 grids per tree node (eta, cached coefficients, a few
+    decompositions alive at once) plus 16 grid x grid coefficient and
+    Vandermonde matrices.
+    """
+    nodes = 2 ** (min(cfg.depth, 62) + 1) - 1  # deeper is far over the limit anyway
+    return 8 * 16 * cfg.grid * (nodes + cfg.grid)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the outer solvers: alpha, the tree depth and grid, tol and the pass cap."""
@@ -430,8 +441,7 @@ class SolverConfig:
             raise ConfigError("tol must be positive and finite")
         if not 1 <= self.max_iter <= _MAX_OUTER_PASSES:
             raise ConfigError(f"max_iter must be at least 1 and at most {_MAX_OUTER_PASSES}")
-        nodes = 2 ** (min(self.depth, 62) + 1) - 1  # deeper is far over the limit anyway
-        if 8 * 16 * self.grid * (nodes + self.grid) > _MAX_SOLVER_BYTES:
+        if _solver_bytes(self) > _MAX_SOLVER_BYTES:
             raise ConfigError(f"depth {self.depth} at grid {self.grid} would need over "
                               f"{_MAX_SOLVER_BYTES >> 30} GiB")
 

@@ -96,19 +96,21 @@ def vectorised_bracketed_newton(step, x, idx, lo, hi, floor, what):
     The reference for the per-point loop: every open point of the call in
     one step evaluation, the brackets, the Newton-or-bisect choice and the
     stop tests as whole-array operations, the stopped points compacted out.
-    A zero slope gives an inf or nan step here, which bisects.
+    A zero slope gives an inf or nan step here, which bisects, and so does
+    every step from step 40 on; a step taken on a nan residual stops nothing.
     """
     xa = x[idx]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
+        for k in range(100):
             if idx.size == 0:
                 return x
             f, slope = step(idx, xa)
             lo = np.where(f <= 0.0, xa, lo)
             hi = np.where(f >= 0.0, xa, hi)
             xn = xa - f / slope
-            xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
-            done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
+            xn = np.where((lo <= xn) & (xn <= hi) & (k < 40), xn, 0.5 * (lo + hi))
+            done = (((np.abs(xn - xa) <= 1e-15) & (f == f)) | (hi - lo <= 4e-16)
+                    | (np.abs(f) <= floor))
             xa = xn
             if done.any():
                 x[idx[done]] = xn[done]

@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, formats, determinism."""
 
 import argparse
+import concurrent.futures
 import json
+import multiprocessing
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -12,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from renormlab import decompspace, renorm, spectral
+from renormlab import cli, decompspace, errors, renorm, spectral
 from renormlab.cli import _build_parser, main
+from renormlab.renorm import SolverConfig
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
 
@@ -216,6 +220,142 @@ def test_alpha_sweep_keeps_going_past_an_alpha_that_fails(tmp_path, capsys):
 
 def test_alpha_sweep_needs_out():
     assert main(["fixed-point", "--alpha-sweep", "2,2.5", *FAST]) == 1
+
+
+SWEEP = ["fixed-point", "--alpha-sweep", "1.5,2,3", *FAST, "--out", "sweep.json"]
+
+
+def _sweep_in(directory, monkeypatch, capsys):
+    """Run SWEEP in directory: (exit code, stdout, stderr, the files' bytes by name)."""
+    monkeypatch.chdir(directory)
+    code = main(SWEEP)
+    out, err = capsys.readouterr()
+    assert not multiprocessing.active_children()
+    return code, out, err, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_alpha_sweep_files_equal_single_solves(tmp_path, monkeypatch, capsys):
+    # one forked worker per alpha, whatever the host's CPU count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    code, out, err, files = _sweep_in(tmp_path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"alpha {a}: wrote sweep-alpha{a}.json\n" for a in ("1.5", "2", "3"))
+    for a in ("1.5", "2", "3"):
+        single = tmp_path / f"single-{a}.json"
+        assert main(["fixed-point", "--alpha", a, *FAST, "--out", str(single)]) == 0
+        assert files[f"sweep-alpha{a}.json"] == single.read_bytes()
+
+
+def test_alpha_sweep_on_one_cpu_solves_in_turn(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    pooled = _sweep_in(tmp_path, monkeypatch, capsys)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was made")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    (tmp_path / "serial").mkdir()
+    assert _sweep_in(tmp_path / "serial", monkeypatch, capsys) == pooled
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform has no CPU affinity")
+def test_each_sweep_worker_keeps_to_one_cpu(tmp_path, monkeypatch, capsys):
+    # each report file holds the CPUs its worker may run on
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "find_fixed_point", lambda cfg: None)
+    monkeypatch.setattr(cli, "_report_json", lambda report: str(sorted(os.sched_getaffinity(0))))
+    files = _sweep_in(tmp_path, monkeypatch, capsys)[3]
+    usable = sorted(os.sched_getaffinity(0))
+    assert len(files) == 3
+    assert all(json.loads(text) in [[cpu] for cpu in usable] for text in files.values())
+
+
+def test_alpha_sweep_workers_fit_in_the_solver_memory_cap(tmp_path, monkeypatch, capsys):
+    # two solves of this size fit under the cap, three do not
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    cap = 2 * cli._solver_bytes(SolverConfig(alpha=2.0, depth=3, grid=48)) + 1
+    monkeypatch.setattr(cli, "_MAX_SOLVER_BYTES", cap)
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def pool(workers, **kwargs):
+        made.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert _sweep_in(tmp_path, monkeypatch, capsys)[0] == 0
+    assert made == [2]
+
+
+def test_alpha_sweep_that_cannot_write_cancels_the_queued_solves(tmp_path, monkeypatch, capsys):
+    # the first report cannot be written: the solves still queued are
+    # cancelled, and no worker outlives the sweep
+    solved = tmp_path / "solved"
+    solved.mkdir()
+
+    def solve(cfg):
+        time.sleep(0.1)
+        (solved / f"{cfg.alpha:g}").touch()
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "find_fixed_point", solve)
+    monkeypatch.setattr(cli, "_report_json", lambda report: "{}\n")
+    argv = ["fixed-point", "--alpha-sweep", ",".join(map(str, range(2, 12))),
+            "--out", str(tmp_path / "missing" / "sweep.json")]
+    assert main(argv) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+    assert len(list(solved.iterdir())) < 10
+
+
+_DYING_WORKER = """
+import multiprocessing, os, sys, time
+from renormlab import cli
+
+real = cli.find_fixed_point
+
+def solve(cfg):
+    if cfg.alpha == 3.0:
+        # die once the sweep has written the other alphas' files, so their
+        # results have arrived
+        while not (os.path.exists("sweep-alpha1.5.json") and os.path.exists("sweep-alpha2.json")):
+            time.sleep(0.01)
+        os._exit(7)
+    return real(cfg)
+
+cli.find_fixed_point = solve
+cli._usable_cpus = lambda: 3
+code = cli.main(sys.argv[1:])
+print("children", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+def test_alpha_sweep_survives_a_dying_worker(tmp_path):
+    # the child imports the package this test imported, from any directory
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER, *SWEEP], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ("alpha 1.5: wrote sweep-alpha1.5.json\n"
+                           "alpha 2: wrote sweep-alpha2.json\nchildren 0\n")
+    assert proc.stderr == "alpha 3: worker process died\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep-alpha1.5.json",
+                                                          "sweep-alpha2.json"]
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a forked worker hands a failed alpha's error back to the sweep by pickle
+    types = [c for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.RenormlabError)]
+    assert len(types) == 11
+    for cls in types:
+        back = pickle.loads(pickle.dumps(cls("no fixed point at alpha 3")))
+        assert type(back) is cls and str(back) == "no fixed point at alpha 3"
+    back = pickle.loads(pickle.dumps(errors.NonConvergence("ran out", [1e-3, 2.5e-4])))
+    assert back.trace == (1e-3, 2.5e-4) and str(back) == "ran out"
 
 
 # ---------------------------------------------------------------- spectrum

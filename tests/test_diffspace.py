@@ -146,11 +146,24 @@ def test_inverse_stops_at_the_rounding_floor(seed):
     renormalize(random_decomposed_map(2.0, 1 + seed % 3, 64, seed=seed), truncate=False)
 
 
-def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
-    # a derivative a million times too steep: every Newton step stays tiny
+def test_inverse_bisects_from_step_40(rng, monkeypatch):
+    # a derivative a million times too steep: every Newton step stays tiny,
+    # and the bisection steps from step 40 on close the bracket instead
     phi = random_profile(rng)
-    patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
-    with pytest.raises(NonConvergence):
+    ys = np.array([-0.7, 0.3, 0.9])
+    steps = patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
+    xs = phi.inverse(ys)
+    assert 40 < len(steps) <= 100
+    assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-14
+
+
+def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
+    # a nan residual never narrows the bracket, and a step it bisects is no
+    # sign of convergence: the budget runs out instead of the midpoint being
+    # returned as a root
+    phi = random_profile(rng)
+    patch_series(monkeypatch, lambda calls, f, logd: (np.full_like(f, np.nan), logd))
+    with pytest.raises(NonConvergence, match="widest bracket 2.0e"):
         phi.inverse(0.3)
     # more points than one chunk: the error counts the open points of all chunks
     with pytest.raises(NonConvergence, match="at 1100 of 1100 points"):
@@ -216,7 +229,8 @@ def test_newton_inverse_keeps_its_bits(rng, points):
 def _synthetic_roots(points):
     # x + x^3 about a root per point, in a bracket of its own; some points
     # start on their root (f == 0), some see a NaN residual or a zero slope
-    # at their start
+    # at their start.  A point whose residual is nan at its root never
+    # converges, so the nan falls only on starts off the root.
     rng = np.random.default_rng(points)
     root = rng.uniform(-0.5, 0.5, points)
     lo, hi = root - rng.uniform(0.1, 1.0, points), root + rng.uniform(0.1, 1.0, points)
@@ -227,7 +241,7 @@ def _synthetic_roots(points):
         d = xa - root[idx]
         f, slope = d + d ** 3, 1.0 + 3.0 * d * d
         first = xa == x0[idx]
-        f[first & (idx % 3 == 1)] = np.nan
+        f[first & (idx % 3 == 1) & (d != 0.0)] = np.nan
         slope[first & (idx % 3 == 2)] = 0.0
         return f, slope
 
@@ -235,14 +249,21 @@ def _synthetic_roots(points):
     return step, np.append(x0, 7.0), np.arange(points), lo, hi
 
 
-@pytest.mark.parametrize("kind", ["inverse", "fixed point", "synthetic"])
+@pytest.mark.parametrize("kind", ["inverse", "fixed point", "synthetic", "steep"])
 @pytest.mark.parametrize("points", [1, 4, 249, 1_025, 2_100])
 def test_bracketed_newton_equals_the_vectorised_loop(monkeypatch, kind, points):
     # the per-point loop against the whole-array reference loop, across the
-    # chunk boundaries of 1,025 and 2,100 points
+    # chunk boundaries of 1,025 and 2,100 points; "steep" reports slopes a
+    # million times too large, so its points close by bisection from step 40
     rng = np.random.default_rng(points)
-    if kind == "synthetic":
+    if kind in ("synthetic", "steep"):
         step, x, idx, lo, hi = _synthetic_roots(points)
+        if kind == "steep":
+            synthetic = step
+
+            def step(idx, xa):
+                f, slope = synthetic(idx, xa)
+                return f, 1e6 * slope
         got = bracketed_newton(step, x.copy(), idx, lo, hi, 1e-15, kind)
         want = vectorised_bracketed_newton(step, x.copy(), idx, lo, hi, 1e-15, kind)
         assert got[-1] == 7.0

@@ -141,8 +141,8 @@ def test_side_structure_skips_levels_below_the_diagonal():
 
 
 def test_side_structure_raises_when_its_budget_runs_out(monkeypatch):
-    # a derivative a million times too steep: every Newton step stays tiny
-    patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
+    # a nan residual never narrows the bracket, so the budget runs out
+    patch_series(monkeypatch, lambda calls, f, logd: (np.full_like(f, np.nan), logd))
     with pytest.raises(NonConvergence, match="fixed point p did not converge"):
         renorm._side_structure(identity_profile(48), 2.0, np.array([0.6, 0.8]))
 
@@ -275,10 +275,12 @@ def test_peak_solve_closes_its_bracket_at_the_scans_end():
     assert runs.tolist() == [[0, ts.size - 2]] and ts[-2:].tolist() == [0.998, 1.0]
 
 
-@pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0, 24.0])
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0, 24.0, 48.0])
 def test_fixed_point_across_the_alpha_range(alpha):
     # alpha 7 and 12 put the crossing in the window's last scan step, and
-    # alpha 24 puts the window's top in the scan's last step, below t = 1
+    # alpha 24 puts the window's top in the scan's last step, below t = 1;
+    # at alpha 48 the fixed point p of a peak-scan level closes its bracket
+    # only by the bisection steps from step 40 on
     report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert report.residual_geometry <= 1e-8 and report.residual_peak <= 1e-12
     if alpha == 24.0:
