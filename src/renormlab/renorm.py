@@ -49,6 +49,7 @@ from .errors import (
     NonConvergence,
     NoSideInterval,
     NoWindow,
+    ResolutionError,
 )
 
 # Scan steps over (1/2, 1] and the tolerance of the window edges; the
@@ -73,6 +74,14 @@ _MAX_OUTER_PASSES = 1000
 # differences within about 1e-5 rad of parallel, uses the last one alone.
 _ANDERSON_HISTORY = 2
 _ANDERSON_DET_RTOL = 1e-10
+
+# The outer passes run at grid min(config.grid, _COARSE_GRID) until one comes
+# within _SWITCH_FACTOR * tol, or its extrapolated next residual meets tol
+# (find_fixed_point).  Grids 32 and 64 move the depth-8 fixed point by about
+# 1e-14, which the passes at the configured grid damp; a depth-8 pass at grid 32
+# takes 30-44% less time than at grid 64.
+_COARSE_GRID = 32
+_SWITCH_FACTOR = 100.0
 
 # Longest orbit find_periodic_orbit takes: each outer pass makes k steps,
 # about 0.3 s each at depth 8, for up to max_iter passes.
@@ -422,7 +431,12 @@ def _solver_bytes(cfg) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the outer solvers: alpha, the tree depth and grid, tol and the pass cap."""
+    """Knobs for the outer solvers: alpha, the tree depth and grid, tol and the pass cap.
+
+    grid is the grid the solve certifies at: the outer passes run at
+    min(grid, 32) until they come near tol, and every report comes from a
+    pass at grid (see find_fixed_point).
+    """
 
     alpha: float
     depth: int = 8
@@ -567,24 +581,44 @@ def _anderson_mix(history) -> Geometry:
     return Geometry.from_rows(OrientedInterval(x[0], x[1], "+"), x[2:].reshape(-1, 4))
 
 
+def _outer_pass(config: SolverConfig, k: int, g: Geometry, grid: int):
+    """k steps from g at grid: (their maps, the geometries they start from, the k-th image)."""
+    maps, geoms, g_img = [], [], g
+    for _ in range(k):
+        geoms.append(g_img)
+        dm, g_img = _undamped_step(g_img, config.alpha, grid)
+        maps.append(dm)
+    return maps, geoms, g_img
+
+
 def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None):
     g = (_seed_geometry(config.alpha, config.depth, config.grid)
          if initial_geometry is None else initial_geometry)
     if g.depth != config.depth:
         raise DepthMismatch(
             f"initial geometry depth {g.depth} differs from configured depth {config.depth}")
+    grid = min(config.grid, _COARSE_GRID)
     t_prev = closure_prev = None
     trace, history = [], []
     for it in range(1, config.max_iter + 1):
-        maps, geoms, g_img = [], [], g
-        for _ in range(k):
-            geoms.append(g_img)
-            dm, g_img = _undamped_step(g_img, config.alpha, config.grid)
-            maps.append(dm)
+        try:
+            maps, geoms, g_img = _outer_pass(config, k, g, grid)
+        except ResolutionError:
+            if grid == config.grid:
+                raise
+            # the coarse grid cannot resolve this geometry: rerun at the configured one
+            grid = config.grid
+            maps, geoms, g_img = _outer_pass(config, k, g, grid)
         closure = geometry_distance(g_img, g)
         resid = closure + (1.0 if t_prev is None else abs(maps[0].t - t_prev))
         trace.append(resid)
-        if resid <= config.tol:
+        if grid < config.grid:
+            if (resid <= _SWITCH_FACTOR * config.tol
+                    or len(trace) > 1 and resid * resid <= config.tol * trace[-2]):
+                grid = config.grid
+                if resid <= config.tol:
+                    continue  # certify: rerun this pass from the same g at the configured grid
+        elif resid <= config.tol:
             return maps, geoms, closure, it
         # a closure that grew restarts the mixing from this pass alone
         if history and closure > closure_prev:
@@ -596,8 +630,8 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
             g = g_img
         t_prev, closure_prev = maps[0].t, closure
     raise NonConvergence(
-        f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} "
-        f"steps (tol {config.tol:.1e})", tuple(trace))
+        f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} steps, "
+        f"the last at grid {maps[-1].decomposition.grid} (tol {config.tol:.1e})", tuple(trace))
 
 
 def _cycle_reports(config: SolverConfig, maps, geoms, closure: float, iterations: int):
@@ -635,10 +669,16 @@ def find_fixed_point(config: SolverConfig,
     two passes (_anderson_mix), as the next g; T(g) itself where the mixed
     geometry is inadmissible, and the mixing restarts when |T(g) - g| grew.
     Convergence is declared when the geometry movement plus the peak-value
-    movement drops below tol.  The report is the last pass's step from the
+    movement drops below tol.  The passes run at grid min(config.grid, 32)
+    until one comes within 100 tol, or its residual squared over the
+    previous one meets tol; from then on they run at config.grid.  A coarse
+    pass that meets tol, or that raises ResolutionError, is rerun from the
+    same g at config.grid, so only a pass at config.grid returns; the
+    geometry does not depend on the grid, and the mixing history carries
+    across the switch.  The report is the last pass's step from the
     returned g: t* and the pure decomposition come from it,
     residual_geometry is |T(g) - g| and residual_peak is recomputed through
-    peak_value_rho.
+    peak_value_rho.  NonConvergence names the grid of the last pass.
     """
     return _cycle_reports(config, *_outer_solve(config, 1, initial_geometry))[0]
 

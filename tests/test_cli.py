@@ -135,6 +135,20 @@ def test_nonconvergence_exits_2_with_trace(capsys):
     assert "residual trace" in err
 
 
+def test_unresolved_pass_at_the_configured_grid_exits_2(monkeypatch, capsys):
+    # the coarse pass is rerun at grid 48, and that pass's error is the run's
+    grids = []
+
+    def unresolved(g, alpha, grid):
+        grids.append(grid)
+        raise errors.ResolutionError(f"grid {grid} cannot resolve the composition")
+
+    monkeypatch.setattr(renorm, "_undamped_step", unresolved)
+    assert main(["fixed-point", "--alpha", "2", *FAST]) == 2
+    assert grids == [32, 48]
+    assert capsys.readouterr().err == "error: grid 48 cannot resolve the composition\n"
+
+
 def test_spectrum_requires_readable_report(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     assert main(["spectrum", "--alpha", "2", "--in", str(missing)]) == 1

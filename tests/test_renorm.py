@@ -39,6 +39,7 @@ from renormlab.errors import (
     NoFixedPoint,
     NonConvergence,
     NoSideInterval,
+    ResolutionError,
 )
 from support import patch_series
 
@@ -420,6 +421,78 @@ def test_reports_are_certified_by_the_last_pass(monkeypatch):
     assert len(calls) == 2 * reports[0].iterations
 
 
+def _spy_on_steps(monkeypatch, fail=lambda grid, calls: False):
+    """Record (start geometry, grid) of each _undamped_step; raise ResolutionError where fail says."""
+    calls = []
+    step = renorm._undamped_step
+
+    def spied(g, alpha, grid):
+        calls.append((g, grid))
+        if fail(grid, calls):
+            raise ResolutionError("composition not resolved (injected)")
+        return step(g, alpha, grid)
+
+    monkeypatch.setattr(renorm, "_undamped_step", spied)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_grid_32_and_grid_64_fixed_points_agree(alpha, monkeypatch):
+    # the premise of the coarse passes: the grid is not the precision knob.
+    # Every pass at grid 64, every pass at grid 32, and the default solve,
+    # whose passes run at grid 32 until the last
+    calls = _spy_on_steps(monkeypatch)
+
+    def solve(grid):
+        calls.clear()
+        report = find_fixed_point(SolverConfig(alpha=alpha, depth=5, grid=grid))
+        assert len(calls) == report.iterations
+        return report, [g for _, g in calls]
+
+    default, grids = solve(64)
+    assert grids[0] == 32 and grids[-1] == 64
+    coarse, grids = solve(32)
+    assert set(grids) == {32}
+    monkeypatch.setattr(renorm, "_COARSE_GRID", 64)
+    fine, grids = solve(64)
+    assert set(grids) == {64}
+    for other in (coarse, default):
+        assert abs(other.t_star - fine.t_star) <= 4 * np.spacing(fine.t_star)
+        assert geometry_distance(other.geometry_star, fine.geometry_star) <= 1e-13
+
+
+def test_a_coarse_pass_that_meets_tol_is_rerun_at_the_configured_grid(small_report,
+                                                                        monkeypatch):
+    # from a fixed point the second pass meets tol at grid 32; the third
+    # repeats it from the same geometry at grid 48 and certifies the report
+    calls = _spy_on_steps(monkeypatch)
+    rep = find_fixed_point(SMALL, small_report.geometry_star)
+    assert [grid for _, grid in calls] == [32, 32, 48] and rep.iterations == 3
+    assert calls[2][0] is calls[1][0]
+    assert rep.grid == rep.pure_star.grid == 48 and rep.residual_geometry <= SMALL.tol
+
+
+def test_an_unresolved_coarse_pass_reruns_at_the_configured_grid(monkeypatch):
+    calls = _spy_on_steps(monkeypatch, lambda grid, calls: grid == 32 and len(calls) == 2)
+    rep = find_fixed_point(SolverConfig(alpha=2.0, depth=5))
+    # pass 2 is rerun from the same geometry, and every later pass stays at grid 64
+    assert [grid for _, grid in calls] == [32, 32] + [64] * (rep.iterations - 1)
+    assert calls[2][0] is calls[1][0]
+    assert rep.grid == rep.pure_star.grid == 64
+    assert rep.residual_geometry <= 1e-8 and rep.residual_peak <= 1e-12
+
+
+@pytest.mark.parametrize("tol, max_iter, grid", [(1e-8, 4, 32), (1e-16, 20, 48)],
+                         ids=["coarse", "configured"])
+def test_nonconvergence_names_the_grid_of_the_last_pass(tol, max_iter, grid, monkeypatch):
+    # tol 1e-16 lies below the rounding floor: the passes come near it at grid
+    # 32, switch to grid 48 and stay above it there
+    calls = _spy_on_steps(monkeypatch)
+    with pytest.raises(NonConvergence, match=f"after {max_iter} steps, the last at grid {grid} "):
+        find_fixed_point(SolverConfig(alpha=2.0, depth=3, grid=48, tol=tol, max_iter=max_iter))
+    assert len(calls) == max_iter and calls[-1][1] == grid
+
+
 @pytest.mark.parametrize("alpha, passes", [(1.5, 5), (2.0, 6), (3.0, 7)])
 def test_mixed_outer_iteration_takes_fewer_passes(alpha, passes):
     # the plain iteration takes 7, 8 and 10 passes
@@ -497,6 +570,15 @@ def test_periodic_orbit_collapses_to_fixed_point(small_report):
     assert all(r.coincident for r in reports)
     for r in reports:
         assert r.t_star == pytest.approx(small_report.t_star, abs=1e-6)
+
+
+def test_periodic_orbit_switches_grids_without_an_extra_pass(monkeypatch):
+    # its residual falls about 1000x a pass (2.3e-6 to 1.9e-9), past the
+    # 100 tol window; the extrapolated residual switches it in time, so it
+    # takes the 4 passes of running every pass at grid 64
+    calls = _spy_on_steps(monkeypatch)
+    reports = find_periodic_orbit(SolverConfig(alpha=2.0, depth=5), 2)
+    assert reports[0].iterations == 4 and calls[0][1] == 32 and calls[-1][1] == 64
 
 
 def test_periodic_orbit_rejects_bad_length():
