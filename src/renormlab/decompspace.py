@@ -38,7 +38,7 @@ from .diffspace import (
     compose,  # noqa: F401 - re-exported as decompspace.compose
     compose_rows,
     inner_side,
-    newton_inverse,
+    pullback_rows,
     quad_rows,
     zoom_rows,
 )
@@ -346,19 +346,20 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
     A single descending pass keeps the running preimages: visiting row r it
     first pulls both intervals back through that row's node, then records
     them, so row r of the result holds the preimages under the composition
-    of the nodes in rows 0..r.  Each step is the node's own inverse, on the
-    evaluation data built for all nodes in one batch, its series cut to the
-    node's width.  The result is
-    packaged as a geometry with side_root = s1.
+    of the nodes in rows 0..r.  Each step is the node's own inverse, bit for
+    bit, on the evaluation data built for all nodes in one batch, its series
+    cut to the node's width; diffspace.pullback_rows runs the chain one row
+    at a time, so the first row where an interval's preimage is at most
+    1e-13 long raises GeometryError naming that row's index before any
+    later row is solved.  The result is packaged as a geometry with
+    side_root = s1.
     """
     if s2.flag != "-" or abs(s2.lo + s2.hi) > 1e-9:
         raise GeometryError("central interval must be symmetric with flag '-'")
     if s1.flag != "+" or not (0.0 < s1.lo and s1.hi < 1.0):
         raise GeometryError("side interval must carry flag '+' inside (0, 1)")
-    ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     out = np.empty((dec.times.size, 4))
-    for r, (series, floor, width) in enumerate(zip(*dec._batch())):
-        ends = newton_inverse(ends, series[:, :width], floor)
+    for r, ends in enumerate(pullback_rows(*dec._batch(), (s1.lo, s1.hi, s2.lo, s2.hi))):
         if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
             raise GeometryError("pullback interval degenerates at index "
                                 f"{dec.times.indices_descending()[r]!r}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nan
+from operator import sub
 
 import numpy as np
 
@@ -142,19 +143,7 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
         his = hi[a:a + ia.size].tolist() if isinstance(hi, np.ndarray) else [float(hi)] * ia.size
         for k in range(100):
             f, slope = step(ia, xa)
-            # from step 40 on every point bisects, as on a zero slope
-            slopes = slope.tolist() if k < 40 else [0.0] * len(xs)
-            keep = []
-            for j, (xj, fj, sj) in enumerate(zip(xs, f.tolist(), slopes)):
-                l = xj if fj <= 0.0 else los[j]
-                h = xj if fj >= 0.0 else his[j]
-                xn = xj - fj / sj if sj else nan
-                if not l <= xn <= h:
-                    xn = 0.5 * (l + h)
-                xs[j], los[j], his[j] = xn, l, h
-                if not (abs(xn - xj) <= 1e-15 and fj == fj or h - l <= 4e-16
-                        or abs(fj) <= floor):
-                    keep.append(j)
+            keep = _bracket_step(k, xs, f.tolist(), slope, los, his, floor)
             xa = np.array(xs)
             if len(keep) < len(xs):  # write every iterate, then drop the stopped points
                 x[ia] = xa
@@ -166,10 +155,36 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
             stuck += len(xs)
             widest = max(widest, max(h - l for l, h in zip(los, his)))
     if stuck:
-        raise NonConvergence(
-            f"{what} did not converge in 100 Newton steps at {stuck} of {x.size} "
-            f"points (widest bracket {widest:.1e})")
+        raise _budget_spent(what, stuck, x.size, widest)
     return x
+
+
+def _bracket_step(k, xs, fs, slope, los, his, floor) -> list:
+    """Step k of bracketed Newton at the open points xs, on Python floats.
+
+    fs (floats) and slope (an array) are the function and its derivative at
+    xs; xs, los and his (lists) take the new iterates and brackets in place.
+    Returns the positions in xs of the points still open.  The per-point
+    bookkeeping of bracketed_newton and of pullback_rows.
+    """
+    # from step 40 on every point bisects, as on a zero slope
+    slopes = slope.tolist() if k < 40 else [0.0] * len(xs)
+    keep = []
+    for j, (xj, fj, sj) in enumerate(zip(xs, fs, slopes)):
+        l = xj if fj <= 0.0 else los[j]
+        h = xj if fj >= 0.0 else his[j]
+        xn = xj - fj / sj if sj else nan
+        if not l <= xn <= h:
+            xn = 0.5 * (l + h)
+        xs[j], los[j], his[j] = xn, l, h
+        if not (abs(xn - xj) <= 1e-15 and fj == fj or h - l <= 4e-16 or abs(fj) <= floor):
+            keep.append(j)
+    return keep
+
+
+def _budget_spent(what: str, stuck: int, points: int, widest: float) -> NonConvergence:
+    return NonConvergence(f"{what} did not converge in 100 Newton steps at {stuck} of {points} "
+                          f"points (widest bracket {widest:.1e})")
 
 
 def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarray:
@@ -192,6 +207,48 @@ def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarra
 
     return bracketed_newton(step, y.copy(), (np.abs(y) < 1.0).nonzero()[0], -1.0, 1.0,
                             floor, "inverse")
+
+
+def pullback_rows(series: np.ndarray, floor: np.ndarray, width, ends):
+    """The points ends pulled back through the rows of a stack, row 0 first.
+
+    (series, floor, width) is quad_rows of the rows.  A generator that
+    yields one list per row: row r's is row r - 1's (ends for r = 0) under
+    row r's inverse, bit for bit
+    newton_inverse(row r - 1, series[r][:, :width[r]], floor[r]).  It is
+    that chain without the per-call overhead: each step's numpy work
+    is chebval's cosine table and einsum on the open points and exp of the
+    log phi' row, and the bookkeeping is bracketed_newton's _bracket_step.
+    chebval's clip is left out: every iterate stays in its bracket inside
+    [-1, 1], where the clip is the identity.  Points with |y| = 1 or nan
+    stay as they are.  A row is solved when the caller asks for it, so a
+    caller that stops at a row never solves the rows after it.  Raises
+    NonConvergence, naming the inverse, if a row's 100 steps run out.
+    """
+    degrees = np.arange(series.shape[-1], dtype=float)
+    ys = [float(y) for y in ends]
+    for row, fl, w in zip(series, floor.tolist(), width):
+        row, deg = row[:, :w], degrees[:w]
+        idx = [j for j, y in enumerate(ys) if abs(y) < 1.0]
+        xs, los, his = [ys[j] for j in idx], [-1.0] * len(idx), [1.0] * len(idx)
+        targets = xs[:]
+        for k in range(100):
+            if not idx:
+                break
+            table = np.arccos(np.array(xs))[:, None] * deg
+            both = np.einsum("...j,kj->k...", np.cos(table, out=table), row)
+            keep = _bracket_step(k, xs, map(sub, both[0].tolist(), targets), np.exp(both[1]),
+                                 los, his, fl)
+            if len(keep) < len(xs):  # write every iterate, then drop the stopped points
+                for j, x in zip(idx, xs):
+                    ys[j] = x
+                idx, targets = [idx[j] for j in keep], [targets[j] for j in keep]
+                xs = [xs[j] for j in keep]
+                los, his = [los[j] for j in keep], [his[j] for j in keep]
+        if idx:
+            raise _budget_spent("inverse", len(idx), len(ys),
+                                max(h - l for l, h in zip(los, his)))
+        yield list(ys)
 
 
 class NonlinearityProfile:
@@ -285,8 +342,13 @@ class NonlinearityProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonlinearityProfile":
-        eta = np.asarray(data["eta"], dtype=float)
-        if len(eta) != int(data["degree"]):
+        """Rebuild a stored profile; malformed input raises DomainError."""
+        try:
+            eta = np.asarray(data["eta"], dtype=float)
+            count, degree = len(eta), int(data["degree"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed profile: {type(exc).__name__}: {exc}") from exc
+        if count != degree:
             raise DomainError("profile degree does not match sample count")
         return cls(eta)
 
@@ -413,7 +475,12 @@ class OrientedInterval:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OrientedInterval":
-        return cls(float(data["lo"]), float(data["hi"]), str(data["flag"]))
+        """Rebuild a stored interval; malformed input raises DomainError."""
+        try:
+            lo, hi, flag = float(data["lo"]), float(data["hi"]), str(data["flag"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed interval: {type(exc).__name__}: {exc}") from exc
+        return cls(lo, hi, flag)
 
 
 def zoom_rows(eta: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:

@@ -30,9 +30,17 @@ from renormlab.decompspace import (
     pullback_intervals,
     pure_decomposition,
 )
-from renormlab.errors import DepthMismatch, DomainError, GeometryError, ResolutionError
+from renormlab import diffspace
+from renormlab.diffspace import newton_inverse, pullback_rows
+from renormlab.errors import (
+    DepthMismatch,
+    DomainError,
+    GeometryError,
+    NonConvergence,
+    ResolutionError,
+)
 
-from support import random_decomposition, random_geometry
+from support import random_decomposition, random_geometry, random_profile
 
 
 # ---------------------------------------------------------------- container
@@ -381,6 +389,103 @@ def test_pullback_equals_the_chain_of_node_inverses(rng):
         # a fresh profile builds its own evaluation data, not the batch's
         ends = NonlinearityProfile(dec.nodes[w].eta_values).inverse(ends)
         assert [g.s1[w].lo, g.s1[w].hi, g.s2[w].lo, g.s2[w].hi] == ends.tolist(), w
+
+
+def _spy_on_bisections(monkeypatch):
+    """Record the points diffspace.bracketed_newton moves to a bracket midpoint.
+
+    Wraps each solve's step: a point whose next iterate is not its Newton
+    iterate x - f / phi'(x) was bisected.  The list gains one entry per
+    such step, and the results do not change.
+    """
+    bisected, solve = [], diffspace.bracketed_newton
+
+    def spy(step, x, idx, lo, hi, floor, what):
+        newton = {}
+
+        def spied(ia, xa):
+            f, slope = step(ia, xa)
+            bisected.extend(i for i, xi in zip(ia.tolist(), xa.tolist())
+                            if newton.get(i, xi) != xi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton.update(zip(ia.tolist(), (xa - f / slope).tolist()))
+            return f, slope
+        return solve(spied, x, idx, lo, hi, floor, what)
+
+    monkeypatch.setattr(diffspace, "bracketed_newton", spy)
+    return bisected
+
+
+@pytest.mark.parametrize("depth", [1, 4, 8])
+@pytest.mark.parametrize("central", [0.35, 0.3, 1.0, np.nan],
+                         ids=["shared-end", "unshared", "unit", "nan"])
+@pytest.mark.parametrize("scale", [0.25, 8.0], ids=["mild", "steep"])
+def test_pullback_rows_equal_the_chain_of_node_inverses(rng, monkeypatch, depth, central, scale):
+    # the kernel under pullback_intervals, on ends it does not admit as
+    # well: 0.35 ends [0.35, 0.8] and starts [-0.35, 0.35], as in the
+    # renormalization's pullback; -1, 1 and nan are left as they are; steep
+    # nodes overshoot their brackets, so some Newton steps of the chain bisect
+    dec = random_decomposition(rng, depth, scale=scale)
+    ends = np.array([0.35, 0.8, -central, central])
+    rows = np.array(list(pullback_rows(*dec._batch(), ends)))
+    assert rows.shape == (dec.times.size, 4)
+    bisected = _spy_on_bisections(monkeypatch)
+    for r, w in enumerate(dec.times.indices_descending()):
+        # NonlinearityProfile.inverse without its argument check, which
+        # refuses nan; a fresh profile builds its own evaluation data
+        ends = newton_inverse(ends, *NonlinearityProfile(dec.nodes[w].eta_values)._offgrid())
+        assert np.array_equal(rows[r], ends, equal_nan=True), w
+    assert bool(bisected) == (scale > 1.0)
+
+
+def test_pullback_bisects_from_step_40(rng):
+    # log phi' a million times too large: every Newton step stays tiny, and
+    # the bisection steps from step 40 on close each row's brackets
+    dec = random_decomposition(rng, 2)
+    s1, s2 = OrientedInterval(0.35, 0.8, "+"), OrientedInterval(-0.35, 0.35, "-")
+    fair = pullback_intervals(dec, s1, s2)
+    series, floor, width = dec._batch()
+    series = series.copy()
+    series[:, 1, 0] += np.log(1e6)
+    dec._quad = (series, floor, width)
+    g = pullback_intervals(dec, s1, s2)
+    ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
+    for r in range(dec.times.size):
+        ends = newton_inverse(ends, series[r][:, :width[r]], floor[r])
+        assert np.array_equal(g.ends[r], ends), r
+    assert np.max(np.abs(g.ends - fair.ends)) < 1e-12
+
+
+def test_pullback_raises_the_inverses_nonconvergence():
+    # a nan residual never narrows a bracket: row 3's budget runs out at
+    # every point, with a shared endpoint or without
+    dec = identity_decomposition(2, 32)
+    series, floor, width = dec._batch()
+    dec._quad = (np.where(np.arange(7)[:, None, None] == 3, np.nan, series), floor, width)
+    for s2 in (OrientedInterval(-0.3, 0.3, "-"), OrientedInterval(-0.35, 0.35, "-")):
+        with pytest.raises(NonConvergence, match=r"^inverse did not converge in 100 Newton "
+                           r"steps at 4 of 4 points \(widest bracket 2\.0e\+00\)$"):
+            pullback_intervals(dec, OrientedInterval(0.35, 0.8, "+"), s2)
+
+
+def test_a_collapsing_pullback_names_its_first_degenerate_row(rng):
+    # steep nodes in every row shrink both intervals until one is no longer
+    # than 1e-13; the rows after it are never solved, so a nan series there
+    # raises nothing
+    times = DecompositionTimes(8)
+    dec = Decomposition.from_rows(times, [random_profile(rng, scale=2.0).eta_values
+                                          for _ in range(times.size)])
+    s1, s2 = OrientedInterval(0.3, 0.75, "+"), OrientedInterval(-0.3, 0.3, "-")
+    ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
+    for r, w in enumerate(times.indices_descending()):
+        ends = dec.nodes[w].inverse(ends)
+        if ends[1] - ends[0] <= 1e-13 or ends[3] - ends[2] <= 1e-13:
+            break
+    assert 0 < r < times.size - 1
+    series, floor, width = dec._batch()
+    dec._quad = (np.where(np.arange(times.size)[:, None, None] > r, np.nan, series), floor, width)
+    with pytest.raises(GeometryError, match=f"^pullback interval degenerates at index {w!r}$"):
+        pullback_intervals(dec, s1, s2)
 
 
 def test_pullback_validation():

@@ -417,6 +417,17 @@ def test_serialization_round_trip(rng):
     assert np.array_equal(clone.eta_values, phi.eta_values)
 
 
+@pytest.mark.parametrize("data", [
+    {"degree": 4}, {"eta": [0.0] * 4}, {"degree": "x", "eta": [0.0] * 4},
+    {"degree": 4, "eta": ["a", 0.0, 0.0, 0.0]}, {"degree": 4, "eta": 0.5},
+    {"degree": None, "eta": [0.0] * 4}, {"degree": 2, "eta": [[0.0, 0.0], [0.0]]}, [0.0] * 4,
+], ids=["no-eta", "no-degree", "degree-not-a-number", "eta-not-a-number", "eta-scalar",
+        "degree-none", "eta-ragged", "not-a-dict"])
+def test_profile_from_dict_refuses_malformed_input(data):
+    with pytest.raises(DomainError, match="malformed profile"):
+        NonlinearityProfile.from_dict(data)
+
+
 def test_linear_combination_acts_samplewise(rng):
     phi, psi = random_profile(rng), random_profile(rng)
     out = linear_combination(0.3, phi, -1.25, psi)
@@ -538,6 +549,15 @@ def test_oriented_interval_identify_locate_round_trip():
         assert np.max(np.abs(box.locate(box.identify(XS)) - XS)) < 1e-14
         clone = OrientedInterval.from_dict(box.to_dict())
         assert clone == box
+
+
+@pytest.mark.parametrize("data", [
+    {"lo": 0.1}, {"lo": 0.1, "hi": 0.5}, {"lo": "a", "hi": 0.5, "flag": "+"},
+    {"lo": None, "hi": 0.5, "flag": "+"}, [0.1, 0.5, "+"],
+], ids=["no-hi", "no-flag", "lo-not-a-number", "lo-none", "not-a-dict"])
+def test_oriented_interval_from_dict_refuses_malformed_input(data):
+    with pytest.raises(DomainError, match="malformed interval"):
+        OrientedInterval.from_dict(data)
 
 
 def test_oriented_interval_validation():
