@@ -314,6 +314,10 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # checked before any handler runs, so no solve starts that cannot be written
+        folder = os.path.dirname(getattr(args, "out", None) or "")
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"--out directory {folder} does not exist")
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ from .decompspace import (
     decomposition_distance,
     geometric_renormalize,
     geometry_distance,
-    identity_decomposition,
     pullback_intervals,
     pure_decomposition,
 )
@@ -317,8 +316,11 @@ def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
 
     Each run of renormalizable levels is a (first, last) index pair.  The
     grid ends at t = 1, whose peak image Phi(1) = 1 exceeds every side point
-    b < 1, so every run has a level past it in the grid.  Raises DomainError
-    unless 1 < alpha < inf, before any level is solved.
+    b < 1, so every run has a level past it in the grid.  Where b rounds to
+    1 at t = 1 (the bare fold from alpha of about 5e8) a run reaches the last
+    level, and NoWindow is raised: that run's top edge is not resolved below
+    t = 1.  Raises DomainError unless 1 < alpha < inf, before any level is
+    solved.
     """
     if not 1.0 < alpha < np.inf:
         raise DomainError("alpha must exceed 1 and be finite")
@@ -328,6 +330,9 @@ def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
     if not edges.size:
         raise NoWindow(
             f"no renormalizable peak value in (0.5, 1] at scan step {scan_step:g}")
+    if edges[-1] == ts.size:
+        raise NoWindow(f"the renormalizable window reaches t = 1 at alpha {alpha:g}: "
+                       "its top edge is not resolved below t = 1")
     return ts, p, b, edges.reshape(-1, 2) - [0, 1]
 
 
@@ -536,11 +541,18 @@ class FixedPointReport:
 
 
 def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:
-    """Dynamical data of the bare fold: the identity decomposition's geometry."""
-    dec = identity_decomposition(depth, grid)
+    """Dynamical geometry of the bare fold q_t0, t0 its invariant peak value.
+
+    The bare fold's decomposition is the identity, whose every node pulls an
+    interval back to itself, so every index holds the side interval [p, b]
+    and the central interval [-p, p] themselves: p and b are q_t0's fixed
+    point and side point (_side_structure), and no pullback is solved.
+    """
     obs = identity_profile(grid)
     t0 = _solve_peak(obs, alpha)
-    return dynamical_geometry(DecomposedMap(dec, t0, alpha, observed=obs))
+    _, p, b = (float(v[0]) for v in _side_structure(obs, alpha, np.array([t0])))
+    return Geometry.from_rows(OrientedInterval(p, b, "+"),
+                              np.tile([p, b, -p, p], (2 ** (depth + 1) - 1, 1)))
 
 
 def _undamped_step(g: Geometry, alpha: float, grid: int):
@@ -663,7 +675,8 @@ def find_fixed_point(config: SolverConfig,
                      initial_geometry: Geometry | None = None) -> FixedPointReport:
     """Outer iteration on the geometry for a truncation fixed point.
 
-    State is the geometry g: each pass solves the pure decomposition of g,
+    State is the geometry g, initial_geometry or else the bare fold's
+    (_seed_geometry): each pass solves the pure decomposition of g,
     re-solves the invariant peak value, and takes the resulting dynamical
     geometry T(g), Anderson-mixed with the residual differences of the last
     two passes (_anderson_mix), as the next g; T(g) itself where the mixed

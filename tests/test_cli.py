@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -114,18 +115,40 @@ def test_validation_errors_exit_1(capsys):
     (["cascade", "--alpha", "inf", "-m", "3"], "alpha must exceed 1 and be finite"),
     (["fixed-point", "--alpha-sweep", "2,2", *FAST, "--out", "sweep.json"],
      "--alpha-sweep alphas 2 and 2 would both write sweep-alpha2.json"),
+    (["fixed-point", "--alpha", "2", "--depth", "9", "--out", "missing/x.json"],
+     "--out directory missing does not exist"),
+    (["fixed-point", "--alpha-sweep", "1.5,2,3", *FAST, "--out", "missing/x.json"],
+     "--out directory missing does not exist"),
+    (["orbit", "--alpha", "2", "-k", "2", "--out", "missing/x.json"],
+     "--out directory missing does not exist"),
 ], ids=["tol-inf", "fixed-point-alpha-inf", "window-alpha-inf", "cascade-alpha-inf",
-        "sweep-repeats-alpha"])
+        "sweep-repeats-alpha", "fixed-point-out-missing", "sweep-out-missing",
+        "orbit-out-missing"])
 def test_bad_settings_exit_1_before_any_solve(argv, message, monkeypatch, tmp_path, capsys):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
+    monkeypatch.setattr(cli, "find_fixed_point", solve)
+    monkeypatch.setattr(cli, "find_periodic_orbit", solve)
     monkeypatch.setattr(renorm, "_side_structure", solve)
     monkeypatch.setattr(spectral, "_next_superstable", solve)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["window", "--alpha", "1e9"],
+                                  ["fixed-point", "--alpha", "1e300", "--depth", "2"]],
+                         ids=["window", "fixed-point"])
+def test_a_window_that_reaches_t_1_exits_2_without_a_warning(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: the renormalizable window reaches t = 1")
+    assert err.count("\n") == 1
 
 
 def test_nonconvergence_exits_2_with_trace(capsys):
@@ -303,10 +326,11 @@ def test_alpha_sweep_workers_fit_in_the_solver_memory_cap(tmp_path, monkeypatch,
 
 
 def test_alpha_sweep_that_cannot_write_cancels_the_queued_solves(tmp_path, monkeypatch, capsys):
-    # the first report cannot be written: the solves still queued are
-    # cancelled, and no worker outlives the sweep
+    # the first report cannot be written, a directory sits at its path: the
+    # solves still queued are cancelled, and no worker outlives the sweep
     solved = tmp_path / "solved"
     solved.mkdir()
+    (tmp_path / "sweep-alpha2.json").mkdir()
 
     def solve(cfg):
         time.sleep(0.1)
@@ -316,9 +340,9 @@ def test_alpha_sweep_that_cannot_write_cancels_the_queued_solves(tmp_path, monke
     monkeypatch.setattr(cli, "find_fixed_point", solve)
     monkeypatch.setattr(cli, "_report_json", lambda report: "{}\n")
     argv = ["fixed-point", "--alpha-sweep", ",".join(map(str, range(2, 12))),
-            "--out", str(tmp_path / "missing" / "sweep.json")]
+            "--out", str(tmp_path / "sweep.json")]
     assert main(argv) == 1
-    assert "No such file or directory" in capsys.readouterr().err
+    assert "Is a directory" in capsys.readouterr().err
     assert not multiprocessing.active_children()
     assert len(list(solved.iterdir())) < 10
 

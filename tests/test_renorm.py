@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from renormlab import renorm
+from renormlab import decompspace, renorm
 from renormlab.decompspace import (
     decomposition_distance,
     geometry_distance,
@@ -39,6 +39,7 @@ from renormlab.errors import (
     NoFixedPoint,
     NonConvergence,
     NoSideInterval,
+    NoWindow,
     ResolutionError,
 )
 from support import patch_series
@@ -276,6 +277,17 @@ def test_peak_solve_closes_its_bracket_at_the_scans_end():
     assert runs.tolist() == [[0, ts.size - 2]] and ts[-2:].tolist() == [0.998, 1.0]
 
 
+@pytest.mark.parametrize("alpha", [1e9, 1e300])
+def test_a_window_that_reaches_t_1_is_refused(alpha):
+    # b rounds to 1 at t = 1, so the bare fold's run reaches the scan's last
+    # level and its top edge is not resolved below t = 1
+    message = "its top edge is not resolved below t = 1"
+    with pytest.raises(NoWindow, match=message):
+        renormalization_window(identity_decomposition(1, 64), alpha)
+    with pytest.raises(NoWindow, match=message):
+        solve_peak_value(identity_decomposition(1, 64), alpha)
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0, 6.0, 7.0, 8.0, 12.0, 24.0, 48.0])
 def test_fixed_point_across_the_alpha_range(alpha):
     # alpha 7 and 12 put the crossing in the window's last scan step, and
@@ -511,6 +523,39 @@ def test_outer_iteration_without_mixing_is_the_plain_iteration(monkeypatch):
     assert report.iterations == 8 and report.t_star == 0.8866562808573457
 
 
+def _chain_seed(alpha, depth, grid):
+    """The bare fold's dynamical geometry through the identity pullback chain."""
+    obs = identity_profile(grid)
+    f = DecomposedMap(identity_decomposition(depth, grid), renorm._solve_peak(obs, alpha),
+                      alpha, observed=obs)
+    return dynamical_geometry(f)
+
+
+@pytest.mark.parametrize("alpha", [1.001, 2.0, 48.0, 72.0])
+def test_the_seed_is_the_identity_pullback_in_closed_form(alpha):
+    for depth in (1, 5, 8):
+        for grid in (32, 64):
+            seed, chain = renorm._seed_geometry(alpha, depth, grid), _chain_seed(alpha, depth, grid)
+            assert seed.depth == depth
+            assert seed.side_root == chain.side_root
+            assert np.abs(seed.ends - chain.ends).max() <= 1e-15
+            assert np.array_equal(seed.ends[:, 2], -seed.ends[:, 3])
+            assert (seed.ends == seed.ends[0]).all()
+
+
+def test_the_seed_runs_no_pullback(monkeypatch):
+    want = _chain_seed(2.0, 5, 32)
+
+    def pullback(*args):
+        raise AssertionError("the seed ran a pullback")
+
+    monkeypatch.setattr(renorm, "pullback_intervals", pullback)
+    monkeypatch.setattr(decompspace, "pullback_rows", pullback)
+    seed = renorm._seed_geometry(2.0, 5, 32)
+    assert seed.side_root == want.side_root
+    assert np.abs(seed.ends - want.ends).max() <= 1e-15
+
+
 def test_mixing_takes_the_last_difference_when_the_two_are_parallel():
     # residuals 1, 1.7 and 2.9 times u: the 2 x 2 Gram system is singular, so
     # the step is the one the last two pairs alone give
@@ -522,9 +567,11 @@ def test_mixing_takes_the_last_difference_when_the_two_are_parallel():
 
 
 @pytest.mark.parametrize("alpha, t_plain", [
-    (1.5, 0.8117142929782812), (2.0, 0.8866562808596954), (3.0, 0.9408989826824429)])
+    (1.5, 0.8117142929782809), (2.0, 0.8866562808596956), (3.0, 0.9408989826824429)])
 def test_mixed_and_plain_iterations_agree_at_a_tight_tol(alpha, t_plain):
-    # t* of the plain iteration at tol 1e-13 and depth 5
+    # t* of the plain iteration at tol 1e-13 and depth 5 from the default
+    # seed: the same solve with _anderson_mix refused, as in
+    # test_outer_iteration_without_mixing_is_the_plain_iteration
     report = find_fixed_point(SolverConfig(alpha=alpha, depth=5, tol=1e-13))
     assert abs(report.t_star - t_plain) <= 2.0 * np.spacing(t_plain)
 
