@@ -176,17 +176,6 @@ def bary_points(x: np.ndarray, n: int):
     return np.divide(bary_weights(n), d, out=d), hit
 
 
-def bary_rows(pts):
-    """The point data of each row of bary_points(x, n) alone, as for x[j:j + 1]."""
-    k, hit = pts
-    if hit is None:
-        return [(k[j:j + 1], None) for j in range(k.shape[0])]
-    rows, cols, at = hit
-    cut = np.searchsorted(rows, np.arange(k.shape[0] + 1)).tolist()
-    return [(k[j:j + 1], (rows[a:b], cols[a:b], at[a:b]) if b > a else None)
-            for j, (a, b) in enumerate(zip(cut, cut[1:]))]
-
-
 def bary_apply(values: np.ndarray, k: np.ndarray, hit) -> np.ndarray:
     """Resample values (r, n) on nodes(n) at the points of bary_points; r may be 1 there.
 

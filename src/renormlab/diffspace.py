@@ -395,17 +395,34 @@ def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h) -> np.
     Row j of the result holds the samples of outer o inner_0 o ... o inner_j;
     (pts, d, h) is the inner side of the rows (inner_side).  Only the
     resample of the running result and the chain rule stay in the
-    sequential loop.  Every row is then compared against its direct
-    chain-rule values at the interior points, all rows in one resample, and
-    the first row whose residual exceeds the grid resolution raises
-    ResolutionError.
+    sequential loop, which runs on buffers allocated once per call: each
+    row is _cheb.bary_apply of the running result at that row's points,
+    the same einsum in the same order of operations, bit for bit.  Every
+    row is then compared against its direct chain-rule values at the
+    interior points, all rows in one resample, and the first row whose
+    residual exceeds the grid resolution raises ResolutionError.
     """
     n = inner_eta.shape[-1]
+    k, hit = pts
     ov, out = np.empty(d.shape), np.empty(inner_eta.shape)
+    # bary_apply's numerator and denominator terms; the row of ones never changes
+    terms, sums = np.empty((1, 2, n)), np.empty((1, 2, d.shape[-1]))
+    terms[0, 1] = 1.0
+    # row j's grid-node hits are cols[a:b] and at[a:b] for a, b = cut[j], cut[j + 1]
+    rows, cols, at = (np.empty(0, dtype=np.intp),) * 3 if hit is None else hit
+    cut = np.searchsorted(rows, np.arange(k.shape[0] + 1)).tolist()
     result = outer_eta
-    for j, row_pts in enumerate(_cheb.bary_rows(pts)):
-        ov[j] = _cheb.bary_apply(result[None, :], *row_pts)[0]
-        result = out[j] = ov[j, :n] * d[j, :n] + inner_eta[j]
+    for j in range(k.shape[0]):
+        anchor = result[:1]
+        np.subtract(result, anchor, out=terms[0, 0])
+        np.einsum("rpj,rcj->rcp", k[j:j + 1], terms, out=sums)
+        np.divide(sums[0, 0], sums[0, 1], out=ov[j])
+        np.add(anchor, ov[j], out=ov[j])
+        a, b = cut[j], cut[j + 1]
+        if b > a:
+            ov[j, cols[a:b]] = result[at[a:b]]
+        np.multiply(ov[j, :n], d[j, :n], out=out[j])
+        result = np.add(out[j], inner_eta[j], out=out[j])
     direct = ov[:, n:] * d[:, n:] + h
     interp = _cheb.bary_apply(out, *_cheb.interior_bary(n))
     resid = np.maximum.reduce(np.abs(direct - interp), axis=-1)

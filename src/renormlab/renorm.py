@@ -15,7 +15,7 @@ renormalization operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,8 @@ _MAX_SOLVER_BYTES = 2 ** 31
 
 # Most outer passes SolverConfig allows.  A tol below the rounding floor (a
 # residual of about 3e-15 at depth 8) never converges, and a depth-8 pass takes
-# about 0.1 s, so this cap ends such a run within about two minutes.
+# about 40 ms at grid 32 and 65 ms at grid 64 (alpha 2, one BLAS thread, a
+# 2-core Xeon), so this cap ends such a run within about a minute.
 _MAX_OUTER_PASSES = 1000
 
 # The outer solve mixes each pass's image with the last _ANDERSON_HISTORY
@@ -82,8 +83,8 @@ _ANDERSON_DET_RTOL = 1e-10
 _COARSE_GRID = 32
 _SWITCH_FACTOR = 100.0
 
-# Longest orbit find_periodic_orbit takes: each outer pass makes k steps,
-# about 0.3 s each at depth 8, for up to max_iter passes.
+# Longest orbit find_periodic_orbit takes: each outer pass makes k steps, each
+# as long as a fixed-point pass (above), for up to max_iter passes.
 _MAX_ORBIT_LENGTH = 16
 
 # Most steps renormalization_orbit_diagnostics tracks: from a random start the
@@ -473,6 +474,15 @@ class FixedPointReport:
     certified map and the geometry it was built from; residual_peak is the
     defect |rho - t| of the peak-value invariance; coincident marks cycle
     elements that collapse onto a fixed point.
+
+    The report keeps one truncated renormalize step of its own map,
+    DecomposedMap(pure_star, t_star, alpha), with that map's composed
+    profile (_renormalized).  spectral.unstable_eigenvalue and
+    spectral.scaling_ratios both start from it, and their results are bit
+    for bit those of computing the step for each call.  The step is keyed on
+    the pure_star object, t_star and alpha, so a report changed after it was
+    kept computes it again, and a dataclasses.replace copy starts without
+    it.  It takes no part in to_dict, repr or ==.
     """
 
     alpha: float
@@ -485,6 +495,24 @@ class FixedPointReport:
     residual_peak: float
     iterations: int
     coincident: bool | None = None
+    _step: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _renormalized(self):
+        """(renormalize(f), f.observed) for f = DecomposedMap(pure_star, t_star, alpha).
+
+        Computed on the first call for the current (pure_star, t_star, alpha)
+        and kept: about 0.4 MB at depth 8, grid 64 (the renormalized rows and
+        their node views, the geometry used and one composed profile).  f is
+        built on a copy of pure_star's rows, so the evaluation batch the step
+        builds for them goes when the step returns; a caller that renormalizes
+        the kept step's map again does so from a copy of its rows too.
+        """
+        key = (self.pure_star, self.t_star, self.alpha)
+        if self._step is None or self._step[0] != key:
+            dec = Decomposition.from_rows(self.pure_star.times, self.pure_star.eta)
+            f = DecomposedMap(dec, self.t_star, self.alpha)
+            self._step = key, renormalize(f), f.observed
+        return self._step[1:]
 
     def to_dict(self) -> dict:
         data = {
@@ -505,6 +533,9 @@ class FixedPointReport:
     @classmethod
     def from_dict(cls, data: dict) -> "FixedPointReport":
         """Rebuild a stored report; a malformed or inconsistent one raises ConfigError."""
+        if not isinstance(data, dict):
+            raise ConfigError("malformed report: a report is one JSON object; orbit writes "
+                              "a list of k reports, one per cycle element")
         try:
             depth, grid = int(data["depth"]), int(data["grid"])
             alpha, t_star = float(data["alpha"]), float(data["t_star"])

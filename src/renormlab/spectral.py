@@ -186,17 +186,25 @@ def unstable_eigenvalue(report: FixedPointReport) -> float:
     at the fixed point is probed matrix-free, one forward difference per
     power-iteration step, starting along the peak-value direction.  The
     Rayleigh quotient settles geometrically because the rest of the spectrum
-    is contracting; the trace of quotients rides along on failure.
+    is contracting; the trace of quotients rides along on failure.  The
+    image of the fixed point is the step the report keeps
+    (FixedPointReport._renormalized), and a probe whose rows equal the
+    report's bit for bit, as the first one does, reuses that step's composed
+    profile; the result is bit for bit that of computing both afresh.
     """
     alpha = report.alpha
     x0 = _pack(report.pure_star, report.t_star)
+    rows0 = x0[:-1].tobytes()
+    first, observed = report._renormalized()
 
     def step(vec):
         dec, t = _unpack(vec, report.pure_star)
-        out = renormalize(DecomposedMap(dec, t, alpha)).renormalized
+        same_rows = vec[:-1].tobytes() == rows0
+        f = DecomposedMap(dec, t, alpha, observed=observed if same_rows else None)
+        out = renormalize(f).renormalized
         return _pack(out.decomposition, out.t)
 
-    f0 = step(x0)
+    f0 = _pack(first.renormalized.decomposition, first.renormalized.t)
     v = np.zeros_like(x0)
     v[-1] = 1.0
     lam_prev = None
@@ -226,14 +234,22 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
     its fixed point p, the length ratio between consecutive central
     intervals in the original coordinate.  At the fixed point the sequence
     is constant up to residual noise amplified by the unstable eigenvalue,
-    so early entries are the trustworthy ones.  Raises ConfigError unless
-    1 <= levels <= 12.
+    so early entries are the trustworthy ones.  The first level is the step
+    the report keeps (FixedPointReport._renormalized), and the ratios are
+    bit for bit those of renormalizing the report's map afresh.  Raises
+    ConfigError unless 1 <= levels <= 12.
     """
     if not 1 <= levels <= _MAX_SCALING_LEVELS:
         raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
-    f = DecomposedMap(report.pure_star, report.t_star, report.alpha)
-    ratios = []
-    for _ in range(levels - 1):
+    outcome = report._renormalized()[0]
+    ratios = [outcome.p]
+    if levels == 1:
+        return ratios
+    # a copy of the kept rows: the report does not keep the batch the next step builds
+    kept = outcome.renormalized
+    f = DecomposedMap(Decomposition.from_rows(kept.decomposition.times, kept.decomposition.eta),
+                      kept.t, kept.alpha)
+    for _ in range(levels - 2):
         outcome = renormalize(f)
         ratios.append(outcome.p)
         f = outcome.renormalized

@@ -230,6 +230,15 @@ def test_orbit_length_one_matches_fixed_point(report_file, tmp_path):
     assert abs(reports[0]["t_star"] - t_fp) < 1e-7
 
 
+def test_spectrum_refuses_an_orbit_file(tmp_path, capsys):
+    out = tmp_path / "orbit.json"
+    assert main(["orbit", "--alpha", "2", *FAST, "-k", "1", "--out", str(out)]) == 0
+    assert main(["spectrum", "--in", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: malformed report: a report is one JSON object; "
+                                       "orbit writes a list of k reports, one per cycle "
+                                       "element\n")
+
+
 def test_alpha_sweep_writes_per_alpha_files(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["fixed-point", "--alpha-sweep", "2,2.5", *FAST, "--out", str(out)])

@@ -30,7 +30,7 @@ from renormlab.decompspace import (
     pullback_intervals,
     pure_decomposition,
 )
-from renormlab import diffspace
+from renormlab import _cheb, diffspace
 from renormlab.diffspace import newton_inverse, pullback_rows
 from renormlab.errors import (
     DepthMismatch,
@@ -179,6 +179,41 @@ def test_compose_all_matches_explicit_fold(rng):
         manual = dec.nodes[w] if manual is None else compose(manual, dec.nodes[w])
     phi = compose_all(dec)
     assert np.array_equal(phi.eta_values, manual.eta_values)
+
+
+@pytest.mark.parametrize("grid", [16, 32, 64])
+def test_compose_all_takes_grid_node_hits_as_the_explicit_fold_does(rng, monkeypatch, grid):
+    # an identity row maps grid nodes onto grid nodes, so the resample of the
+    # running result hits grid nodes there: the branch that copies a node's
+    # sample instead of interpolating, at rows spread over every chunk
+    hits = []
+    bary_points = _cheb.bary_points
+
+    def spy(x, n):
+        k, hit = bary_points(x, n)
+        hits.append(0 if hit is None else hit[0].size)
+        return k, hit
+
+    monkeypatch.setattr(_cheb, "bary_points", spy)
+    dec = random_decomposition(rng, 4, grid=grid)
+    eta = np.array(dec.eta)
+    eta[1::3] = 0.0
+    dec = Decomposition.from_rows(dec.times, eta)
+    rows = [dec.nodes[w] for w in dec.times.indices_descending()]
+    manual = rows[0]
+    for node in rows[1:]:
+        manual = compose(manual, node)
+    explicit_hits = sum(hits)
+    phi = compose_all(dec)
+    assert np.array_equal(phi.eta_values, manual.eta_values)
+    assert explicit_hits > 0 and sum(hits) > explicit_hits
+    # the fold's row-by-row loop is bary_apply of the running result, row by row
+    result = rows[0].eta_values
+    for node in rows[1:]:
+        (k, hit), d, _ = diffspace.inner_side(node.eta_values[None], node._cache()[0][None])
+        ov = _cheb.bary_apply(result[None], k, hit)[0]
+        result = ov[:grid] * d[0, :grid] + node.eta_values
+    assert np.array_equal(phi.eta_values, result)
 
 
 def test_unresolvable_fold_raises_the_explicit_folds_error():

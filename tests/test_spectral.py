@@ -3,10 +3,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from renormlab import spectral
-from renormlab.renorm import DecomposedMap, SolverConfig, find_fixed_point, renormalize
+from renormlab import renorm, spectral
+from renormlab.renorm import (
+    DecomposedMap,
+    FixedPointReport,
+    SolverConfig,
+    find_fixed_point,
+    renormalize,
+)
 from renormlab.spectral import (
     CascadeTable,
     cascade_orbit_scaling,
@@ -185,3 +192,73 @@ def test_scaling_ratios_are_stable(report4):
     assert max(ratios) - min(ratios) < 1e-6
     for r in ratios:
         assert r == pytest.approx(0.3995352805, abs=1e-3)
+
+
+def _eigenvalue_computed_afresh(report):
+    """unstable_eigenvalue with every step renormalized from scratch, nothing shared."""
+    x0 = spectral._pack(report.pure_star, report.t_star)
+
+    def step(vec):
+        dec, t = spectral._unpack(vec, report.pure_star)
+        out = renormalize(DecomposedMap(dec, t, report.alpha)).renormalized
+        return spectral._pack(out.decomposition, out.t)
+
+    f0, v, lam_prev = step(x0), np.zeros_like(x0), None
+    v[-1] = 1.0
+    while True:
+        jv = (step(x0 + spectral._EIG_EPS * v) - f0) / spectral._EIG_EPS
+        lam = float(np.einsum("i,i->", v, jv))
+        if lam_prev is not None and abs(lam - lam_prev) <= spectral._EIG_TOL * max(1.0, abs(lam)):
+            return lam
+        v, lam_prev = jv / float(np.sqrt(np.einsum("i,i->", jv, jv))), lam
+
+
+def _ratios_computed_afresh(report, levels):
+    f, want = DecomposedMap(report.pure_star, report.t_star, report.alpha), []
+    for _ in range(levels):
+        outcome = renormalize(f)
+        want.append(outcome.p)
+        f = outcome.renormalized
+    return want
+
+
+def test_the_kept_step_is_shared_invisibly(report4, monkeypatch):
+    data = report4.to_dict()
+    want = (_eigenvalue_computed_afresh(FixedPointReport.from_dict(data)),
+            _ratios_computed_afresh(FixedPointReport.from_dict(data), 6))
+    composed, renormalized = [], []
+    compose_all, renormalize_ = renorm.compose_all, renorm.renormalize
+
+    def compose_spy(dec):
+        composed.append(dec.eta.tobytes())
+        return compose_all(dec)
+
+    def renormalize_spy(f, **kwargs):
+        renormalized.append((f.decomposition.eta.tobytes(), f.t))
+        return renormalize_(f, **kwargs)
+
+    monkeypatch.setattr(renorm, "compose_all", compose_spy)
+    monkeypatch.setattr(renorm, "renormalize", renormalize_spy)
+    monkeypatch.setattr(spectral, "renormalize", renormalize_spy)
+    for eigenvalue_first in (True, False):
+        report = FixedPointReport.from_dict(data)
+        composed.clear()
+        renormalized.clear()
+        if eigenvalue_first:
+            got = (unstable_eigenvalue(report), scaling_ratios(report, 6))
+        else:
+            got = tuple(reversed((scaling_ratios(report, 6), unstable_eigenvalue(report))))
+        assert got == want
+        # each decomposition composed once; the report's own map renormalized once
+        assert len(composed) == len(set(composed))
+        own = (report.pure_star.eta.tobytes(), report.t_star)
+        assert renormalized.count(own) == 1
+    # a changed report, or a copy, computes the step for its own map
+    nudged = report.t_star + 1e-9
+    fresh = FixedPointReport.from_dict(dict(data, t_star=nudged))
+    want, before = (unstable_eigenvalue(fresh), scaling_ratios(fresh, 6)), want
+    assert want[0] != before[0] and want[1] != before[1]
+    copy = dataclasses.replace(report, t_star=nudged)
+    assert (unstable_eigenvalue(copy), scaling_ratios(copy, 6)) == want
+    report.t_star = nudged
+    assert (unstable_eigenvalue(report), scaling_ratios(report, 6)) == want
