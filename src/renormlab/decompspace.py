@@ -34,6 +34,7 @@ from .diffspace import (
     DEFAULT_DEGREE,
     NonlinearityProfile,
     OrientedInterval,
+    _stored_int,
     branch_zoom,
     compose,  # noqa: F401 - re-exported as decompspace.compose
     compose_rows,
@@ -172,7 +173,7 @@ class Decomposition:
     def from_dict(cls, data: dict) -> "Decomposition":
         """Rebuild a stored decomposition; malformed input raises DomainError."""
         try:
-            depth = int(data["depth"])
+            depth = _stored_int(data, "depth")
             # checked before any tree is built, so an absurd depth allocates nothing
             if _full_tree_depth(len(data["nodes"])) != depth:
                 raise DomainError(f"decomposition depth {depth} disagrees with its node count")
@@ -307,7 +308,7 @@ class Geometry:
     def from_dict(cls, data: dict) -> "Geometry":
         """Rebuild a stored geometry; malformed input raises GeometryError."""
         try:
-            depth = int(data["depth"])
+            depth = _stored_int(data, "depth")
             # checked before any tree is built, so an absurd depth allocates nothing
             if {_full_tree_depth(len(data["s1"])), _full_tree_depth(len(data["s2"]))} != {depth}:
                 raise GeometryError(f"geometry depth {depth} disagrees with its interval count")

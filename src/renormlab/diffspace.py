@@ -57,6 +57,14 @@ def _check_unit(x, what="argument"):
     return np.clip(xv, -1.0, 1.0)
 
 
+def _stored_int(data, key: str) -> int:
+    """data[key] as an int; a bool, or a number with a fractional part, raises ValueError."""
+    value = data[key]
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def quad_rows(eta: np.ndarray):
     """Evaluation data of a stack of profiles, one per row of eta (r, n).
 
@@ -345,7 +353,7 @@ class NonlinearityProfile:
         """Rebuild a stored profile; malformed input raises DomainError."""
         try:
             eta = np.asarray(data["eta"], dtype=float)
-            count, degree = len(eta), int(data["degree"])
+            count, degree = len(eta), _stored_int(data, "degree")
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed profile: {type(exc).__name__}: {exc}") from exc
         if count != degree:

@@ -15,7 +15,8 @@ renormalization operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .diffspace import (
     FoldingMap,
     NonlinearityProfile,
     OrientedInterval,
+    _stored_int,
     bracketed_newton,
     identity_profile,
 )
@@ -466,7 +468,7 @@ class SolverConfig:
                               f"{_MAX_SOLVER_BYTES >> 30} GiB")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedPointReport:
     """A converged truncation fixed point (or one element of a cycle).
 
@@ -475,14 +477,12 @@ class FixedPointReport:
     defect |rho - t| of the peak-value invariance; coincident marks cycle
     elements that collapse onto a fixed point.
 
-    The report keeps one truncated renormalize step of its own map,
-    DecomposedMap(pure_star, t_star, alpha), with that map's composed
-    profile (_renormalized).  spectral.unstable_eigenvalue and
-    spectral.scaling_ratios both start from it, and their results are bit
-    for bit those of computing the step for each call.  The step is keyed on
-    the pure_star object, t_star and alpha, so a report changed after it was
-    kept computes it again, and a dataclasses.replace copy starts without
-    it.  It takes no part in to_dict, repr or ==.
+    A report is an immutable value.  On first use it computes one truncated
+    renormalize step of its own map, DecomposedMap(pure_star, t_star,
+    alpha), with that map's composed profile (_renormalized), and keeps it;
+    spectral.unstable_eigenvalue and spectral.scaling_ratios both start from
+    it, and their results are bit for bit those of computing the step for
+    each call.  It takes no part in to_dict, repr or ==.
     """
 
     alpha: float
@@ -495,24 +495,21 @@ class FixedPointReport:
     residual_peak: float
     iterations: int
     coincident: bool | None = None
-    _step: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
     def _renormalized(self):
         """(renormalize(f), f.observed) for f = DecomposedMap(pure_star, t_star, alpha).
 
-        Computed on the first call for the current (pure_star, t_star, alpha)
-        and kept: about 0.4 MB at depth 8, grid 64 (the renormalized rows and
-        their node views, the geometry used and one composed profile).  f is
-        built on a copy of pure_star's rows, so the evaluation batch the step
-        builds for them goes when the step returns; a caller that renormalizes
-        the kept step's map again does so from a copy of its rows too.
+        Computed on first use and kept: about 0.4 MB at depth 8, grid 64 (the
+        renormalized rows and their node views, the geometry used and one
+        composed profile).  f is built on a copy of pure_star's rows, so the
+        evaluation batch the step builds for them goes when the step returns;
+        a caller that renormalizes the kept step's map again does so from a
+        copy of its rows too.
         """
-        key = (self.pure_star, self.t_star, self.alpha)
-        if self._step is None or self._step[0] != key:
-            dec = Decomposition.from_rows(self.pure_star.times, self.pure_star.eta)
-            f = DecomposedMap(dec, self.t_star, self.alpha)
-            self._step = key, renormalize(f), f.observed
-        return self._step[1:]
+        dec = Decomposition.from_rows(self.pure_star.times, self.pure_star.eta)
+        f = DecomposedMap(dec, self.t_star, self.alpha)
+        return renormalize(f), f.observed
 
     def to_dict(self) -> dict:
         data = {
@@ -532,15 +529,20 @@ class FixedPointReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixedPointReport":
-        """Rebuild a stored report; a malformed or inconsistent one raises ConfigError."""
+        """Rebuild a stored report; a malformed or inconsistent one raises ConfigError.
+
+        depth, grid and iterations must be integers, not bools or fractions,
+        and the decomposition must have the report's depth, grid and alpha,
+        the geometry its depth.
+        """
         if not isinstance(data, dict):
             raise ConfigError("malformed report: a report is one JSON object; orbit writes "
                               "a list of k reports, one per cycle element")
         try:
-            depth, grid = int(data["depth"]), int(data["grid"])
+            depth, grid = _stored_int(data, "depth"), _stored_int(data, "grid")
             alpha, t_star = float(data["alpha"]), float(data["t_star"])
             residuals = float(data["residual_geometry"]), float(data["residual_peak"])
-            iterations = int(data["iterations"])
+            iterations = _stored_int(data, "iterations")
             if not (1.0 < alpha < np.inf and 0.0 <= t_star <= 1.0 and iterations >= 1
                     and all(0.0 <= r < np.inf for r in residuals)
                     and isinstance(data.get("coincident", False), bool)):
@@ -549,9 +551,12 @@ class FixedPointReport:
                                   "or absent")
             dec, geo = data["decomposition"], data["geometry"]
             # the parts check their own node counts before building any tree
-            if {int(dec["depth"]), int(geo["depth"])} != {depth}:
+            if {_stored_int(dec, "depth"), _stored_int(geo, "depth")} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
                                   "or geometry")
+            if float(dec["alpha"]) != alpha:
+                raise ConfigError(f"report alpha {alpha!r} disagrees with its decomposition's "
+                                  f"{dec['alpha']!r}")
             if any(len(node["eta"]) != grid for node in dec["nodes"]):
                 raise ConfigError(f"report grid {grid} disagrees with its decomposition")
             return cls(
@@ -694,7 +699,8 @@ def _cycle_reports(config: SolverConfig, maps, geoms, closure: float, iterations
         grid=config.grid,
         t_star=maps[j].t,
         geometry_star=geoms[j],
-        pure_star=maps[j].decomposition,
+        # fresh rows: the solve's evaluation batch is not kept with the report
+        pure_star=Decomposition.from_rows(maps[j].decomposition.times, maps[j].decomposition.eta),
         residual_geometry=closure if j == k - 1 else 0.0,
         residual_peak=abs(peak_value_rho(maps[j]) - maps[j].t),
         iterations=iterations,

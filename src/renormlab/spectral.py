@@ -188,18 +188,18 @@ def unstable_eigenvalue(report: FixedPointReport) -> float:
     Rayleigh quotient settles geometrically because the rest of the spectrum
     is contracting; the trace of quotients rides along on failure.  The
     image of the fixed point is the step the report keeps
-    (FixedPointReport._renormalized), and a probe whose rows equal the
-    report's bit for bit, as the first one does, reuses that step's composed
-    profile; the result is bit for bit that of computing both afresh.
+    (FixedPointReport._renormalized).  A probe direction with no row
+    component, as the first one along the peak-value direction, reuses that
+    step's composed profile: x0 + eps*v then has x0's rows bit for bit, as
+    only a -0.0 entry could change (to +0.0) and a fixed point's rows hold no
+    exact zero.  The result is bit for bit that of computing both afresh.
     """
     alpha = report.alpha
     x0 = _pack(report.pure_star, report.t_star)
-    rows0 = x0[:-1].tobytes()
-    first, observed = report._renormalized()
+    first, observed = report._renormalized
 
-    def step(vec):
+    def step(vec, same_rows):
         dec, t = _unpack(vec, report.pure_star)
-        same_rows = vec[:-1].tobytes() == rows0
         f = DecomposedMap(dec, t, alpha, observed=observed if same_rows else None)
         out = renormalize(f).renormalized
         return _pack(out.decomposition, out.t)
@@ -210,7 +210,7 @@ def unstable_eigenvalue(report: FixedPointReport) -> float:
     lam_prev = None
     trace = []
     for _ in range(_EIG_MAX_STEPS):
-        jv = (step(x0 + _EIG_EPS * v) - f0) / _EIG_EPS
+        jv = (step(x0 + _EIG_EPS * v, not v[:-1].any()) - f0) / _EIG_EPS
         # einsum, not BLAS: a threaded BLAS dot splits its sum by thread count
         lam = float(np.einsum("i,i->", v, jv))
         trace.append(lam)
@@ -241,7 +241,7 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
     """
     if not 1 <= levels <= _MAX_SCALING_LEVELS:
         raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
-    outcome = report._renormalized()[0]
+    outcome = report._renormalized[0]
     ratios = [outcome.p]
     if levels == 1:
         return ratios

@@ -453,6 +453,19 @@ def _setting(key, value):
     return corrupt
 
 
+def _fractional(key):
+    # half past the stored count: int() would truncate it back to a consistent report
+    def corrupt(data):
+        data[key] += 0.5
+        return data
+    return corrupt
+
+
+def _decomposition_alpha(data):
+    data["decomposition"]["alpha"] = data["alpha"] + 1.0
+    return data
+
+
 SCALAR_CORRUPTIONS = {
     "alpha-below-1": _setting("alpha", 0.5),
     "alpha-nan": _setting("alpha", float("nan")),
@@ -463,6 +476,11 @@ SCALAR_CORRUPTIONS = {
     "residual-infinite": _setting("residual_peak", float("inf")),
     "iterations-negative": _setting("iterations", -3),
     "coincident-not-bool": _setting("coincident", "yes"),
+    "depth-fractional": _fractional("depth"),
+    "grid-fractional": _fractional("grid"),
+    "iterations-fractional": _setting("iterations", 2.7),
+    "iterations-bool": _setting("iterations", True),
+    "decomposition-alpha-differs": _decomposition_alpha,
 }
 
 

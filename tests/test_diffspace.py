@@ -421,8 +421,9 @@ def test_serialization_round_trip(rng):
     {"degree": 4}, {"eta": [0.0] * 4}, {"degree": "x", "eta": [0.0] * 4},
     {"degree": 4, "eta": ["a", 0.0, 0.0, 0.0]}, {"degree": 4, "eta": 0.5},
     {"degree": None, "eta": [0.0] * 4}, {"degree": 2, "eta": [[0.0, 0.0], [0.0]]}, [0.0] * 4,
+    {"degree": 64.5, "eta": [0.0] * 64},
 ], ids=["no-eta", "no-degree", "degree-not-a-number", "eta-not-a-number", "eta-scalar",
-        "degree-none", "eta-ragged", "not-a-dict"])
+        "degree-none", "eta-ragged", "not-a-dict", "degree-fractional"])
 def test_profile_from_dict_refuses_malformed_input(data):
     with pytest.raises(DomainError, match="malformed profile"):
         NonlinearityProfile.from_dict(data)

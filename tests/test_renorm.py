@@ -619,6 +619,12 @@ def test_periodic_orbit_collapses_to_fixed_point(small_report):
         assert r.t_star == pytest.approx(small_report.t_star, abs=1e-6)
 
 
+def test_reports_do_not_keep_the_solves_evaluation_batch():
+    # the solve's compose fold and pullback build it on their own decomposition
+    for report in [find_fixed_point(SMALL), *find_periodic_orbit(SMALL, 2)]:
+        assert report.pure_star._quad is None
+
+
 def test_periodic_orbit_switches_grids_without_an_extra_pass(monkeypatch):
     # its residual falls about 1000x a pass (2.3e-6 to 1.9e-9), past the
     # 100 tol window; the extrapolated residual switches it in time, so it
