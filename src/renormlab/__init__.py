@@ -19,12 +19,10 @@ from .decompspace import (
     Geometry,
     compose_all,
     decomposition_distance,
-    decomposition_linear_combination,
     geometric_renormalize,
     geometry_blend,
     geometry_distance,
     identity_decomposition,
-    partial_composition,
     pullback_intervals,
     pure_decomposition,
 )
@@ -64,7 +62,6 @@ from .renorm import (
     find_fixed_point,
     find_fixed_point_p,
     find_periodic_orbit,
-    is_renormalizable,
     observed_eval,
     peak_value_rho,
     random_decomposed_map,

@@ -34,9 +34,10 @@ from .diffspace import (
     DEFAULT_DEGREE,
     NonlinearityProfile,
     OrientedInterval,
-    _stored_int,
+    _integer,
     branch_zoom,
-    compose,  # noqa: F401 - re-exported as decompspace.compose
+    # re-exported for the benchmark alone: perfbench/test_perfbench.py reads it here
+    compose,  # noqa: F401
     compose_rows,
     inner_side,
     pullback_rows,
@@ -73,6 +74,7 @@ class DecompositionTimes:
     __slots__ = ("depth",)
 
     def __init__(self, depth: int):
+        depth = _integer(depth, "depth", DomainError)
         if depth < 0:
             raise DomainError("depth must be nonnegative")
         self.depth = depth
@@ -173,7 +175,7 @@ class Decomposition:
     def from_dict(cls, data: dict) -> "Decomposition":
         """Rebuild a stored decomposition; malformed input raises DomainError."""
         try:
-            depth = _stored_int(data, "depth")
+            depth = _integer(data["depth"], "depth")
             # checked before any tree is built, so an absurd depth allocates nothing
             if _full_tree_depth(len(data["nodes"])) != depth:
                 raise DomainError(f"decomposition depth {depth} disagrees with its node count")
@@ -199,42 +201,22 @@ def decomposition_distance(a: Decomposition, b: Decomposition) -> float:
     return float(sum(np.abs(a.eta - b.eta).max(axis=1).tolist()))
 
 
-def decomposition_linear_combination(a: float, da: Decomposition,
-                                     b: float, db: Decomposition) -> Decomposition:
-    if da.depth != db.depth:
-        raise DepthMismatch(f"depths {da.depth} and {db.depth} differ")
-    if da.grid != db.grid:
-        raise DomainError("profiles must share a grid degree")
-    return Decomposition.from_rows(da.times, a * da.eta + b * db.eta)
+def compose_all(dec: Decomposition) -> NonlinearityProfile:
+    """Compose every node in descending time order (largest time outermost).
 
-
-def _compose_descending(dec: Decomposition, count: int) -> NonlinearityProfile:
-    # the first count rows run in descending time order, so each later node
-    # goes innermost.  The inner side of every step and the resolution check
-    # run in one batch per chunk; only the resample of the running result
-    # and the chain rule stay sequential (compose_rows), which is bit for bit
-    # the fold of compose() over the same nodes.
+    The rows run in descending time order, so each later node goes
+    innermost.  The inner side of every step and the resolution check run
+    in one batch per chunk; only the resample of the running result and the
+    chain rule stay sequential (compose_rows), which is bit for bit the fold
+    of compose() over the same nodes.
+    """
     series = dec._batch()[0]
     result = dec.eta[0]
-    for start in range(1, count, _COMPOSE_ROWS):
-        chunk = slice(start, min(start + _COMPOSE_ROWS, count))
+    for start in range(1, dec.times.size, _COMPOSE_ROWS):
+        chunk = slice(start, start + _COMPOSE_ROWS)
         inner = dec.eta[chunk]
         result = compose_rows(result, inner, *inner_side(inner, series[chunk]))[-1]
     return NonlinearityProfile(result)
-
-
-def compose_all(dec: Decomposition) -> NonlinearityProfile:
-    """Compose every node in descending time order (largest time outermost)."""
-    return _compose_descending(dec, dec.times.size)
-
-
-def partial_composition(dec: Decomposition, tau: str) -> NonlinearityProfile:
-    """Compose the nodes with index at or above tau, descending: the rows up to tau's."""
-    try:
-        count = dec.times.indices_descending().index(tau) + 1
-    except ValueError:
-        raise DomainError(f"{tau!r} is no index of the depth-{dec.depth} tree") from None
-    return _compose_descending(dec, count)
 
 
 class Geometry:
@@ -244,8 +226,9 @@ class Geometry:
     (0, 1), flag +).  ``ends`` is one read-only (2^(depth+1) - 1, 4) array:
     row r holds s1.lo, s1.hi, s2.lo, s2.hi of the index at row r of a
     decomposition, the intervals its node is zoomed into, with flags + and -
-    implied.  ``s1[w]``/``s2[w]`` are path-keyed read-only views of them,
-    built on each access.  Every half-length is at most KAPPA_MARGIN.
+    implied.  The dict constructor takes s1 and s2 keyed by index, as a
+    stored geometry holds them; from_rows takes the rows.  Every half-length
+    is at most KAPPA_MARGIN.
     """
 
     __slots__ = ("side_root", "ends", "depth")
@@ -287,28 +270,19 @@ class Geometry:
         return max(self.side_root.half_length,
                    float(np.max(0.5 * (self.ends[:, 1::2] - self.ends[:, 0::2]))))
 
-    def _intervals(self, col: int):
-        """(path, lo, hi) of every row's s1 (col 0) or s2 (col 2) interval."""
-        paths = DecompositionTimes(self.depth).indices_descending()
-        return [(w, lo, hi) for w, (lo, hi) in zip(paths, self.ends[:, col:col + 2].tolist())]
-
-    s1 = property(lambda self: MappingProxyType(
-        {w: OrientedInterval(lo, hi, "+") for w, lo, hi in self._intervals(0)}))
-    s2 = property(lambda self: MappingProxyType(
-        {w: OrientedInterval(lo, hi, "-") for w, lo, hi in self._intervals(2)}))
-
     def to_dict(self) -> dict:
+        paths = DecompositionTimes(self.depth).indices_descending()
         data = {"depth": self.depth, "side_root": self.side_root.to_dict()}
         for key, col, flag in (("s1", 0, "+"), ("s2", 2, "-")):
             data[key] = [{"path": w, "lo": lo, "hi": hi, "flag": flag}
-                         for w, lo, hi in self._intervals(col)]
+                         for w, (lo, hi) in zip(paths, self.ends[:, col:col + 2].tolist())]
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
         """Rebuild a stored geometry; malformed input raises GeometryError."""
         try:
-            depth = _stored_int(data, "depth")
+            depth = _integer(data["depth"], "depth")
             # checked before any tree is built, so an absurd depth allocates nothing
             if {_full_tree_depth(len(data["s1"])), _full_tree_depth(len(data["s2"]))} != {depth}:
                 raise GeometryError(f"geometry depth {depth} disagrees with its interval count")
@@ -331,6 +305,7 @@ def geometry_distance(a: Geometry, b: Geometry) -> float:
                float(np.max(np.abs(a.ends - b.ends))))
 
 
+# public for the benchmark alone: perfbench/workloads.py blends its start geometries
 def geometry_blend(theta: float, new: Geometry, old: Geometry) -> Geometry:
     """Endpoint-wise damped update theta*new + (1-theta)*old."""
     if new.depth != old.depth:
@@ -342,7 +317,7 @@ def geometry_blend(theta: float, new: Geometry, old: Geometry) -> Geometry:
 
 
 def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInterval) -> Geometry:
-    """Preimages of s1 and s2 under every partial composition of dec.
+    """Preimages of s1 and s2 under the composition of every prefix of dec's rows.
 
     A single descending pass keeps the running preimages: visiting row r it
     first pulls both intervals back through that row's node, then records
@@ -385,10 +360,11 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     """One geometric renormalization step driven by the geometry g.
 
     The new root is the zoomed folding branch over g.side_root; the node at
-    w is zoomed into g.s1[w] and reinstalled at 1w, and into g.s2[w] at 2w.
-    This raises the depth by one; with ``truncate`` the deepest level (the
-    even rows) is dropped again so depth is preserved.  Each zoom equals
-    diffspace.zoom of the node bit for bit.
+    row r, index w, is zoomed into row r's s1 interval (g.ends[r, :2], flag
+    +) and reinstalled at 1w, and into its s2 interval (g.ends[r, 2:], flag
+    -) at 2w.  This raises the depth by one; with ``truncate`` the deepest
+    level (the even rows) is dropped again so depth is preserved.  Each zoom
+    equals diffspace.zoom of the node bit for bit.
     """
     if g.depth != dec.depth:
         raise DepthMismatch(f"geometry depth {g.depth} differs from decomposition depth {dec.depth}")
@@ -405,8 +381,9 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = DEFAULT_DEGREE)
     """Fixed point of the depth-truncated geometric renormalization.
 
     The root is the zoomed folding branch over g.side_root; every node w
-    below it is zoomed into g.s1[w] to give node 1w and into g.s2[w] to give
-    node 2w, one level at a time.  This is bit for bit what depth + 1 steps
+    below it, at row r, is zoomed into row r's s1 interval (g.ends[r, :2])
+    to give node 1w and into its s2 interval (g.ends[r, 2:]) to give node 2w,
+    one level at a time.  This is bit for bit what depth + 1 steps
     of geometric_renormalize produce from any start on the same grid.
     """
     times = DecompositionTimes(g.depth)

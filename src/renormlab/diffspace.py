@@ -57,12 +57,18 @@ def _check_unit(x, what="argument"):
     return np.clip(xv, -1.0, 1.0)
 
 
-def _stored_int(data, key: str) -> int:
-    """data[key] as an int; a bool, or a number with a fractional part, raises ValueError."""
-    value = data[key]
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return int(value)
+def _integer(value, what: str, error: type = ValueError) -> int:
+    """value as an int; anything but an integral number, a bool included, raises error.
+
+    The one integrality rule for counts: stored ones (depth, grid,
+    iterations, degree) and those the Python API takes.  numpy integers pass.
+    """
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # no number, nan or inf
+        pass
+    raise error(f"{what} must be an integer, not {value!r}")
 
 
 def quad_rows(eta: np.ndarray):
@@ -331,10 +337,6 @@ class NonlinearityProfile:
         """phi'(x); strictly positive."""
         return np.exp(_cheb.chebval(_check_unit(x), self._offgrid()[0][1]))
 
-    def eta_at(self, x):
-        """Barycentric interpolation of the nonlinearity samples at x."""
-        return _cheb.resample(self.eta_values, x)
-
     def inverse(self, y):
         """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
 
@@ -353,7 +355,7 @@ class NonlinearityProfile:
         """Rebuild a stored profile; malformed input raises DomainError."""
         try:
             eta = np.asarray(data["eta"], dtype=float)
-            count, degree = len(eta), _stored_int(data, "degree")
+            count, degree = len(eta), _integer(data["degree"], "degree")
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed profile: {type(exc).__name__}: {exc}") from exc
         if count != degree:
@@ -489,12 +491,6 @@ class OrientedInterval:
             return self.midpoint + self.half_length * np.asarray(x, dtype=float)
         return self.midpoint - self.half_length * np.asarray(x, dtype=float)
 
-    def locate(self, y):
-        """Inverse of identify()."""
-        if self.flag == "+":
-            return (np.asarray(y, dtype=float) - self.midpoint) / self.half_length
-        return (self.midpoint - np.asarray(y, dtype=float)) / self.half_length
-
     def to_dict(self) -> dict:
         return {"lo": float(self.lo), "hi": float(self.hi), "flag": self.flag}
 
@@ -568,11 +564,6 @@ class FoldingMap:
     def evaluate(self, x):
         xv = _check_unit(x)
         return -2.0 * self.t * _abs_power(xv, self.alpha) + (2.0 * self.t - 1.0)
-
-    @property
-    def peak(self) -> float:
-        """q_t(0), the maximum value."""
-        return 2.0 * self.t - 1.0
 
 
 def _abs_power(x, alpha):

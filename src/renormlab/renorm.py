@@ -37,7 +37,7 @@ from .diffspace import (
     FoldingMap,
     NonlinearityProfile,
     OrientedInterval,
-    _stored_int,
+    _integer,
     bracketed_newton,
     identity_profile,
 )
@@ -195,12 +195,6 @@ def side_interval(f: DecomposedMap, p: float):
     if not p < b:
         raise NoSideInterval(f"no side point right of {p}: the peak image stays below {-p}")
     return b, OrientedInterval(p, b, "+"), OrientedInterval(-p, p, "-")
-
-
-def is_renormalizable(f: DecomposedMap) -> bool:
-    """Whether the peak image lands in the side interval [p, b]."""
-    f0, p, b = _checked_structure(f)
-    return bool(p <= f0 <= b)
 
 
 def _rescaled_peak(t, l, r):
@@ -421,6 +415,7 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
                                   "peak value")[0])
 
 
+# public for the benchmark alone: perfbench/workloads.py builds its start geometry with it
 def solve_peak_value(phi: Decomposition, alpha: float) -> float:
     """The peak value left invariant by renormalization over phi's window."""
     return _solve_peak(compose_all(phi), alpha)
@@ -455,6 +450,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha < np.inf:
             raise ConfigError("alpha must exceed 1 and be finite")
+        for name in ("depth", "grid", "max_iter"):
+            # the counts are kept as plain ints (the instance is frozen)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
         if self.grid < 16:
@@ -531,27 +529,31 @@ class FixedPointReport:
     def from_dict(cls, data: dict) -> "FixedPointReport":
         """Rebuild a stored report; a malformed or inconsistent one raises ConfigError.
 
-        depth, grid and iterations must be integers, not bools or fractions,
-        and the decomposition must have the report's depth, grid and alpha,
-        the geometry its depth.
+        depth, grid and iterations must be integers, not bools or fractions;
+        alpha, depth and grid must be ones SolverConfig accepts, so a stored
+        report is never larger than a solve may be; and the decomposition
+        must have the report's depth, grid and alpha, the geometry its depth.
         """
         if not isinstance(data, dict):
             raise ConfigError("malformed report: a report is one JSON object; orbit writes "
                               "a list of k reports, one per cycle element")
         try:
-            depth, grid = _stored_int(data, "depth"), _stored_int(data, "grid")
+            depth, grid = _integer(data["depth"], "depth"), _integer(data["grid"], "grid")
             alpha, t_star = float(data["alpha"]), float(data["t_star"])
+            try:
+                SolverConfig(alpha=alpha, depth=depth, grid=grid)
+            except ConfigError as exc:
+                raise ConfigError(f"malformed report: {exc}") from exc
             residuals = float(data["residual_geometry"]), float(data["residual_peak"])
-            iterations = _stored_int(data, "iterations")
-            if not (1.0 < alpha < np.inf and 0.0 <= t_star <= 1.0 and iterations >= 1
+            iterations = _integer(data["iterations"], "iterations")
+            if not (0.0 <= t_star <= 1.0 and iterations >= 1
                     and all(0.0 <= r < np.inf for r in residuals)
                     and isinstance(data.get("coincident", False), bool)):
-                raise ConfigError("malformed report: needs a finite alpha > 1, t_star in [0, 1], "
-                                  "finite residuals >= 0, iterations >= 1, coincident a bool "
-                                  "or absent")
+                raise ConfigError("malformed report: needs t_star in [0, 1], finite residuals "
+                                  ">= 0, iterations >= 1, coincident a bool or absent")
             dec, geo = data["decomposition"], data["geometry"]
             # the parts check their own node counts before building any tree
-            if {_stored_int(dec, "depth"), _stored_int(geo, "depth")} != {depth}:
+            if {_integer(dec["depth"], "depth"), _integer(geo["depth"], "depth")} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
                                   "or geometry")
             if float(dec["alpha"]) != alpha:
@@ -743,6 +745,7 @@ def find_periodic_orbit(config: SolverConfig, k: int,
     reduces to find_fixed_point.  When the cycle diameter is below tol every
     report is flagged coincident: the orbit has collapsed onto a fixed point.
     """
+    k = _integer(k, "orbit length k", ConfigError)
     if not 1 <= k <= _MAX_ORBIT_LENGTH:
         raise ConfigError(f"orbit length k must be at least 1 and at most {_MAX_ORBIT_LENGTH}")
     return _cycle_reports(config, *_outer_solve(config, k, initial_geometry))
@@ -759,6 +762,7 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     record's, so only the last record pulls back on its own.  Raises
     ConfigError unless 1 <= steps <= 32.
     """
+    steps = _integer(steps, "steps", ConfigError)
     if not 1 <= steps <= _MAX_DIAGNOSTIC_STEPS:
         raise ConfigError(f"steps must be at least 1 and at most {_MAX_DIAGNOSTIC_STEPS}")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompspace import Decomposition
+from .diffspace import _integer
 from .errors import BracketError, ConfigError, NonConvergence
 from .renorm import DecomposedMap, FixedPointReport, _renormalizable_structure, renormalize
 
@@ -134,6 +135,7 @@ def superstable_cascade(alpha: float, m: int) -> CascadeTable:
     """
     if not 1.0 < alpha < math.inf:
         raise ConfigError("alpha must exceed 1 and be finite")
+    m = _integer(m, "cascade level m", ConfigError)
     if m < 1:
         raise ConfigError("cascade needs at least one level beyond t_0")
     if m > _MAX_CASCADE_LEVEL:
@@ -239,6 +241,7 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
     bit for bit those of renormalizing the report's map afresh.  Raises
     ConfigError unless 1 <= levels <= 12.
     """
+    levels = _integer(levels, "scaling levels", ConfigError)
     if not 1 <= levels <= _MAX_SCALING_LEVELS:
         raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
     outcome = report._renormalized[0]

@@ -14,7 +14,7 @@ from renormlab import (
     NonlinearityProfile,
     OrientedInterval,
 )
-from renormlab import _cheb
+from renormlab import _cheb, compose
 from renormlab._cheb import nodes
 
 
@@ -64,6 +64,14 @@ def random_decomposition(rng, depth, grid=64, scale=0.25):
     for w in times.indices_descending():
         nodes_map[w] = random_profile(rng, degree=grid, scale=scale * 0.45 ** len(w))
     return Decomposition(times, nodes_map)
+
+
+def explicit_fold(dec, words):
+    """The fold of compose() over the nodes at words, in order, the first one outermost."""
+    result = None
+    for w in words:
+        result = dec.nodes[w] if result is None else compose(result, dec.nodes[w])
+    return result
 
 
 def patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):

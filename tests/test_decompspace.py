@@ -21,12 +21,10 @@ from renormlab.decompspace import (
     KAPPA_MARGIN,
     compose_all,
     decomposition_distance,
-    decomposition_linear_combination,
     geometric_renormalize,
     geometry_blend,
     geometry_distance,
     identity_decomposition,
-    partial_composition,
     pullback_intervals,
     pure_decomposition,
 )
@@ -40,7 +38,13 @@ from renormlab.errors import (
     ResolutionError,
 )
 
-from support import random_decomposition, random_geometry, random_profile
+from support import (
+    explicit_fold,
+    random_decomposition,
+    random_geometry,
+    random_interval,
+    random_profile,
+)
 
 
 # ---------------------------------------------------------------- container
@@ -148,18 +152,6 @@ def test_norm_and_distance_basics(rng):
         decomposition_distance(a, random_decomposition(rng, 3))
 
 
-def test_linear_combination_recovers_endpoint(rng):
-    a = random_decomposition(rng, 2)
-    b = random_decomposition(rng, 2)
-    kept = decomposition_linear_combination(1.0, a, 0.0, b)
-    for w in a.times.indices_descending():
-        assert np.array_equal(kept.nodes[w].eta_values, a.nodes[w].eta_values)
-    mid = decomposition_linear_combination(0.5, a, 0.5, b)
-    for w in a.times.indices_descending():
-        want = 0.5 * a.nodes[w].eta_values + 0.5 * b.nodes[w].eta_values
-        assert np.max(np.abs(mid.nodes[w].eta_values - want)) < 1e-15
-
-
 # ---------------------------------------------------------- composition law
 
 
@@ -232,27 +224,6 @@ def test_unresolvable_fold_raises_the_explicit_folds_error():
         with pytest.raises(ResolutionError) as batched:
             compose_all(dec)
     assert str(batched.value) == str(explicit.value)
-
-
-def test_partial_composition_slices_the_suffix(rng):
-    dec = random_decomposition(rng, 1)
-    # the minimal index pulls in the whole tree
-    full = partial_composition(dec, "1")
-    assert np.array_equal(full.eta_values, compose_all(dec).eta_values)
-    # the maximal index is just its own node
-    top = partial_composition(dec, "2")
-    assert np.array_equal(top.eta_values, dec.nodes["2"].eta_values)
-    # the root composes everything at or after the root
-    mid = partial_composition(dec, "")
-    want = compose(dec.nodes["2"], dec.nodes[""])
-    assert np.array_equal(mid.eta_values, want.eta_values)
-
-
-def test_partial_composition_refuses_words_outside_the_tree(rng):
-    dec = random_decomposition(rng, 2)
-    for tau in ("3", "103", "111", "2121", 1):
-        with pytest.raises(DomainError, match="no index of the depth-2 tree"):
-            partial_composition(dec, tau)
 
 
 # ----------------------------------------------------------------- geometry
@@ -345,7 +316,10 @@ def test_block_layout_gives_each_row_its_level():
 
 
 def _scalar_intervals(g):
-    return [g.side_root] + [iv for side in (g.s1, g.s2) for iv in side.values()]
+    """side_root, then every row's s1 interval, then every row's s2 interval."""
+    rows = g.ends.tolist()
+    return ([g.side_root] + [OrientedInterval(lo, hi, "+") for lo, hi, _, _ in rows]
+            + [OrientedInterval(lo, hi, "-") for _, _, lo, hi in rows])
 
 
 def test_geometry_array_operations_equal_scalar_formulas(rng):
@@ -364,12 +338,15 @@ def test_geometry_array_operations_equal_scalar_formulas(rng):
 
 
 def test_geometry_rows_are_read_only_and_checked(rng):
-    g = random_geometry(rng, 2)
+    paths = DecompositionTimes(2).indices_descending()
+    s1 = {w: random_interval(rng, "+") for w in paths}
+    s2 = {w: random_interval(rng, "-") for w in paths}
+    g = Geometry(OrientedInterval(0.3, 0.7, "+"), s1, s2, 2)
     assert g.ends.shape == (7, 4) and not g.ends.flags.writeable
-    for r, w in enumerate(DecompositionTimes(2).indices_descending()):
-        assert list(g.ends[r]) == [g.s1[w].lo, g.s1[w].hi, g.s2[w].lo, g.s2[w].hi]
-    with pytest.raises(TypeError):
-        g.s1[ROOT] = g.side_root
+    for r, w in enumerate(paths):
+        assert list(g.ends[r]) == [s1[w].lo, s1[w].hi, s2[w].lo, s2[w].hi]
+    with pytest.raises(ValueError, match="read-only"):
+        g.ends[0, 0] = 0.0
     good = np.array([[0.3, 0.7, -0.25, 0.25]] * 3)
     assert Geometry.from_rows(g.side_root, good).depth == 1
     for bad_row in ([np.nan, 0.7, -0.25, 0.25],     # NaN
@@ -393,12 +370,7 @@ def test_pullback_of_identity_keeps_intervals():
     s2 = OrientedInterval(-0.4, 0.4, "-")
     g = pullback_intervals(dec, s1, s2)
     assert g.side_root == s1
-    for w in dec.times.indices_descending():
-        assert g.s1[w].lo == pytest.approx(0.3, abs=1e-12)
-        assert g.s1[w].hi == pytest.approx(0.7, abs=1e-12)
-        assert g.s2[w].lo == pytest.approx(-0.4, abs=1e-12)
-        assert g.s2[w].hi == pytest.approx(0.4, abs=1e-12)
-        assert g.s1[w].flag == "+" and g.s2[w].flag == "-"
+    assert np.max(np.abs(g.ends - [0.3, 0.7, -0.4, 0.4])) <= 1e-12
 
 
 def test_pullback_matches_partial_compositions(rng):
@@ -406,10 +378,11 @@ def test_pullback_matches_partial_compositions(rng):
     s1 = OrientedInterval(0.25, 0.75, "+")
     s2 = OrientedInterval(-0.35, 0.35, "-")
     g = pullback_intervals(dec, s1, s2)
-    for w in dec.times.indices_descending():
-        phi = partial_composition(dec, w)
-        img1 = phi.evaluate(np.array([g.s1[w].lo, g.s1[w].hi]))
-        img2 = phi.evaluate(np.array([g.s2[w].lo, g.s2[w].hi]))
+    rows = dec.times.indices_descending()
+    for r, ends in enumerate(g.ends):
+        # row r holds the preimages under the composition of rows 0..r
+        phi = explicit_fold(dec, rows[:r + 1])
+        img1, img2 = phi.evaluate(ends[:2]), phi.evaluate(ends[2:])
         assert np.max(np.abs(img1 - [s1.lo, s1.hi])) < 1e-9
         assert np.max(np.abs(img2 - [s2.lo, s2.hi])) < 1e-9
 
@@ -420,10 +393,10 @@ def test_pullback_equals_the_chain_of_node_inverses(rng):
     s2 = OrientedInterval(-0.35, 0.35, "-")
     g = pullback_intervals(dec, s1, s2)
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
-    for w in dec.times.indices_descending():
+    for r, w in enumerate(dec.times.indices_descending()):
         # a fresh profile builds its own evaluation data, not the batch's
         ends = NonlinearityProfile(dec.nodes[w].eta_values).inverse(ends)
-        assert [g.s1[w].lo, g.s1[w].hi, g.s2[w].lo, g.s2[w].hi] == ends.tolist(), w
+        assert g.ends[r].tolist() == ends.tolist(), w
 
 
 def _spy_on_bisections(monkeypatch):
@@ -554,9 +527,9 @@ def test_geometric_renormalize_zoom_correspondence(rng):
     dec = random_decomposition(rng, 1)
     out = geometric_renormalize(g, 2.0, dec, truncate=False)
     assert out.depth == 2
-    for w in dec.times.indices_descending():
-        want1 = zoom(dec.nodes[w], g.s1[w])
-        want2 = zoom(dec.nodes[w], g.s2[w])
+    for (lo1, hi1, lo2, hi2), w in zip(g.ends.tolist(), dec.times.indices_descending()):
+        want1 = zoom(dec.nodes[w], OrientedInterval(lo1, hi1, "+"))
+        want2 = zoom(dec.nodes[w], OrientedInterval(lo2, hi2, "-"))
         assert np.array_equal(out.nodes["1" + w].eta_values, want1.eta_values)
         assert np.array_equal(out.nodes["2" + w].eta_values, want2.eta_values)
 

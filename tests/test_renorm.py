@@ -8,6 +8,7 @@ import pytest
 
 from renormlab import decompspace, renorm
 from renormlab.decompspace import (
+    Geometry,
     decomposition_distance,
     geometry_distance,
     identity_decomposition,
@@ -21,7 +22,6 @@ from renormlab.renorm import (
     find_fixed_point,
     find_fixed_point_p,
     find_periodic_orbit,
-    is_renormalizable,
     observed_eval,
     peak_value_rho,
     random_decomposed_map,
@@ -166,11 +166,13 @@ def test_no_fixed_point_below_half():
 
 
 def test_is_renormalizable():
-    assert is_renormalizable(_identity_map(0.55))
-    assert is_renormalizable(_identity_map(0.75))
-    assert not is_renormalizable(_identity_map(0.99))
+    # renormalize runs where the peak image lands in [p, b] and refuses elsewhere
+    for t in (0.55, 0.75):
+        assert 0.0 <= renormalize(_identity_map(t)).rho <= 1.0
+    with pytest.raises(DomainError, match="overshoots"):
+        renormalize(_identity_map(0.99))
     with pytest.raises(NoFixedPoint):
-        is_renormalizable(_identity_map(0.4))
+        renormalize(_identity_map(0.4))
 
 
 def test_renormalize_rejects_overshoot():
@@ -228,10 +230,10 @@ def test_window_of_the_bare_fold():
     t_min, t_max = res.t_min, res.t_max
     assert abs(t_min - 0.5) < 1e-6
     assert abs(t_max - 0.9196433776) < 1e-6
-    # semantic check on the edges
-    assert is_renormalizable(_identity_map(t_max - 1e-4))
-    assert not is_renormalizable(_identity_map(t_max + 1e-4))
-    assert is_renormalizable(_identity_map(t_min + 1e-4))
+    # semantic check on the edges, by the scan's own predicate
+    f0, _, b = renorm._side_structure(identity_profile(64), 2.0,
+                                      np.array([t_max - 1e-4, t_max + 1e-4, t_min + 1e-4]))
+    assert renorm._renormalizable(f0, b).tolist() == [True, False, True]
 
 
 def test_solve_peak_value_against_scalar_oracle():
@@ -299,7 +301,8 @@ def test_fixed_point_across_the_alpha_range(alpha):
     if alpha == 24.0:
         # the mixed outer iteration; the plain one contracts slowly here (31 passes)
         assert report.iterations <= 12
-    assert is_renormalizable(DecomposedMap(report.pure_star, report.t_star, alpha))
+    # raises unless the peak image lands in the side interval
+    renormalize(DecomposedMap(report.pure_star, report.t_star, alpha))
 
 
 def _gap(obs, alpha, t):
@@ -397,6 +400,39 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError, match="GiB"):
         SolverConfig(alpha=2.0, grid=10**6)
     SolverConfig(alpha=2.0, depth=10, grid=64)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", 2.5), ("grid", 64.5), ("max_iter", 2.5), ("depth", True), ("grid", 48 + 1e-9),
+    ("depth", None), ("grid", "64"), ("depth", float("nan")), ("max_iter", float("inf")),
+], ids=["depth-2.5", "grid-64.5", "max-iter-2.5", "depth-true", "grid-near-48",
+        "depth-none", "grid-string", "depth-nan", "max-iter-inf"])
+def test_solver_config_refuses_counts_that_are_no_integers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SolverConfig(alpha=2.0, **{field: value})
+
+
+def test_solver_config_keeps_integral_counts_as_ints():
+    cfg = SolverConfig(alpha=2.0, depth=np.int64(3), grid=48.0, max_iter=np.uint16(5))
+    assert [(type(n), n) for n in (cfg.depth, cfg.grid, cfg.max_iter)] == [
+        (int, 3), (int, 48), (int, 5)]
+    # a numpy depth would overflow the size estimate's 2 ** (depth + 1) at 62
+    with pytest.raises(ConfigError, match="GiB"):
+        SolverConfig(alpha=2.0, depth=np.int64(62))
+
+
+def test_orbit_counts_refuse_fractions_before_any_step(small_report, monkeypatch):
+    def step(*args, **kwargs):
+        raise AssertionError("a solve or renormalization step ran")
+
+    for name in ("_outer_solve", "renormalize", "dynamical_geometry"):
+        monkeypatch.setattr(renorm, name, step)
+    with pytest.raises(ConfigError, match="orbit length k must be an integer"):
+        find_periodic_orbit(SMALL, 1.5)
+    f = DecomposedMap(small_report.pure_star, small_report.t_star, small_report.alpha)
+    for steps in (2.5, True):
+        with pytest.raises(ConfigError, match="steps must be an integer"):
+            renormalization_orbit_diagnostics(f, steps)
 
 
 SMALL = SolverConfig(alpha=2.0, depth=3, grid=48, tol=1e-8)
@@ -610,6 +646,27 @@ def test_report_from_dict_maps_malformed_parts_to_config_error(small_report, cor
         FixedPointReport.from_dict(data)
 
 
+def _bare_report(depth, grid):
+    """A consistent report dict at any depth and grid: identity rows, constant intervals."""
+    rows = np.tile([0.3, 0.7, -0.3, 0.3], (2 ** (depth + 1) - 1, 1))
+    return {"alpha": 2.0, "depth": depth, "grid": grid, "t_star": 0.8,
+            "residual_geometry": 0.0, "residual_peak": 0.0, "iterations": 1,
+            "geometry": Geometry.from_rows(OrientedInterval(0.3, 0.7, "+"), rows).to_dict(),
+            "decomposition": identity_decomposition(depth, grid).to_dict(2.0)}
+
+
+@pytest.mark.parametrize("depth, grid, message", [
+    (1, 8, "grid must be at least 16"),
+    (0, 48, "depth must be at least 1"),
+    # 3.2e9 estimated bytes: spectrum would build grid-by-grid matrices
+    (1, 5000, "depth 1 at grid 5000 would need over 2 GiB"),
+], ids=["grid-8", "depth-0", "grid-5000"])
+def test_stored_reports_obey_the_solvers_bounds(depth, grid, message):
+    assert FixedPointReport.from_dict(_bare_report(1, 48)).grid == 48
+    with pytest.raises(ConfigError, match=f"malformed report: {message}"):
+        FixedPointReport.from_dict(_bare_report(depth, grid))
+
+
 def test_periodic_orbit_collapses_to_fixed_point(small_report):
     reports = find_periodic_orbit(SMALL, 2)
     assert len(reports) == 2
@@ -674,4 +731,4 @@ def test_random_decomposed_map_is_deterministic():
         assert np.array_equal(a.decomposition.nodes[w].eta_values,
                               b.decomposition.nodes[w].eta_values)
     assert decomposition_distance(a.decomposition, c.decomposition) > 0.0
-    assert is_renormalizable(a)
+    renormalize(a)  # raises unless the peak image lands in the side interval

@@ -152,6 +152,12 @@ def test_cascade_table_round_trip(cascade6):
     assert clone == cascade6
 
 
+@pytest.mark.parametrize("m", [2.5, True], ids=["fraction", "true"])
+def test_cascade_level_must_be_an_integer(m):
+    with pytest.raises(ConfigError, match="cascade level m must be an integer"):
+        superstable_cascade(2.0, m)
+
+
 # ----------------------------------------------------- unstable eigenvalue
 
 
@@ -171,6 +177,12 @@ def test_unstable_eigenvalue_budget_guard(report4, monkeypatch):
     monkeypatch.setattr(spectral, "_EIG_MAX_STEPS", 1)
     with pytest.raises(NonConvergence, match="within 1 steps"):
         unstable_eigenvalue(report4)
+
+
+@pytest.mark.parametrize("levels", [2.5, True], ids=["fraction", "true"])
+def test_scaling_levels_must_be_an_integer(report4, levels):
+    with pytest.raises(ConfigError, match="scaling levels must be an integer"):
+        scaling_ratios(report4, levels)
 
 
 def test_scaling_ratios_equal_a_loop_of_full_steps(report4):

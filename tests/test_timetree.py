@@ -5,19 +5,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from renormlab.decompspace import ROOT, DecompositionTimes, partial_composition
-from renormlab.diffspace import compose
+from renormlab.decompspace import ROOT, Decomposition, DecompositionTimes
 from renormlab.errors import DomainError
+from renormlab.renorm import random_decomposed_map
 
 from support import random_decomposition
-
-
-def _fold(dec, words):
-    # the explicit fold of compose() over the nodes, latest node outermost
-    result = None
-    for w in words:
-        result = dec.nodes[w] if result is None else compose(result, dec.nodes[w])
-    return result
 
 
 def test_root_and_levels():
@@ -31,14 +23,13 @@ def test_root_and_levels():
 
 
 def test_validate_path_rejects_other_symbols(rng):
+    # a decomposition's nodes are keyed by exactly the tree's words over {1, 2}
     dec = random_decomposition(rng, 4)
-    rows = dec.times.indices_descending()
-    got = partial_composition(dec, "1212")
-    want = _fold(dec, rows[:rows.index("1212") + 1])
-    assert np.array_equal(got.eta_values, want.eta_values)
     for tau in ("103", "3", "12a2"):
-        with pytest.raises(DomainError):
-            partial_composition(dec, tau)
+        nodes = dict(dec.nodes)
+        nodes[tau] = nodes.pop("1212")
+        with pytest.raises(DomainError, match="cover the index tree exactly"):
+            Decomposition(dec.times, nodes)
 
 
 def test_descending_order_small_depths():
@@ -47,14 +38,21 @@ def test_descending_order_small_depths():
         "22", "2", "21", "", "12", "1", "11")
 
 
-def test_suffix_set_is_a_descending_prefix(rng):
-    # partial_composition(tau) composes the rows at or above tau: a prefix
-    # of the descending order, the whole tree at its minimal word
-    dec = random_decomposition(rng, 2)
-    for tau, prefix in (("", ("22", "2", "21", "")),
-                        ("1", ("22", "2", "21", "", "12", "1")),
-                        ("11", dec.times.indices_descending())):
-        got = partial_composition(dec, tau)
-        assert np.array_equal(got.eta_values, _fold(dec, prefix).eta_values)
-    with pytest.raises(DomainError):
-        partial_composition(dec, "111")
+@pytest.mark.parametrize("depth", [2.5, 1.0 + 1e-9, True, False],
+                         ids=["fraction", "near-integer", "true", "false"])
+def test_a_depth_that_is_no_integer_is_refused(depth):
+    with pytest.raises(DomainError, match="depth must be an integer"):
+        DecompositionTimes(depth)
+
+
+def test_a_fractional_depth_is_refused_before_any_tree_is_built():
+    # unchecked, the row order would recurse on 2.5, 1.5, 0.5, ... until RecursionError
+    with pytest.raises(DomainError, match="depth must be an integer"):
+        random_decomposed_map(2.0, 2.5, 32, 1)
+
+
+def test_integral_depths_of_other_types_pass():
+    for depth in (np.int64(3), np.uint8(3), 3.0):
+        times = DecompositionTimes(depth)
+        assert type(times.depth) is int
+        assert times.indices_descending() == DecompositionTimes(3).indices_descending()
