@@ -163,27 +163,6 @@ class Decomposition:
         """Sum over nodes of the per-node sup-norms."""
         return float(sum(np.abs(self.eta).max(axis=1).tolist()))
 
-    def to_dict(self, alpha: float) -> dict:
-        return {
-            "alpha": float(alpha),
-            "depth": self.depth,
-            "nodes": [{"path": w, "eta": row}
-                      for w, row in zip(self.times.indices_descending(), self.eta.tolist())],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Decomposition":
-        """Rebuild a stored decomposition; malformed input raises DomainError."""
-        try:
-            depth = _integer(data["depth"], "depth")
-            # checked before any tree is built, so an absurd depth allocates nothing
-            if _full_tree_depth(len(data["nodes"])) != depth:
-                raise DomainError(f"decomposition depth {depth} disagrees with its node count")
-            nodes = {str(n["path"]): NonlinearityProfile(n["eta"]) for n in data["nodes"]}
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed decomposition: {type(exc).__name__}: {exc}") from exc
-        return cls(DecompositionTimes(depth), nodes)
-
     def __repr__(self):
         return f"Decomposition(depth={self.depth}, grid={self.grid}, norm={self.norm():.3g})"
 
@@ -226,9 +205,8 @@ class Geometry:
     (0, 1), flag +).  ``ends`` is one read-only (2^(depth+1) - 1, 4) array:
     row r holds s1.lo, s1.hi, s2.lo, s2.hi of the index at row r of a
     decomposition, the intervals its node is zoomed into, with flags + and -
-    implied.  The dict constructor takes s1 and s2 keyed by index, as a
-    stored geometry holds them; from_rows takes the rows.  Every half-length
-    is at most KAPPA_MARGIN.
+    implied.  The dict constructor takes s1 and s2 keyed by index; from_rows
+    takes the rows.  Every half-length is at most KAPPA_MARGIN.
     """
 
     __slots__ = ("side_root", "ends", "depth")
@@ -269,29 +247,6 @@ class Geometry:
         """kappa: the largest interval half-length anywhere in the geometry."""
         return max(self.side_root.half_length,
                    float(np.max(0.5 * (self.ends[:, 1::2] - self.ends[:, 0::2]))))
-
-    def to_dict(self) -> dict:
-        paths = DecompositionTimes(self.depth).indices_descending()
-        data = {"depth": self.depth, "side_root": self.side_root.to_dict()}
-        for key, col, flag in (("s1", 0, "+"), ("s2", 2, "-")):
-            data[key] = [{"path": w, "lo": lo, "hi": hi, "flag": flag}
-                         for w, (lo, hi) in zip(paths, self.ends[:, col:col + 2].tolist())]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Geometry":
-        """Rebuild a stored geometry; malformed input raises GeometryError."""
-        try:
-            depth = _integer(data["depth"], "depth")
-            # checked before any tree is built, so an absurd depth allocates nothing
-            if {_full_tree_depth(len(data["s1"])), _full_tree_depth(len(data["s2"]))} != {depth}:
-                raise GeometryError(f"geometry depth {depth} disagrees with its interval count")
-            side_root = OrientedInterval.from_dict(data["side_root"])
-            s1 = {str(d["path"]): OrientedInterval.from_dict(d) for d in data["s1"]}
-            s2 = {str(d["path"]): OrientedInterval.from_dict(d) for d in data["s2"]}
-        except (TypeError, KeyError, ValueError, OverflowError, DomainError) as exc:
-            raise GeometryError(f"malformed geometry: {type(exc).__name__}: {exc}") from exc
-        return cls(side_root, s1, s2, depth)
 
     def __repr__(self):
         return f"Geometry(depth={self.depth}, kappa={self.contraction_factor:.3f})"

@@ -57,11 +57,11 @@ def _check_unit(x, what="argument"):
     return np.clip(xv, -1.0, 1.0)
 
 
-def _integer(value, what: str, error: type = ValueError) -> int:
+def _integer(value, what: str, error: type) -> int:
     """value as an int; anything but an integral number, a bool included, raises error.
 
     The one integrality rule for counts: stored ones (depth, grid,
-    iterations, degree) and those the Python API takes.  numpy integers pass.
+    iterations) and those the Python API takes.  numpy integers pass.
     """
     try:
         if not isinstance(value, bool) and int(value) == value:
@@ -272,8 +272,8 @@ class NonlinearityProfile:
     Instances are immutable; evaluation data (quad_rows: the stacked
     Chebyshev coefficients of phi and of log phi', the inverse's rounding
     floor and how many of those terms an off-grid evaluation needs) is built
-    lazily on first use and cached.  evaluate, derivative and inverse
-    evaluate the series cut to that width; compose uses every term.
+    lazily on first use and cached.  evaluate and inverse evaluate the
+    series cut to that width; compose uses every term.
     """
 
     __slots__ = ("eta_values", "_quad")
@@ -299,10 +299,6 @@ class NonlinearityProfile:
     @property
     def degree(self) -> int:
         return self.eta_values.size
-
-    @property
-    def grid(self) -> np.ndarray:
-        return _cheb.nodes(self.degree)
 
     @property
     def nonlinearity_norm(self) -> float:
@@ -333,10 +329,6 @@ class NonlinearityProfile:
         # the series can miss +-1 by a few ulps
         return np.where(np.abs(xv) == 1.0, xv, self._eval(xv))[()]
 
-    def derivative(self, x):
-        """phi'(x); strictly positive."""
-        return np.exp(_cheb.chebval(_check_unit(x), self._offgrid()[0][1]))
-
     def inverse(self, y):
         """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
 
@@ -346,21 +338,6 @@ class NonlinearityProfile:
         yv = _check_unit(y, "inverse argument")
         x = newton_inverse(yv.reshape(-1), *self._offgrid())
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
-
-    def to_dict(self) -> dict:
-        return {"degree": self.degree, "eta": self.eta_values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NonlinearityProfile":
-        """Rebuild a stored profile; malformed input raises DomainError."""
-        try:
-            eta = np.asarray(data["eta"], dtype=float)
-            count, degree = len(eta), _integer(data["degree"], "degree")
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed profile: {type(exc).__name__}: {exc}") from exc
-        if count != degree:
-            raise DomainError("profile degree does not match sample count")
-        return cls(eta)
 
     def __repr__(self):
         return f"NonlinearityProfile(degree={self.degree}, norm={self.nonlinearity_norm:.3g})"
@@ -490,18 +467,6 @@ class OrientedInterval:
         if self.flag == "+":
             return self.midpoint + self.half_length * np.asarray(x, dtype=float)
         return self.midpoint - self.half_length * np.asarray(x, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"lo": float(self.lo), "hi": float(self.hi), "flag": self.flag}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OrientedInterval":
-        """Rebuild a stored interval; malformed input raises DomainError."""
-        try:
-            lo, hi, flag = float(data["lo"]), float(data["hi"]), str(data["flag"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise DomainError(f"malformed interval: {type(exc).__name__}: {exc}") from exc
-        return cls(lo, hi, flag)
 
 
 def zoom_rows(eta: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray) -> np.ndarray:

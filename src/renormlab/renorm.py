@@ -50,6 +50,7 @@ from .errors import (
     NonConvergence,
     NoSideInterval,
     NoWindow,
+    RenormlabError,
     ResolutionError,
 )
 
@@ -510,6 +511,16 @@ class FixedPointReport:
         return renormalize(f), f.observed
 
     def to_dict(self) -> dict:
+        """The stored report, the one format from_dict reads.
+
+        The fields, then decomposition.{alpha, depth, nodes[{path, eta}]} and
+        geometry.{depth, side_root{lo, hi, flag}, s1[], s2[]}, where s1 and
+        s2 hold {path, lo, hi, flag} with flags + and -; every list runs in
+        descending row order.
+        """
+        paths = self.pure_star.times.indices_descending()
+        root, ends = self.geometry_star.side_root, self.geometry_star.ends.tolist()
+        rows = self.pure_star.eta.tolist()
         data = {
             "alpha": float(self.alpha),
             "depth": int(self.depth),
@@ -518,8 +529,19 @@ class FixedPointReport:
             "residual_geometry": float(self.residual_geometry),
             "residual_peak": float(self.residual_peak),
             "iterations": int(self.iterations),
-            "geometry": self.geometry_star.to_dict(),
-            "decomposition": self.pure_star.to_dict(self.alpha),
+            "geometry": {
+                "depth": self.geometry_star.depth,
+                "side_root": {"lo": float(root.lo), "hi": float(root.hi), "flag": root.flag},
+                "s1": [{"path": w, "lo": e[0], "hi": e[1], "flag": "+"}
+                       for w, e in zip(paths, ends)],
+                "s2": [{"path": w, "lo": e[2], "hi": e[3], "flag": "-"}
+                       for w, e in zip(paths, ends)],
+            },
+            "decomposition": {
+                "alpha": float(self.alpha),
+                "depth": self.pure_star.depth,
+                "nodes": [{"path": w, "eta": row} for w, row in zip(paths, rows)],
+            },
         }
         if self.coincident is not None:
             data["coincident"] = bool(self.coincident)
@@ -531,51 +553,78 @@ class FixedPointReport:
 
         depth, grid and iterations must be integers, not bools or fractions;
         alpha, depth and grid must be ones SolverConfig accepts, so a stored
-        report is never larger than a solve may be; and the decomposition
-        must have the report's depth, grid and alpha, the geometry its depth.
+        report is never larger than a solve may be; the decomposition must
+        have the report's depth, grid and alpha, the geometry its depth.  Each
+        path-keyed list holds every word of the tree once, in any order
+        (_in_row_order); Decomposition.from_rows and Geometry.from_rows check
+        the samples and the intervals.  Keys the format does not name are
+        ignored.  Every refusal reads "malformed report: ...".
         """
-        if not isinstance(data, dict):
-            raise ConfigError("malformed report: a report is one JSON object; orbit writes "
-                              "a list of k reports, one per cycle element")
         try:
-            depth, grid = _integer(data["depth"], "depth"), _integer(data["grid"], "grid")
+            if not isinstance(data, dict):
+                raise ConfigError("a report is one JSON object; orbit writes a list of k "
+                                  "reports, one per cycle element")
+            depth, grid = (_integer(data[key], key, ConfigError) for key in ("depth", "grid"))
             alpha, t_star = float(data["alpha"]), float(data["t_star"])
-            try:
-                SolverConfig(alpha=alpha, depth=depth, grid=grid)
-            except ConfigError as exc:
-                raise ConfigError(f"malformed report: {exc}") from exc
+            SolverConfig(alpha=alpha, depth=depth, grid=grid)
             residuals = float(data["residual_geometry"]), float(data["residual_peak"])
-            iterations = _integer(data["iterations"], "iterations")
+            iterations = _integer(data["iterations"], "iterations", ConfigError)
             if not (0.0 <= t_star <= 1.0 and iterations >= 1
                     and all(0.0 <= r < np.inf for r in residuals)
                     and isinstance(data.get("coincident", False), bool)):
-                raise ConfigError("malformed report: needs t_star in [0, 1], finite residuals "
-                                  ">= 0, iterations >= 1, coincident a bool or absent")
+                raise ConfigError("needs t_star in [0, 1], finite residuals >= 0, "
+                                  "iterations >= 1, coincident a bool or absent")
             dec, geo = data["decomposition"], data["geometry"]
-            # the parts check their own node counts before building any tree
-            if {_integer(dec["depth"], "depth"), _integer(geo["depth"], "depth")} != {depth}:
+            if {_integer(part["depth"], "depth", ConfigError) for part in (dec, geo)} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
                                   "or geometry")
             if float(dec["alpha"]) != alpha:
                 raise ConfigError(f"report alpha {alpha!r} disagrees with its decomposition's "
                                   f"{dec['alpha']!r}")
-            if any(len(node["eta"]) != grid for node in dec["nodes"]):
+            times = DecompositionTimes(depth)
+            nodes = _in_row_order(dec["nodes"], times, "nodes")
+            if any(len(node["eta"]) != grid for node in nodes):
                 raise ConfigError(f"report grid {grid} disagrees with its decomposition")
+            s1, s2 = _in_row_order(geo["s1"], times, "s1"), _in_row_order(geo["s2"], times, "s2")
+            if any(str(a["flag"]) != "+" or str(b["flag"]) != "-" for a, b in zip(s1, s2)):
+                raise ConfigError("s1 intervals must carry flag '+' and s2 intervals flag '-'")
+            root = geo["side_root"]
+            geometry = Geometry.from_rows(
+                OrientedInterval(float(root["lo"]), float(root["hi"]), str(root["flag"])),
+                [[float(a["lo"]), float(a["hi"]), float(b["lo"]), float(b["hi"])]
+                 for a, b in zip(s1, s2)])
             return cls(
                 alpha=alpha,
                 depth=depth,
                 grid=grid,
                 t_star=t_star,
-                geometry_star=Geometry.from_dict(geo),
-                pure_star=Decomposition.from_dict(dec),
+                geometry_star=geometry,
+                pure_star=Decomposition.from_rows(times, [node["eta"] for node in nodes]),
                 residual_geometry=residuals[0],
                 residual_peak=residuals[1],
                 iterations=iterations,
                 coincident=data.get("coincident"),
             )
-        except (TypeError, KeyError, ValueError, OverflowError, DomainError,
-                GeometryError) as exc:
-            raise ConfigError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+        except (TypeError, KeyError, ValueError, OverflowError, RenormlabError) as exc:
+            detail = exc if isinstance(exc, RenormlabError) else f"{type(exc).__name__}: {exc}"
+            raise ConfigError(f"malformed report: {detail}") from exc
+
+
+def _in_row_order(entries, times: DecompositionTimes, key: str) -> list:
+    """The path-keyed entries of a stored list, in descending row order.
+
+    Their count is checked first, so a report that claims an absurd depth
+    is refused before the tree's index is built; then their paths must be
+    exactly the tree's words, once each.
+    """
+    if len(entries) != times.size:
+        raise ConfigError(f"{key} holds {len(entries)} entries, not the {times.size} of "
+                          f"the depth-{times.depth} tree")
+    by_path = {str(entry["path"]): entry for entry in entries}
+    paths = times.indices_descending()
+    if by_path.keys() != set(paths):
+        raise ConfigError(f"{key} repeats a path or holds one outside the depth-{times.depth} tree")
+    return [by_path[w] for w in paths]
 
 
 def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:

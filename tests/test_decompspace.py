@@ -1,6 +1,5 @@
 """Tree-indexed decompositions, geometries, and the pure-decomposition operator."""
 
-import json
 import warnings
 
 import numpy as np
@@ -78,22 +77,6 @@ def test_identity_decomposition_is_flat():
     assert np.max(np.abs(phi.evaluate(x) - x)) < 1e-12
 
 
-def test_serialization_round_trip(rng):
-    dec = random_decomposition(rng, 2)
-    data = dec.to_dict(alpha=2.0)
-    assert data["alpha"] == 2.0
-    assert data["depth"] == 2
-    back = Decomposition.from_dict(data)
-    assert decomposition_distance(back, dec) == 0.0
-    for w in dec.times.indices_descending():
-        assert np.array_equal(back.nodes[w].eta_values, dec.nodes[w].eta_values)
-
-
-def test_serialization_round_trip_is_byte_identical(rng):
-    data = json.dumps(random_decomposition(rng, 3).to_dict(alpha=2.0))
-    assert json.dumps(Decomposition.from_dict(json.loads(data)).to_dict(alpha=2.0)) == data
-
-
 def test_nodes_are_read_only_views_of_the_rows(rng):
     dec = random_decomposition(rng, 3)
     assert dec.eta.shape == (15, 64) and not dec.eta.flags.writeable
@@ -113,33 +96,6 @@ def test_node_cache_alone_equals_its_row_of_the_batch(rng):
         alone = NonlinearityProfile(dec.nodes[w].eta_values)._cache()
         for mine, batched in zip(alone, batch):
             assert np.array_equal(mine, batched[rows.index(w)]), w
-
-
-def test_decomposition_from_dict_refuses_a_node_count_off_the_depth():
-    with pytest.raises(DomainError):
-        Decomposition.from_dict({"depth": 3, "nodes": 5})
-
-
-def test_decomposition_from_dict_refuses_non_numeric_samples(rng):
-    data = random_decomposition(rng, 2).to_dict(alpha=2.0)
-    data["nodes"][0]["eta"][3] = "x"
-    with pytest.raises(DomainError):
-        Decomposition.from_dict(data)
-
-
-def test_geometry_from_dict_refuses_non_list_intervals(rng):
-    data = random_geometry(rng, 2).to_dict()
-    data["s1"] = 3
-    with pytest.raises(GeometryError):
-        Geometry.from_dict(data)
-
-
-def test_from_dict_checks_the_node_count_before_building_a_tree():
-    # expanding a depth-20 tree first would take seconds; the count check takes none
-    with pytest.raises(DomainError, match="node count"):
-        Decomposition.from_dict({"depth": 20, "nodes": []})
-    with pytest.raises(GeometryError, match="interval count"):
-        Geometry.from_dict({"depth": 20, "side_root": {}, "s1": [], "s2": []})
 
 
 def test_norm_and_distance_basics(rng):
@@ -269,10 +225,9 @@ def test_geometry_margin_guard():
         Geometry(root, s1, wide, 1)
 
 
-def test_geometry_serialization_and_distance(rng):
+def test_geometry_distance(rng):
     g = random_geometry(rng, 2)
-    back = Geometry.from_dict(g.to_dict())
-    assert geometry_distance(back, g) == 0.0
+    assert geometry_distance(g, g) == 0.0
     h = random_geometry(rng, 2)
     assert geometry_distance(g, h) == geometry_distance(h, g) > 0.0
     with pytest.raises(DepthMismatch):

@@ -46,7 +46,6 @@ def test_identity_profile_is_the_identity_map():
     phi = identity_profile(64)
     assert phi.nonlinearity_norm == 0.0
     assert np.max(np.abs(phi.evaluate(XS) - XS)) < 1e-14
-    assert np.max(np.abs(phi.derivative(XS) - 1.0)) < 1e-14
 
 
 def test_endpoints_are_fixed_exactly(rng):
@@ -61,12 +60,7 @@ def test_batched_evaluate_fixes_the_endpoints_exactly():
     for seed in range(20):
         phi = random_profile(np.random.default_rng(seed))
         assert phi.evaluate(np.array([-1.0, 1.0])).tolist() == [-1.0, 1.0]
-        assert phi.evaluate(phi.grid)[[0, -1]].tolist() == [-1.0, 1.0]
-
-
-def test_derivative_is_positive(rng):
-    phi = random_profile(rng, scale=0.8)
-    assert np.all(phi.derivative(XS) > 0.0)
+        assert phi.evaluate(_cheb.nodes(phi.degree))[[0, -1]].tolist() == [-1.0, 1.0]
 
 
 def test_evaluate_rejects_points_outside_the_interval():
@@ -74,12 +68,13 @@ def test_evaluate_rejects_points_outside_the_interval():
     with pytest.raises(DomainError):
         phi.evaluate(1.0 + 1e-6)
     with pytest.raises(DomainError):
-        phi.derivative(-1.5)
+        phi.inverse(-1.5)
 
 
 def test_resample_reproduces_grid_samples_bitwise(rng):
     phi = random_profile(rng)
-    assert np.array_equal(_cheb.resample(phi.eta_values, phi.grid), phi.eta_values)
+    assert np.array_equal(_cheb.resample(phi.eta_values, _cheb.nodes(phi.degree)),
+                          phi.eta_values)
 
 
 def test_inverse_round_trip(rng):
@@ -119,9 +114,10 @@ def test_inverse_accepts_exact_roots(rng):
     # phi(+-1) == +-1 exactly at a scalar, so the first iterate there has f == 0
     assert phi.inverse(-1.0) == -1.0 and phi.inverse(1.0) == 1.0
     assert np.max(np.abs(phi.inverse(np.array([-1.0, 1.0])) - [-1.0, 1.0])) < 1e-15
-    ys = phi.evaluate(phi.grid)
-    assert np.max(np.abs(phi.inverse(ys) - phi.grid)) < 1e-12
-    for x, y in zip(phi.grid, ys):
+    grid = _cheb.nodes(phi.degree)
+    ys = phi.evaluate(grid)
+    assert np.max(np.abs(phi.inverse(ys) - grid)) < 1e-12
+    for x, y in zip(grid, ys):
         assert abs(phi.inverse(y) - x) < 1e-12
 
 
@@ -336,7 +332,6 @@ def test_chopped_evaluation_stays_within_the_dropped_tail(source):
         for got, want, c in zip(chopped, full, series):
             assert np.max(np.abs(got - want)) <= (eps / 8.0 + 2.0 * eps) * np.abs(c).sum()
         assert np.array_equal(phi.evaluate(x), chopped[0])
-        assert np.array_equal(phi.derivative(x), np.exp(chopped[1]))
 
 
 def test_a_rows_width_is_the_same_alone_and_in_a_batch(rng):
@@ -409,24 +404,6 @@ def test_many_point_calls_allocate_one_chunk_of_table_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak <= copies * 2 * x.nbytes + 2 * table, (method.__name__, peak)
-
-
-def test_serialization_round_trip(rng):
-    phi = random_profile(rng)
-    clone = NonlinearityProfile.from_dict(phi.to_dict())
-    assert np.array_equal(clone.eta_values, phi.eta_values)
-
-
-@pytest.mark.parametrize("data", [
-    {"degree": 4}, {"eta": [0.0] * 4}, {"degree": "x", "eta": [0.0] * 4},
-    {"degree": 4, "eta": ["a", 0.0, 0.0, 0.0]}, {"degree": 4, "eta": 0.5},
-    {"degree": None, "eta": [0.0] * 4}, {"degree": 2, "eta": [[0.0, 0.0], [0.0]]}, [0.0] * 4,
-    {"degree": 64.5, "eta": [0.0] * 64},
-], ids=["no-eta", "no-degree", "degree-not-a-number", "eta-not-a-number", "eta-scalar",
-        "degree-none", "eta-ragged", "not-a-dict", "degree-fractional"])
-def test_profile_from_dict_refuses_malformed_input(data):
-    with pytest.raises(DomainError, match="malformed profile"):
-        NonlinearityProfile.from_dict(data)
 
 
 def test_linear_combination_acts_samplewise(rng):
@@ -550,17 +527,6 @@ def test_oriented_interval_identify_locate_round_trip():
         sign = 1.0 if flag == "+" else -1.0
         located = sign * (box.identify(XS) - box.midpoint) / box.half_length
         assert np.max(np.abs(located - XS)) < 1e-14
-        clone = OrientedInterval.from_dict(box.to_dict())
-        assert clone == box
-
-
-@pytest.mark.parametrize("data", [
-    {"lo": 0.1}, {"lo": 0.1, "hi": 0.5}, {"lo": "a", "hi": 0.5, "flag": "+"},
-    {"lo": None, "hi": 0.5, "flag": "+"}, [0.1, 0.5, "+"],
-], ids=["no-hi", "no-flag", "lo-not-a-number", "lo-none", "not-a-dict"])
-def test_oriented_interval_from_dict_refuses_malformed_input(data):
-    with pytest.raises(DomainError, match="malformed interval"):
-        OrientedInterval.from_dict(data)
 
 
 def test_oriented_interval_validation():
