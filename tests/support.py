@@ -4,18 +4,25 @@ Everything takes an explicit numpy Generator so each test controls its own
 seed; nothing here touches global RNG state.
 """
 
+import copy
+import json
+
 import numpy as np
+import pytest
 from numpy.polynomial import chebyshev
 
 from renormlab import (
+    ConfigError,
     Decomposition,
     DecompositionTimes,
+    FixedPointReport,
     Geometry,
     NonlinearityProfile,
     OrientedInterval,
 )
 from renormlab import _cheb, compose
 from renormlab._cheb import nodes
+from renormlab.cli import main
 
 
 def random_profile(rng, degree=64, scale=0.3, terms=8):
@@ -64,6 +71,45 @@ def random_decomposition(rng, depth, grid=64, scale=0.25):
     for w in times.indices_descending():
         nodes_map[w] = random_profile(rng, degree=grid, scale=scale * 0.45 ** len(w))
     return Decomposition(times, nodes_map)
+
+
+def stored_report(rng, depth):
+    """A report of a random geometry and decomposition at grid 64, as the solver stores one."""
+    return FixedPointReport(alpha=2.0, depth=depth, grid=64, t_star=0.8,
+                            geometry_star=random_geometry(rng, depth),
+                            pure_star=random_decomposition(rng, depth),
+                            residual_geometry=0.0, residual_peak=0.0, iterations=1)
+
+
+def bare_report(depth, grid):
+    """A consistent report dict at any depth and grid: identity rows, constant intervals."""
+    paths = DecompositionTimes(depth).indices_descending()
+    return {"alpha": 2.0, "depth": depth, "grid": grid, "t_star": 0.8,
+            "residual_geometry": 0.0, "residual_peak": 0.0, "iterations": 1,
+            "geometry": {"depth": depth, "side_root": {"lo": 0.3, "hi": 0.7, "flag": "+"},
+                         "s1": [{"path": w, "lo": 0.3, "hi": 0.7, "flag": "+"} for w in paths],
+                         "s2": [{"path": w, "lo": -0.3, "hi": 0.3, "flag": "-"} for w in paths]},
+            "decomposition": {"alpha": 2.0, "depth": depth,
+                              "nodes": [{"path": w, "eta": [0.0] * grid} for w in paths]}}
+
+
+def assert_report_refused(corrupt, tmp_path, capsys):
+    """Break a depth-2, grid-16 bare_report with ``corrupt`` and check both readers refuse it.
+
+    FixedPointReport.from_dict raises one ConfigError whose message starts
+    with "malformed report: " and names no inner layer, and ``spectrum --in``
+    on the file prints that message and exits 1.
+    """
+    data = bare_report(2, 16)
+    assert FixedPointReport.from_dict(copy.deepcopy(data)).depth == 2
+    corrupt(data)
+    with pytest.raises(ConfigError, match="^malformed report: ") as refused:
+        FixedPointReport.from_dict(data)
+    assert str(refused.value).count("malformed") == 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["spectrum", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 def explicit_fold(dec, words):

@@ -1,5 +1,6 @@
 """Tree-indexed decompositions, geometries, and the pure-decomposition operator."""
 
+import json
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from renormlab.decompspace import (
 )
 from renormlab import _cheb, diffspace
 from renormlab.diffspace import newton_inverse, pullback_rows
+from renormlab.renorm import FixedPointReport
 from renormlab.errors import (
     DepthMismatch,
     DomainError,
@@ -38,11 +40,13 @@ from renormlab.errors import (
 )
 
 from support import (
+    assert_report_refused,
     explicit_fold,
     random_decomposition,
     random_geometry,
     random_interval,
     random_profile,
+    stored_report,
 )
 
 
@@ -77,6 +81,25 @@ def test_identity_decomposition_is_flat():
     assert np.max(np.abs(phi.evaluate(x) - x)) < 1e-12
 
 
+# a decomposition is stored only inside a fixed-point report, so its round
+# trip and its refusals go through FixedPointReport.to_dict/from_dict
+
+def test_serialization_round_trip(rng):
+    report = stored_report(rng, 2)
+    data = report.to_dict()
+    assert data["decomposition"]["alpha"] == 2.0
+    assert data["decomposition"]["depth"] == 2
+    dec, back = report.pure_star, FixedPointReport.from_dict(data).pure_star
+    assert decomposition_distance(back, dec) == 0.0
+    for w in dec.times.indices_descending():
+        assert np.array_equal(back.nodes[w].eta_values, dec.nodes[w].eta_values)
+
+
+def test_serialization_round_trip_is_byte_identical(rng):
+    data = json.dumps(stored_report(rng, 3).to_dict())
+    assert json.dumps(FixedPointReport.from_dict(json.loads(data)).to_dict()) == data
+
+
 def test_nodes_are_read_only_views_of_the_rows(rng):
     dec = random_decomposition(rng, 3)
     assert dec.eta.shape == (15, 64) and not dec.eta.flags.writeable
@@ -96,6 +119,23 @@ def test_node_cache_alone_equals_its_row_of_the_batch(rng):
         alone = NonlinearityProfile(dec.nodes[w].eta_values)._cache()
         for mine, batched in zip(alone, batch):
             assert np.array_equal(mine, batched[rows.index(w)]), w
+
+
+def test_decomposition_from_dict_refuses_a_node_count_off_the_depth(tmp_path, capsys):
+    def one_node_too_many(data):
+        nodes = data["decomposition"]["nodes"]
+        nodes.append(dict(nodes[0]))
+
+    assert_report_refused(one_node_too_many, tmp_path, capsys)
+
+
+def test_decomposition_from_dict_refuses_non_numeric_samples(tmp_path, capsys):
+    assert_report_refused(lambda data: data["decomposition"]["nodes"][-1]["eta"].__setitem__(3, "x"),
+                          tmp_path, capsys)
+
+
+def test_geometry_from_dict_refuses_non_list_intervals(tmp_path, capsys):
+    assert_report_refused(lambda data: data["geometry"].update(s2=3), tmp_path, capsys)
 
 
 def test_norm_and_distance_basics(rng):

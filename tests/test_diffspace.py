@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from renormlab import (
     NonConvergence,
     NonlinearityProfile,
     OrientedInterval,
+    FixedPointReport,
     ResolutionError,
     SolverConfig,
     branch_zoom,
@@ -32,10 +34,12 @@ from renormlab.diffspace import (
     series_width,
 )
 from support import (
+    assert_report_refused,
     monotone_profile,
     patch_series,
     random_decomposition,
     random_profile,
+    stored_report,
     vectorised_bracketed_newton,
 )
 
@@ -406,6 +410,31 @@ def test_many_point_calls_allocate_one_chunk_of_table_at_a_time():
         assert peak <= copies * 2 * x.nbytes + 2 * table, (method.__name__, peak)
 
 
+# profiles and intervals are stored only inside a fixed-point report, so their
+# round trip and refusals go through FixedPointReport.to_dict/from_dict
+
+def test_serialization_round_trip(rng):
+    report = stored_report(rng, 1)
+    clone = FixedPointReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    for w, phi in report.pure_star.nodes.items():
+        assert np.array_equal(clone.pure_star.nodes[w].eta_values, phi.eta_values)
+
+
+def _node(data):
+    return data["decomposition"]["nodes"][0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: _node(data).pop("eta"),
+    lambda data: _node(data)["eta"].__setitem__(0, "a"),
+    lambda data: _node(data).update(eta=0.5),
+    lambda data: _node(data)["eta"].__setitem__(3, [0.0, 0.0]),
+    lambda data: data["decomposition"]["nodes"].__setitem__(0, [0.0] * 16),
+], ids=["no-eta", "eta-not-a-number", "eta-scalar", "eta-ragged", "not-a-dict"])
+def test_profile_from_dict_refuses_malformed_input(corrupt, tmp_path, capsys):
+    assert_report_refused(corrupt, tmp_path, capsys)
+
+
 def test_linear_combination_acts_samplewise(rng):
     phi, psi = random_profile(rng), random_profile(rng)
     out = linear_combination(0.3, phi, -1.25, psi)
@@ -527,6 +556,21 @@ def test_oriented_interval_identify_locate_round_trip():
         sign = 1.0 if flag == "+" else -1.0
         located = sign * (box.identify(XS) - box.midpoint) / box.half_length
         assert np.max(np.abs(located - XS)) < 1e-14
+
+
+def _s1(data):
+    return data["geometry"]["s1"][0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data["geometry"]["side_root"].pop("hi"),
+    lambda data: _s1(data).pop("flag"),
+    lambda data: _s1(data).update(lo="a"),
+    lambda data: _s1(data).update(lo=None),
+    lambda data: data["geometry"]["s1"].__setitem__(0, [0.3, 0.7, "+"]),
+], ids=["no-hi", "no-flag", "lo-not-a-number", "lo-none", "not-a-dict"])
+def test_oriented_interval_from_dict_refuses_malformed_input(corrupt, tmp_path, capsys):
+    assert_report_refused(corrupt, tmp_path, capsys)
 
 
 def test_oriented_interval_validation():

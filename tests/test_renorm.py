@@ -1,6 +1,5 @@
 """Dynamical renormalization: structure points, windows, and the outer solver."""
 
-import copy
 import json
 import math
 import warnings
@@ -44,8 +43,7 @@ from renormlab.errors import (
     NoWindow,
     ResolutionError,
 )
-from renormlab.cli import main
-from support import patch_series, random_decomposition, random_geometry
+from support import assert_report_refused, bare_report, patch_series, stored_report
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -637,25 +635,9 @@ def test_report_dict_round_trip(small_report):
     assert old.to_dict() == data
 
 
-def _bare_report(depth, grid):
-    """A consistent report dict at any depth and grid: identity rows, constant intervals."""
-    paths = DecompositionTimes(depth).indices_descending()
-    return {"alpha": 2.0, "depth": depth, "grid": grid, "t_star": 0.8,
-            "residual_geometry": 0.0, "residual_peak": 0.0, "iterations": 1,
-            "geometry": {"depth": depth, "side_root": {"lo": 0.3, "hi": 0.7, "flag": "+"},
-                         "s1": [{"path": w, "lo": 0.3, "hi": 0.7, "flag": "+"} for w in paths],
-                         "s2": [{"path": w, "lo": -0.3, "hi": 0.3, "flag": "-"} for w in paths]},
-            "decomposition": {"alpha": 2.0, "depth": depth,
-                              "nodes": [{"path": w, "eta": [0.0] * grid} for w in paths]}}
-
-
 def test_report_round_trip_is_byte_identical_in_any_entry_order(rng):
-    report = FixedPointReport(alpha=2.0, depth=3, grid=64, t_star=0.8,
-                              geometry_star=random_geometry(rng, 3),
-                              pure_star=random_decomposition(rng, 3),
-                              residual_geometry=0.0, residual_peak=0.0, iterations=1)
-    text = json.dumps(report.to_dict())
-    assert json.dumps(FixedPointReport.from_dict(json.loads(text)).to_dict()) == text
+    # the round trip in the written order: test_decompspace.py
+    text = json.dumps(stored_report(rng, 3).to_dict())
     data = json.loads(text)
     for entries in (data["decomposition"]["nodes"], data["geometry"]["s1"],
                     data["geometry"]["s2"]):
@@ -667,19 +649,13 @@ def _nodes(data):
     return data["decomposition"]["nodes"]
 
 
-def _s1(data):
-    return data["geometry"]["s1"]
-
-
-# each breaks one thing in a depth-2, grid-16 _bare_report
+# each breaks one thing in a depth-2, grid-16 bare_report; more cases that break
+# one stored profile, interval or decomposition are in test_diffspace.py and
+# test_decompspace.py under the same check
 MALFORMED_REPORTS = {
     # the samples of a node
     "non-numeric-eta": lambda data: _nodes(data)[0]["eta"].__setitem__(3, "x"),
-    "eta-scalar": lambda data: _nodes(data)[0].update(eta=0.5),
-    "eta-ragged": lambda data: _nodes(data)[0]["eta"].__setitem__(3, [0.0, 0.0]),
     "eta-infinite": lambda data: _nodes(data)[0]["eta"].__setitem__(3, float("inf")),
-    "node-without-eta": lambda data: _nodes(data)[0].pop("eta"),
-    "node-not-a-dict": lambda data: _nodes(data).__setitem__(0, [0.0] * 16),
     "grid-disagrees": lambda data: _nodes(data)[0].update(eta=[0.0] * 10),
     # the grid that every node's sample count must match
     "no-grid": lambda data: data.pop("grid"),
@@ -687,12 +663,7 @@ MALFORMED_REPORTS = {
     "grid-none": lambda data: data.update(grid=None),
     "grid-fractional": lambda data: data.update(grid=16.5),
     # the intervals
-    "side-root-without-hi": lambda data: data["geometry"]["side_root"].pop("hi"),
-    "s1-without-flag": lambda data: _s1(data)[0].pop("flag"),
-    "s1-lo-not-a-number": lambda data: _s1(data)[0].update(lo="a"),
-    "s1-lo-none": lambda data: _s1(data)[0].update(lo=None),
-    "s1-entry-a-list": lambda data: _s1(data).__setitem__(0, [0.3, 0.7, "+"]),
-    "s1-flag-minus": lambda data: _s1(data)[0].update(flag="-"),
+    "s1-flag-minus": lambda data: data["geometry"]["s1"][0].update(flag="-"),
     "scalar-s1": lambda data: data["geometry"].update(s1=3),
     # the tree
     "node-count": lambda data: _nodes(data).pop(),
@@ -700,7 +671,7 @@ MALFORMED_REPORTS = {
     "nodes-an-object": lambda data: data["decomposition"].update(
         nodes={node["path"]: node for node in _nodes(data)}),
     "duplicated-path": lambda data: _nodes(data)[1].update(path=_nodes(data)[0]["path"]),
-    "path-outside-the-tree": lambda data: _s1(data)[0].update(path="121"),
+    "path-outside-the-tree": lambda data: data["geometry"]["s1"][0].update(path="121"),
     "depth-disagrees": lambda data: data["geometry"].update(depth=1),
     "alpha-disagrees": lambda data: data["decomposition"].update(alpha=3.0),
 }
@@ -708,16 +679,7 @@ MALFORMED_REPORTS = {
 
 @pytest.mark.parametrize("corrupt", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
 def test_report_from_dict_maps_malformed_parts_to_config_error(corrupt, tmp_path, capsys):
-    data = _bare_report(2, 16)
-    assert FixedPointReport.from_dict(copy.deepcopy(data)).depth == 2
-    corrupt(data)
-    with pytest.raises(ConfigError, match="^malformed report: ") as refused:
-        FixedPointReport.from_dict(data)
-    assert str(refused.value).count("malformed") == 1
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    assert main(["spectrum", "--in", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert_report_refused(corrupt, tmp_path, capsys)
 
 
 def test_a_reports_entry_count_is_checked_before_its_tree_is_built(monkeypatch):
@@ -728,7 +690,7 @@ def test_a_reports_entry_count_is_checked_before_its_tree_is_built(monkeypatch):
     SolverConfig(alpha=2.0, depth=18, grid=16)
     with pytest.raises(ConfigError, match="would need over 2 GiB"):
         SolverConfig(alpha=2.0, depth=19, grid=16)
-    data = _bare_report(0, 16)
+    data = bare_report(0, 16)
     data["depth"] = data["geometry"]["depth"] = data["decomposition"]["depth"] = 18
     data["decomposition"]["nodes"] = []
     monkeypatch.setattr(DecompositionTimes, "indices_descending", listed)
@@ -744,9 +706,9 @@ def test_a_reports_entry_count_is_checked_before_its_tree_is_built(monkeypatch):
     (1, 5000, "depth 1 at grid 5000 would need over 2 GiB"),
 ], ids=["grid-8", "depth-0", "grid-5000"])
 def test_stored_reports_obey_the_solvers_bounds(depth, grid, message):
-    assert FixedPointReport.from_dict(_bare_report(1, 48)).grid == 48
+    assert FixedPointReport.from_dict(bare_report(1, 48)).grid == 48
     with pytest.raises(ConfigError, match=f"malformed report: {message}"):
-        FixedPointReport.from_dict(_bare_report(depth, grid))
+        FixedPointReport.from_dict(bare_report(depth, grid))
 
 
 def test_periodic_orbit_collapses_to_fixed_point(small_report):
