@@ -60,6 +60,13 @@ _ZOOM_ROWS = 8
 ROOT = ""
 
 
+# Deepest tree DecompositionTimes admits.  SolverConfig's byte cap admits depth
+# 18 (at grid 16) and renormalize(truncate=False) adds one level.  A deeper tree
+# is refused before its words are built: at depth 18 they take 0.13 s and 87 MB
+# (a 2-core Xeon), four times that every two levels more.
+_MAX_DEPTH = 19
+
+
 @lru_cache(maxsize=64)
 def _descending(depth: int) -> tuple[str, ...]:
     if depth == 0:
@@ -69,14 +76,14 @@ def _descending(depth: int) -> tuple[str, ...]:
 
 
 class DecompositionTimes:
-    """The full binary tree of time indices up to a fixed depth."""
+    """The full binary tree of time indices up to a fixed depth, at most _MAX_DEPTH."""
 
     __slots__ = ("depth",)
 
     def __init__(self, depth: int):
         depth = _integer(depth, "depth", DomainError)
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
+        if not 0 <= depth <= _MAX_DEPTH:
+            raise DomainError(f"depth must be at least 0 and at most {_MAX_DEPTH}, not {depth}")
         self.depth = depth
 
     @property
@@ -96,46 +103,51 @@ def _full_tree_depth(n: int) -> int | None:
     return (n + 1).bit_length() - 2 if n > 0 and n & (n + 1) == 0 else None
 
 
+def _in_row_order(entries, depth: int, key: str, error: type) -> list:
+    """Values of path-keyed entries (a dict or (path, value) pairs) in row order.
+
+    The one rule for path-keyed input.  The count is checked first, so a
+    claimed depth far past the entries is refused before the tree's words
+    are built; then the paths must be the tree's words, once each.
+    """
+    times = DecompositionTimes(depth)
+    if len(entries) != times.size:
+        raise error(f"{key} holds {len(entries)} entries, not the {times.size} of "
+                    f"the depth-{times.depth} tree")
+    by_path = dict(entries)
+    paths = times.indices_descending()
+    if by_path.keys() != set(paths):
+        raise error(f"{key} repeats a path or holds one outside the depth-{times.depth} tree")
+    return [by_path[w] for w in paths]
+
+
 class Decomposition:
     """A map from time indices to nonlinearity profiles on a shared grid.
 
-    The samples are one read-only (2^(depth+1) - 1, grid) array ``eta``, one
-    row per index in descending time order (times.indices_descending()),
-    the order of the composition fold, the pullback and the stored report.
-    ``nodes[w]`` is a NonlinearityProfile viewing row w; the evaluation data
-    of every row is built in one batch the first time a fold or pullback
-    needs it, and a node view builds its own only if it is evaluated.
+    Built from its rows alone: ``eta`` is a (2^(depth+1) - 1, grid) array
+    with grid >= 4, one row per index in descending time order
+    (times.indices_descending()), the order of the composition fold, the
+    pullback and the stored report; the depth, and so the tree, follow from
+    the row count.  The rows are kept as one read-only copy.  ``nodes[w]``
+    is a NonlinearityProfile viewing row w; the evaluation data of every row
+    is built in one batch the first time a fold or pullback needs it, and a
+    node view builds its own only if it is evaluated.
     """
 
     __slots__ = ("times", "eta", "nodes", "_quad")
 
-    def __init__(self, times: DecompositionTimes, nodes: dict):
-        paths = times.indices_descending()
-        if set(nodes) != set(paths):
-            raise DomainError("decomposition nodes must cover the index tree exactly")
-        grid = nodes[ROOT].degree
-        if any(nodes[w].degree != grid for w in paths):
-            raise DomainError("decomposition nodes must share a grid degree")
-        self._adopt(times, np.array([nodes[w].eta_values for w in paths]))
-
-    @classmethod
-    def from_rows(cls, times: DecompositionTimes, eta) -> "Decomposition":
-        """A decomposition whose row r is the node at times.indices_descending()[r]."""
+    def __init__(self, eta):
         eta = np.array(eta, dtype=float)
-        if eta.ndim != 2 or eta.shape[0] != times.size or eta.shape[1] < 4:
-            raise DomainError(f"decomposition rows must form a ({times.size}, n >= 4) array")
+        depth = _full_tree_depth(eta.shape[0]) if eta.ndim == 2 and eta.shape[1] >= 4 else None
+        if depth is None:
+            raise DomainError("decomposition rows must form a (2^(depth+1) - 1, n >= 4) array")
         if not np.all(np.isfinite(eta)):
             raise DomainError("nonlinearity samples must be finite")
-        obj = object.__new__(cls)
-        obj._adopt(times, eta)
-        return obj
-
-    def _adopt(self, times, eta: np.ndarray):
         eta.setflags(write=False)
-        self.times = times
+        self.times = DecompositionTimes(depth)
         self.eta = eta
         self.nodes = MappingProxyType({w: NonlinearityProfile._view(row)
-                                       for w, row in zip(times.indices_descending(), eta)})
+                                       for w, row in zip(self.times.indices_descending(), eta)})
         self._quad = None
 
     def _batch(self):
@@ -168,8 +180,7 @@ class Decomposition:
 
 
 def identity_decomposition(depth: int, grid: int) -> Decomposition:
-    times = DecompositionTimes(depth)
-    return Decomposition.from_rows(times, np.zeros((times.size, grid)))
+    return Decomposition(np.zeros((DecompositionTimes(depth).size, grid)))
 
 
 def decomposition_distance(a: Decomposition, b: Decomposition) -> float:
@@ -205,19 +216,21 @@ class Geometry:
     (0, 1), flag +).  ``ends`` is one read-only (2^(depth+1) - 1, 4) array:
     row r holds s1.lo, s1.hi, s2.lo, s2.hi of the index at row r of a
     decomposition, the intervals its node is zoomed into, with flags + and -
-    implied.  The dict constructor takes s1 and s2 keyed by index; from_rows
-    takes the rows.  Every half-length is at most KAPPA_MARGIN.
+    implied.  Every half-length is at most KAPPA_MARGIN.  from_rows takes
+    the rows; the constructor takes s1 and s2 keyed by path (a dict or a
+    list of (path, OrientedInterval) pairs), as the stored report and the
+    benchmark's random start geometries hold them, and checks them with
+    _in_row_order and the flag rule.
     """
 
     __slots__ = ("side_root", "ends", "depth")
 
-    def __init__(self, side_root: OrientedInterval, s1: dict, s2: dict, depth: int):
-        paths = DecompositionTimes(depth).indices_descending()
-        if set(s1) != set(paths) or set(s2) != set(paths):
-            raise GeometryError("geometry intervals must cover the index tree exactly")
-        if any(s1[w].flag != "+" or s2[w].flag != "-" for w in paths):
+    def __init__(self, side_root: OrientedInterval, s1, s2, depth: int):
+        s1, s2 = (_in_row_order(entries, depth, key, GeometryError)
+                  for entries, key in ((s1, "s1"), (s2, "s2")))
+        if any(a.flag != "+" or b.flag != "-" for a, b in zip(s1, s2)):
             raise GeometryError("s1 intervals must carry flag '+' and s2 intervals flag '-'")
-        self._adopt(side_root, [[s1[w].lo, s1[w].hi, s2[w].lo, s2[w].hi] for w in paths])
+        self._adopt(side_root, [[a.lo, a.hi, b.lo, b.hi] for a, b in zip(s1, s2)])
 
     @classmethod
     def from_rows(cls, side_root: OrientedInterval, ends) -> "Geometry":
@@ -329,7 +342,7 @@ def geometric_renormalize(g: Geometry, alpha: float, dec: Decomposition, *,
     out = np.empty((times.size, dec.grid))
     out[half - 1] = branch_zoom(alpha, g.side_root, dec.grid).eta_values
     _zoom_children(out, dec.eta[src], g.ends[src], np.arange(half - 1))
-    return Decomposition.from_rows(times, out)
+    return Decomposition(out)
 
 
 def pure_decomposition(g: Geometry, alpha: float, *, grid: int = DEFAULT_DEGREE) -> Decomposition:
@@ -350,4 +363,4 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = DEFAULT_DEGREE)
     for level in range(g.depth):
         src = odd[span == half >> level]
         _zoom_children(out, out[src], g.ends[src], src >> 1)
-    return Decomposition.from_rows(times, out)
+    return Decomposition(out)

@@ -25,6 +25,7 @@ from .decompspace import (
     Decomposition,
     DecompositionTimes,
     Geometry,
+    _in_row_order,
     compose_all,
     decomposition_distance,
     geometric_renormalize,
@@ -474,7 +475,8 @@ class FixedPointReport:
     residual_geometry is the distance between the dynamical geometry of the
     certified map and the geometry it was built from; residual_peak is the
     defect |rho - t| of the peak-value invariance; coincident marks cycle
-    elements that collapse onto a fixed point.
+    elements that collapse onto a fixed point.  depth and grid are those of
+    pure_star, whose depth geometry_star shares.
 
     A report is an immutable value.  On first use it computes one truncated
     renormalize step of its own map, DecomposedMap(pure_star, t_star,
@@ -485,8 +487,6 @@ class FixedPointReport:
     """
 
     alpha: float
-    depth: int
-    grid: int
     t_star: float
     geometry_star: Geometry
     pure_star: Decomposition
@@ -494,6 +494,19 @@ class FixedPointReport:
     residual_peak: float
     iterations: int
     coincident: bool | None = None
+
+    def __post_init__(self):
+        if self.geometry_star.depth != self.pure_star.depth:
+            raise DepthMismatch(f"geometry depth {self.geometry_star.depth} differs from "
+                                f"decomposition depth {self.pure_star.depth}")
+
+    @property
+    def depth(self) -> int:
+        return self.pure_star.depth
+
+    @property
+    def grid(self) -> int:
+        return self.pure_star.grid
 
     @cached_property
     def _renormalized(self):
@@ -506,7 +519,7 @@ class FixedPointReport:
         a caller that renormalizes the kept step's map again does so from a
         copy of its rows too.
         """
-        dec = Decomposition.from_rows(self.pure_star.times, self.pure_star.eta)
+        dec = Decomposition(self.pure_star.eta)
         f = DecomposedMap(dec, self.t_star, self.alpha)
         return renormalize(f), f.observed
 
@@ -523,8 +536,8 @@ class FixedPointReport:
         rows = self.pure_star.eta.tolist()
         data = {
             "alpha": float(self.alpha),
-            "depth": int(self.depth),
-            "grid": int(self.grid),
+            "depth": self.depth,
+            "grid": self.grid,
             "t_star": float(self.t_star),
             "residual_geometry": float(self.residual_geometry),
             "residual_peak": float(self.residual_peak),
@@ -556,8 +569,9 @@ class FixedPointReport:
         report is never larger than a solve may be; the decomposition must
         have the report's depth, grid and alpha, the geometry its depth.  Each
         path-keyed list holds every word of the tree once, in any order
-        (_in_row_order); Decomposition.from_rows and Geometry.from_rows check
-        the samples and the intervals.  Keys the format does not name are
+        (decompspace._in_row_order, which Geometry's constructor runs on s1
+        and s2 with the flag rule); Decomposition and Geometry check the
+        samples and the intervals.  Keys the format does not name are
         ignored.  Every refusal reads "malformed report: ...".
         """
         try:
@@ -581,25 +595,24 @@ class FixedPointReport:
             if float(dec["alpha"]) != alpha:
                 raise ConfigError(f"report alpha {alpha!r} disagrees with its decomposition's "
                                   f"{dec['alpha']!r}")
-            times = DecompositionTimes(depth)
-            nodes = _in_row_order(dec["nodes"], times, "nodes")
-            if any(len(node["eta"]) != grid for node in nodes):
+            rows = _in_row_order([(str(node["path"]), node["eta"]) for node in dec["nodes"]],
+                                 depth, "nodes", ConfigError)
+            if any(len(row) != grid for row in rows):
                 raise ConfigError(f"report grid {grid} disagrees with its decomposition")
-            s1, s2 = _in_row_order(geo["s1"], times, "s1"), _in_row_order(geo["s2"], times, "s2")
-            if any(str(a["flag"]) != "+" or str(b["flag"]) != "-" for a, b in zip(s1, s2)):
-                raise ConfigError("s1 intervals must carry flag '+' and s2 intervals flag '-'")
-            root = geo["side_root"]
-            geometry = Geometry.from_rows(
-                OrientedInterval(float(root["lo"]), float(root["hi"]), str(root["flag"])),
-                [[float(a["lo"]), float(a["hi"]), float(b["lo"]), float(b["hi"])]
-                 for a, b in zip(s1, s2)])
+
+            def interval(entry):
+                return OrientedInterval(float(entry["lo"]), float(entry["hi"]), str(entry["flag"]))
+
+            def intervals(key):
+                return [(str(entry["path"]), interval(entry)) for entry in geo[key]]
+
             return cls(
                 alpha=alpha,
-                depth=depth,
-                grid=grid,
                 t_star=t_star,
-                geometry_star=geometry,
-                pure_star=Decomposition.from_rows(times, [node["eta"] for node in nodes]),
+                # the intervals go before the node views are made, which reuse their memory
+                geometry_star=Geometry(interval(geo["side_root"]), intervals("s1"),
+                                       intervals("s2"), depth),
+                pure_star=Decomposition(rows),
                 residual_geometry=residuals[0],
                 residual_peak=residuals[1],
                 iterations=iterations,
@@ -608,23 +621,6 @@ class FixedPointReport:
         except (TypeError, KeyError, ValueError, OverflowError, RenormlabError) as exc:
             detail = exc if isinstance(exc, RenormlabError) else f"{type(exc).__name__}: {exc}"
             raise ConfigError(f"malformed report: {detail}") from exc
-
-
-def _in_row_order(entries, times: DecompositionTimes, key: str) -> list:
-    """The path-keyed entries of a stored list, in descending row order.
-
-    Their count is checked first, so a report that claims an absurd depth
-    is refused before the tree's index is built; then their paths must be
-    exactly the tree's words, once each.
-    """
-    if len(entries) != times.size:
-        raise ConfigError(f"{key} holds {len(entries)} entries, not the {times.size} of "
-                          f"the depth-{times.depth} tree")
-    by_path = {str(entry["path"]): entry for entry in entries}
-    paths = times.indices_descending()
-    if by_path.keys() != set(paths):
-        raise ConfigError(f"{key} repeats a path or holds one outside the depth-{times.depth} tree")
-    return [by_path[w] for w in paths]
 
 
 def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:
@@ -746,12 +742,10 @@ def _cycle_reports(config: SolverConfig, maps, geoms, closure: float, iterations
     # the wrap-around distance is the cycle closure residual
     return [FixedPointReport(
         alpha=config.alpha,
-        depth=config.depth,
-        grid=config.grid,
         t_star=maps[j].t,
         geometry_star=geoms[j],
         # fresh rows: the solve's evaluation batch is not kept with the report
-        pure_star=Decomposition.from_rows(maps[j].decomposition.times, maps[j].decomposition.eta),
+        pure_star=Decomposition(maps[j].decomposition.eta),
         residual_geometry=closure if j == k - 1 else 0.0,
         residual_peak=abs(peak_value_rho(maps[j]) - maps[j].t),
         iterations=iterations,
@@ -846,6 +840,6 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int) -> Dec
     decay = 0.6 ** np.arange(8)
     coeffs = np.array([rng.standard_normal(8) * decay * (0.25 * 0.45 ** len(w))
                        for w in times.indices_descending()])
-    dec = Decomposition.from_rows(times, _cheb.on_grid(coeffs, grid))
+    dec = Decomposition(_cheb.on_grid(coeffs, grid))
     obs = compose_all(dec)
     return DecomposedMap(dec, _solve_peak(obs, alpha), alpha, observed=obs)

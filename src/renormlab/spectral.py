@@ -177,7 +177,7 @@ def _pack(dec, t: float) -> np.ndarray:
 
 
 def _unpack(vec: np.ndarray, template):
-    return (Decomposition.from_rows(template.times, vec[:-1].reshape(template.eta.shape)),
+    return (Decomposition(vec[:-1].reshape(template.eta.shape)),
             float(vec[-1]))
 
 
@@ -250,8 +250,7 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
         return ratios
     # a copy of the kept rows: the report does not keep the batch the next step builds
     kept = outcome.renormalized
-    f = DecomposedMap(Decomposition.from_rows(kept.decomposition.times, kept.decomposition.eta),
-                      kept.t, kept.alpha)
+    f = DecomposedMap(Decomposition(kept.decomposition.eta), kept.t, kept.alpha)
     for _ in range(levels - 2):
         outcome = renormalize(f)
         ratios.append(outcome.p)

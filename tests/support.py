@@ -66,16 +66,13 @@ def random_geometry(rng, depth):
 
 def random_decomposition(rng, depth, grid=64, scale=0.25):
     """Random decomposition with per-level decay keeping compositions tame."""
-    times = DecompositionTimes(depth)
-    nodes_map = {}
-    for w in times.indices_descending():
-        nodes_map[w] = random_profile(rng, degree=grid, scale=scale * 0.45 ** len(w))
-    return Decomposition(times, nodes_map)
+    return Decomposition([random_profile(rng, degree=grid, scale=scale * 0.45 ** len(w)).eta_values
+                          for w in DecompositionTimes(depth).indices_descending()])
 
 
 def stored_report(rng, depth):
     """A report of a random geometry and decomposition at grid 64, as the solver stores one."""
-    return FixedPointReport(alpha=2.0, depth=depth, grid=64, t_star=0.8,
+    return FixedPointReport(alpha=2.0, t_star=0.8,
                             geometry_star=random_geometry(rng, depth),
                             pure_star=random_decomposition(rng, depth),
                             residual_geometry=0.0, residual_peak=0.0, iterations=1)

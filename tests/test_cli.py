@@ -425,6 +425,14 @@ def test_spectrum_round_trip(report_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_the_stored_benchmark_report_round_trips_to_its_own_bytes():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "fp-alpha2-depth8.json"
+    text = path.read_text()
+    report = renorm.FixedPointReport.from_dict(json.loads(text))
+    assert (report.depth, report.grid) == (8, 64)
+    assert cli._report_json(report) == text
+
+
 def test_spectrum_alpha_is_a_check_on_the_report(report_file, capsys):
     assert main(["spectrum", "--in", str(report_file)]) == 0
     without = capsys.readouterr().out

@@ -41,6 +41,7 @@ from renormlab.errors import (
 
 from support import (
     assert_report_refused,
+    bare_report,
     explicit_fold,
     random_decomposition,
     random_geometry,
@@ -53,22 +54,28 @@ from support import (
 # ---------------------------------------------------------------- container
 
 
-def test_decomposition_requires_exact_tree_coverage():
-    times = DecompositionTimes(1)
-    nodes = {w: NonlinearityProfile(np.zeros(16)) for w in ("", "1")}
-    with pytest.raises(DomainError):
-        Decomposition(times, nodes)
-
-
-def test_decomposition_requires_shared_grid():
-    times = DecompositionTimes(1)
-    nodes = {
-        "": NonlinearityProfile(np.zeros(16)),
-        "1": NonlinearityProfile(np.zeros(16)),
-        "2": NonlinearityProfile(np.zeros(24)),
-    }
-    with pytest.raises(DomainError):
-        Decomposition(times, nodes)
+def test_decomposition_takes_its_tree_from_the_row_count():
+    for depth in range(4):
+        eta = np.arange(float(2 ** (depth + 1) - 1))[:, None] + np.zeros(16)
+        dec = Decomposition(eta)
+        assert (dec.depth, dec.grid, dec.times.depth) == (depth, 16, depth)
+        # one read-only copy of the rows
+        assert np.array_equal(dec.eta, eta) and not dec.eta.flags.writeable
+        assert not np.shares_memory(dec.eta, eta)
+        for r, w in enumerate(dec.times.indices_descending()):
+            assert dec.nodes[w].eta_values[0] == r
+    # a row count off every full tree, a grid below 4, no 2-D array
+    for rows in (np.zeros((2, 16)), np.zeros((0, 16)), np.zeros((3, 3)), np.zeros(7),
+                 np.zeros((3, 16, 1))):
+        with pytest.raises(DomainError, match="rows must form"):
+            Decomposition(rows)
+    with pytest.raises(ValueError):  # numpy refuses ragged rows
+        Decomposition([[0.0] * 16, [0.0] * 16, [0.0] * 15])
+    for bad in (np.nan, np.inf):
+        eta = np.zeros((3, 16))
+        eta[1, 2] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            Decomposition(eta)
 
 
 def test_identity_decomposition_is_flat():
@@ -186,7 +193,7 @@ def test_compose_all_takes_grid_node_hits_as_the_explicit_fold_does(rng, monkeyp
     dec = random_decomposition(rng, 4, grid=grid)
     eta = np.array(dec.eta)
     eta[1::3] = 0.0
-    dec = Decomposition.from_rows(dec.times, eta)
+    dec = Decomposition(eta)
     rows = [dec.nodes[w] for w in dec.times.indices_descending()]
     manual = rows[0]
     for node in rows[1:]:
@@ -210,7 +217,7 @@ def test_unresolvable_fold_raises_the_explicit_folds_error():
     times = DecompositionTimes(3)
     eta = np.zeros((times.size, 16))
     eta[2:12] = 6.0
-    dec = Decomposition.from_rows(times, eta)
+    dec = Decomposition(eta)
     manual = dec.nodes[times.indices_descending()[0]]
     with pytest.raises(ResolutionError) as explicit:
         for w in times.indices_descending()[1:]:
@@ -253,6 +260,36 @@ def test_geometry_validation_errors():
     bad2["2"] = OrientedInterval(-0.25, 0.25, "+")
     with pytest.raises(GeometryError):
         Geometry(root, s1, bad2, 1)
+
+
+def _intervals(entries):
+    return [(e["path"], OrientedInterval(e["lo"], e["hi"], e["flag"])) for e in entries]
+
+
+# each breaks one stored s1 or s2 list of a depth-2 bare_report
+PATH_KEYED_REFUSALS = {
+    "count": lambda entries: entries.pop(),
+    "repeat": lambda entries: entries[1].update(path=entries[0]["path"]),
+    "foreign-path": lambda entries: entries[0].update(path="121"),
+    "other-symbol": lambda entries: entries[0].update(path="3"),
+    "wrong-flag": lambda entries: entries[2].update(flag={"+": "-", "-": "+"}[entries[2]["flag"]]),
+}
+
+
+@pytest.mark.parametrize("key", ["s1", "s2"])
+@pytest.mark.parametrize("corrupt", PATH_KEYED_REFUSALS.values(), ids=PATH_KEYED_REFUSALS)
+def test_path_keyed_intervals_meet_one_rule_in_the_reader_and_in_geometry(key, corrupt, tmp_path,
+                                                                         capsys):
+    assert_report_refused(lambda data: corrupt(data["geometry"][key]), tmp_path, capsys)
+    geo = bare_report(2, 16)["geometry"]
+    root = OrientedInterval(**geo["side_root"])
+    assert Geometry(root, _intervals(geo["s1"]), _intervals(geo["s2"]), 2).depth == 2
+    corrupt(geo[key])
+    s1, s2 = _intervals(geo["s1"]), _intervals(geo["s2"])
+    # as (path, interval) pairs, the reader's form, and as dicts, where a repeat drops a path
+    for form in (list, dict):
+        with pytest.raises(GeometryError, match="^s[12] "):
+            Geometry(root, form(s1), form(s2), 2)
 
 
 def test_geometry_margin_guard():
@@ -476,8 +513,7 @@ def test_a_collapsing_pullback_names_its_first_degenerate_row(rng):
     # than 1e-13; the rows after it are never solved, so a nan series there
     # raises nothing
     times = DecompositionTimes(8)
-    dec = Decomposition.from_rows(times, [random_profile(rng, scale=2.0).eta_values
-                                          for _ in range(times.size)])
+    dec = Decomposition([random_profile(rng, scale=2.0).eta_values for _ in range(times.size)])
     s1, s2 = OrientedInterval(0.3, 0.75, "+"), OrientedInterval(-0.3, 0.3, "-")
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     for r, w in enumerate(times.indices_descending()):

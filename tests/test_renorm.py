@@ -1,5 +1,6 @@
 """Dynamical renormalization: structure points, windows, and the outer solver."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -35,6 +36,7 @@ from renormlab.renorm import (
 from renormlab.diffspace import FoldingMap, OrientedInterval, branch_zoom, identity_profile
 from renormlab.errors import (
     ConfigError,
+    DepthMismatch,
     DomainError,
     GeometryError,
     NoFixedPoint,
@@ -43,7 +45,13 @@ from renormlab.errors import (
     NoWindow,
     ResolutionError,
 )
-from support import assert_report_refused, bare_report, patch_series, stored_report
+from support import (
+    assert_report_refused,
+    bare_report,
+    patch_series,
+    random_geometry,
+    stored_report,
+)
 
 GOLDEN_T = 0.25 * (1.0 + math.sqrt(5.0))
 
@@ -643,6 +651,17 @@ def test_report_round_trip_is_byte_identical_in_any_entry_order(rng):
                     data["geometry"]["s2"]):
         rng.shuffle(entries)
     assert json.dumps(FixedPointReport.from_dict(data).to_dict()) == text
+
+
+def test_a_reports_depth_and_grid_are_its_decompositions(rng):
+    report = stored_report(rng, 3)
+    assert (report.depth, report.grid) == (3, 64)
+    with pytest.raises(TypeError, match="depth"):
+        dataclasses.replace(report, depth=2)
+    # a geometry of another depth would be written beside rows it does not fit
+    with pytest.raises(DepthMismatch, match="^geometry depth 2 differs from decomposition "
+                                            "depth 3$"):
+        dataclasses.replace(report, geometry_star=random_geometry(rng, 2))
 
 
 def _nodes(data):

@@ -5,11 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from renormlab.decompspace import ROOT, Decomposition, DecompositionTimes
-from renormlab.errors import DomainError
-from renormlab.renorm import random_decomposed_map
-
-from support import random_decomposition
+from renormlab import decompspace
+from renormlab.decompspace import (
+    ROOT,
+    DecompositionTimes,
+    Geometry,
+    _MAX_DEPTH,
+    identity_decomposition,
+)
+from renormlab.diffspace import OrientedInterval
+from renormlab.errors import DomainError, GeometryError
+from renormlab.renorm import SolverConfig, random_decomposed_map
 
 
 def test_root_and_levels():
@@ -22,14 +28,17 @@ def test_root_and_levels():
     assert Counter(map(len, rows)) == {0: 1, 1: 2, 2: 4, 3: 8}
 
 
-def test_validate_path_rejects_other_symbols(rng):
-    # a decomposition's nodes are keyed by exactly the tree's words over {1, 2}
-    dec = random_decomposition(rng, 4)
+def test_validate_path_rejects_other_symbols():
+    # path-keyed input is keyed by exactly the tree's words over {1, 2}
+    paths = DecompositionTimes(4).indices_descending()
+    s1 = {w: OrientedInterval(0.3, 0.7, "+") for w in paths}
+    s2 = {w: OrientedInterval(-0.25, 0.25, "-") for w in paths}
     for tau in ("103", "3", "12a2"):
-        nodes = dict(dec.nodes)
-        nodes[tau] = nodes.pop("1212")
-        with pytest.raises(DomainError, match="cover the index tree exactly"):
-            Decomposition(dec.times, nodes)
+        bad = dict(s1)
+        bad[tau] = bad.pop("1212")
+        with pytest.raises(GeometryError, match="s1 repeats a path or holds one outside "
+                                                "the depth-4 tree"):
+            Geometry(OrientedInterval(0.3, 0.7, "+"), bad, s2, 4)
 
 
 def test_descending_order_small_depths():
@@ -56,3 +65,22 @@ def test_integral_depths_of_other_types_pass():
         times = DecompositionTimes(depth)
         assert type(times.depth) is int
         assert times.indices_descending() == DecompositionTimes(3).indices_descending()
+
+
+def test_a_depth_past_the_bound_is_refused_before_any_word_is_built(monkeypatch):
+    def built(depth):
+        raise AssertionError("the tree's words were built")
+
+    monkeypatch.setattr(decompspace, "_descending", built)
+    # the deepest solve (grid 16) plus the level of an untruncated renormalization
+    SolverConfig(alpha=2.0, depth=_MAX_DEPTH - 1, grid=16)
+    assert DecompositionTimes(_MAX_DEPTH).size == 2 ** (_MAX_DEPTH + 1) - 1
+    root = OrientedInterval(0.3, 0.7, "+")
+    for build in (lambda: DecompositionTimes(_MAX_DEPTH + 1),
+                  lambda: DecompositionTimes(10 ** 9),
+                  lambda: Geometry(root, {}, {}, 30),
+                  lambda: identity_decomposition(30, 16),
+                  lambda: random_decomposed_map(2.0, 30, 64, 0)):
+        with pytest.raises(DomainError, match=f"^depth must be at least 0 and at most "
+                                              f"{_MAX_DEPTH}, not "):
+            build()
