@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nan
-from operator import sub
 
 import numpy as np
 
@@ -126,38 +125,48 @@ def series_width(series: np.ndarray) -> np.ndarray:
     return np.maximum(width.max(axis=-1), 2)
 
 
-def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
+def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo: float, hi: float, floor,
                      what: str) -> np.ndarray:
     """Roots of increasing functions, one per point, by Newton kept in a bracket.
 
-    Solves the points x[idx], starting from their values in x, each in its
-    own finite bracket [lo, hi] (arrays over idx, or scalars); the roots are
-    written into x, which is returned.  step(idx, xa) gives the function and
-    its derivative at the open points xa, whose positions in x are idx, and
-    is all the numpy work of a Newton step.  The bookkeeping runs point by
-    point on Python floats, which on the few points of most calls costs less
-    than numpy's per-call overhead, with the IEEE arithmetic whole-array
-    operations would do, in the same order: a point takes a Newton step when
-    it lands inside its bracket and bisects otherwise (so does a zero slope;
-    an iterate with f == 0 closes both sides), and stops on its own, dropped
-    from the open points, once its step is below 1e-15 with a residual that
-    is a number, its bracket below 4e-16 or its residual at ``floor``.  From
-    step 40 on every point bisects, so a bracket in [-1, 1] closes within
-    the 100-step budget; a nan residual never narrows it.  The points are
-    solved _cheb._CHUNK at a time, each chunk to the end, so a step's series
-    evaluation is one cosine table.  Raises NonConvergence, naming ``what``
-    and counting the open points of every chunk, if 100 steps run out.
+    The package's one Newton loop.  Solves the points x[idx], starting from
+    their values in x, each in the finite bracket [lo, hi] (scalars); the
+    roots are written into x, which is returned.  step(idx, xa) gives the
+    function and its derivative at the open points xa, whose positions in x
+    are idx, and is all the numpy work of a Newton step.  The bookkeeping
+    runs point by point on Python floats, which on the few points of most
+    calls costs less than numpy's per-call overhead, with the IEEE
+    arithmetic whole-array operations would do, in the same order: a point
+    takes a Newton step when it lands inside its bracket and bisects
+    otherwise (so does a zero slope; an iterate with f == 0 closes both
+    sides), and stops on its own, dropped from the open points, once its
+    step is below 1e-15 with a residual that is a number, its bracket below
+    4e-16 or its residual at ``floor``.  From step 40 on every point
+    bisects, so a bracket in [-1, 1] closes within the 100-step budget; a
+    nan residual never narrows it.  The points are solved _cheb._CHUNK at a
+    time, each chunk to the end, so a step's series evaluation is one cosine
+    table.  Raises NonConvergence, naming ``what`` and counting the open
+    points of every chunk, if 100 steps run out.
     """
-    floor, stuck, widest = float(floor), 0, 0.0
+    floor, lo, hi, stuck, widest = float(floor), float(lo), float(hi), 0, 0.0
     for a in range(0, idx.size, _cheb._CHUNK):
         ia = idx[a:a + _cheb._CHUNK]
         xa = x[ia]
-        xs = xa.tolist()
-        los = lo[a:a + ia.size].tolist() if isinstance(lo, np.ndarray) else [float(lo)] * ia.size
-        his = hi[a:a + ia.size].tolist() if isinstance(hi, np.ndarray) else [float(hi)] * ia.size
+        xs, los, his = xa.tolist(), [lo] * ia.size, [hi] * ia.size
         for k in range(100):
             f, slope = step(ia, xa)
-            keep = _bracket_step(k, xs, f.tolist(), slope, los, his, floor)
+            # from step 40 on every point bisects, as on a zero slope
+            slopes = slope.tolist() if k < 40 else [0.0] * len(xs)
+            keep = []
+            for j, (xj, fj, sj) in enumerate(zip(xs, f.tolist(), slopes)):
+                l = xj if fj <= 0.0 else los[j]
+                h = xj if fj >= 0.0 else his[j]
+                xn = xj - fj / sj if sj else nan
+                if not l <= xn <= h:
+                    xn = 0.5 * (l + h)
+                xs[j], los[j], his[j] = xn, l, h
+                if not (abs(xn - xj) <= 1e-15 and fj == fj or h - l <= 4e-16 or abs(fj) <= floor):
+                    keep.append(j)
             xa = np.array(xs)
             if len(keep) < len(xs):  # write every iterate, then drop the stopped points
                 x[ia] = xa
@@ -169,58 +178,30 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo, hi, floor,
             stuck += len(xs)
             widest = max(widest, max(h - l for l, h in zip(los, his)))
     if stuck:
-        raise _budget_spent(what, stuck, x.size, widest)
+        raise NonConvergence(f"{what} did not converge in 100 Newton steps at {stuck} of "
+                             f"{x.size} points (widest bracket {widest:.1e})")
     return x
 
 
-def _bracket_step(k, xs, fs, slope, los, his, floor) -> list:
-    """Step k of bracketed Newton at the open points xs, on Python floats.
+def _row_step(series: np.ndarray, y: np.ndarray):
+    """bracketed_newton's step for phi(x) = y[idx], phi one row's series (2, m).
 
-    fs (floats) and slope (an array) are the function and its derivative at
-    xs; xs, los and his (lists) take the new iterates and brackets in place.
-    Returns the positions in xs of the points still open.  The per-point
-    bookkeeping of bracketed_newton and of pullback_rows.
+    series stacks the Chebyshev coefficients of phi and log phi' cut to
+    their width (quad_rows, series_width).  A step evaluates both at the
+    open points in one cosine table of m columns and one einsum, as
+    _cheb.chebval does, and returns phi - y and phi'.  chebval's clip is
+    left out: every iterate stays in its bracket inside [-1, 1], where the
+    clip is the identity.
     """
-    # from step 40 on every point bisects, as on a zero slope
-    slopes = slope.tolist() if k < 40 else [0.0] * len(xs)
-    keep = []
-    for j, (xj, fj, sj) in enumerate(zip(xs, fs, slopes)):
-        l = xj if fj <= 0.0 else los[j]
-        h = xj if fj >= 0.0 else his[j]
-        xn = xj - fj / sj if sj else nan
-        if not l <= xn <= h:
-            xn = 0.5 * (l + h)
-        xs[j], los[j], his[j] = xn, l, h
-        if not (abs(xn - xj) <= 1e-15 and fj == fj or h - l <= 4e-16 or abs(fj) <= floor):
-            keep.append(j)
-    return keep
+    degrees = np.arange(series.shape[-1], dtype=float)
 
-
-def _budget_spent(what: str, stuck: int, points: int, widest: float) -> NonConvergence:
-    return NonConvergence(f"{what} did not converge in 100 Newton steps at {stuck} of {points} "
-                          f"points (widest bracket {widest:.1e})")
-
-
-def newton_inverse(y: np.ndarray, series: np.ndarray, floor: float) -> np.ndarray:
-    """x with phi(x) = y for a 1-d y in [-1, 1], phi increasing from -1 to 1.
-
-    series (2, m) stacks the Chebyshev coefficients of phi and log phi'
-    (quad_rows); each step evaluates both in one _cheb.chebval call, one
-    cosine table of m columns and one einsum.  Callers pass the stack cut to
-    its width, series[:, :width] (series_width), so m is the terms the row
-    needs rather than 2n.  The endpoints -1 and 1 are their own
-    preimages; every other point starts at y in the bracket [-1, 1] and runs
-    bracketed_newton with the rounding floor ``floor``.  Each point's result
-    is independent of the other points of y, bit for bit.  Raises
-    NonConvergence if 100 steps run out.
-    """
     def step(idx, xa):
-        f, logd = _cheb.chebval(xa, series)
+        table = np.arccos(xa)[:, None] * degrees
+        f, logd = np.einsum("...j,kj->k...", np.cos(table, out=table), series)
         f -= y[idx]
         return f, np.exp(logd)
 
-    return bracketed_newton(step, y.copy(), (np.abs(y) < 1.0).nonzero()[0], -1.0, 1.0,
-                            floor, "inverse")
+    return step
 
 
 def pullback_rows(series: np.ndarray, floor: np.ndarray, width, ends):
@@ -228,41 +209,18 @@ def pullback_rows(series: np.ndarray, floor: np.ndarray, width, ends):
 
     (series, floor, width) is quad_rows of the rows.  A generator that
     yields one list per row: row r's is row r - 1's (ends for r = 0) under
-    row r's inverse, bit for bit
-    newton_inverse(row r - 1, series[r][:, :width[r]], floor[r]).  It is
-    that chain without the per-call overhead: each step's numpy work
-    is chebval's cosine table and einsum on the open points and exp of the
-    log phi' row, and the bookkeeping is bracketed_newton's _bracket_step.
-    chebval's clip is left out: every iterate stays in its bracket inside
-    [-1, 1], where the clip is the identity.  Points with |y| = 1 or nan
-    stay as they are.  A row is solved when the caller asks for it, so a
-    caller that stops at a row never solves the rows after it.  Raises
-    NonConvergence, naming the inverse, if a row's 100 steps run out.
+    row r's inverse, the same bracketed_newton on the same row step as
+    NonlinearityProfile.inverse, so bit for bit that profile's inverse.
+    Points with |y| = 1 or nan stay as they are.  A row is solved when the
+    caller asks for it, so a caller that stops at a row never solves the
+    rows after it.  Raises NonConvergence, naming the inverse, if a row's
+    100 steps run out.
     """
-    degrees = np.arange(series.shape[-1], dtype=float)
-    ys = [float(y) for y in ends]
-    for row, fl, w in zip(series, floor.tolist(), width):
-        row, deg = row[:, :w], degrees[:w]
-        idx = [j for j, y in enumerate(ys) if abs(y) < 1.0]
-        xs, los, his = [ys[j] for j in idx], [-1.0] * len(idx), [1.0] * len(idx)
-        targets = xs[:]
-        for k in range(100):
-            if not idx:
-                break
-            table = np.arccos(np.array(xs))[:, None] * deg
-            both = np.einsum("...j,kj->k...", np.cos(table, out=table), row)
-            keep = _bracket_step(k, xs, map(sub, both[0].tolist(), targets), np.exp(both[1]),
-                                 los, his, fl)
-            if len(keep) < len(xs):  # write every iterate, then drop the stopped points
-                for j, x in zip(idx, xs):
-                    ys[j] = x
-                idx, targets = [idx[j] for j in keep], [targets[j] for j in keep]
-                xs = [xs[j] for j in keep]
-                los, his = [los[j] for j in keep], [his[j] for j in keep]
-        if idx:
-            raise _budget_spent("inverse", len(idx), len(ys),
-                                max(h - l for l, h in zip(los, his)))
-        yield list(ys)
+    y = np.array(ends, dtype=float)
+    for row, fl, w in zip(series, floor, width):
+        y = bracketed_newton(_row_step(row[:, :w], y), y.copy(), (np.abs(y) < 1.0).nonzero()[0],
+                             -1.0, 1.0, fl, "inverse")
+        yield y.tolist()
 
 
 class NonlinearityProfile:
@@ -330,13 +288,18 @@ class NonlinearityProfile:
         return np.where(np.abs(xv) == 1.0, xv, self._eval(xv))[()]
 
     def inverse(self, y):
-        """phi^{-1}(y) by a bracketed Newton iteration (newton_inverse); scalar or array y.
+        """phi^{-1}(y) for scalar or array y, by bracketed_newton on the row step.
 
-        A point's value does not depend on the other points of the call.
-        Raises NonConvergence if the iteration budget runs out.
+        The endpoints -1 and 1 are their own preimages; every other point
+        starts at y in the bracket [-1, 1], and stops at the rounding floor
+        of quad_rows.  A point's value does not depend on the other points
+        of the call, bit for bit.  Raises NonConvergence if 100 steps run out.
         """
         yv = _check_unit(y, "inverse argument")
-        x = newton_inverse(yv.reshape(-1), *self._offgrid())
+        ys = yv.reshape(-1)
+        series, floor = self._offgrid()
+        x = bracketed_newton(_row_step(series, ys), ys.copy(), (np.abs(ys) < 1.0).nonzero()[0],
+                             -1.0, 1.0, floor, "inverse")
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 
     def __repr__(self):

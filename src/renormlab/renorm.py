@@ -254,8 +254,6 @@ class RenormStep:
     renormalized: DecomposedMap
     geometry_used: Geometry
     p: float
-    b: float
-    rho: float
 
 
 def renormalize(f: DecomposedMap, *, truncate: bool = True) -> RenormStep:
@@ -273,7 +271,7 @@ def renormalize(f: DecomposedMap, *, truncate: bool = True) -> RenormStep:
     lo, hi = geom.ends[-1, :2].tolist()
     rho = _checked_rho(_rescaled_peak(f.t, lo, hi))
     new_dec = geometric_renormalize(geom, f.alpha, f.decomposition, truncate=truncate)
-    return RenormStep(DecomposedMap(new_dec, rho, f.alpha), geom, p, b, rho)
+    return RenormStep(DecomposedMap(new_dec, rho, f.alpha), geom, p)
 
 
 def classical_first_return_oracle(f: DecomposedMap, x):

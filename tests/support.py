@@ -20,7 +20,7 @@ from renormlab import (
     NonlinearityProfile,
     OrientedInterval,
 )
-from renormlab import _cheb, compose
+from renormlab import _cheb, compose, diffspace, renorm
 from renormlab._cheb import nodes
 from renormlab.cli import main
 
@@ -117,28 +117,60 @@ def explicit_fold(dec, words):
     return result
 
 
-def patch_series(monkeypatch, change=lambda calls, f, logd: (f, logd)):
-    """Route the Newton solvers' per-step series evaluation through ``change``.
+def patch_steps(monkeypatch, change=lambda calls, f, slope: (f, slope)):
+    """Route every Newton step of diffspace.bracketed_newton through ``change``.
 
-    Both users of diffspace.bracketed_newton evaluate the stacked series of
-    phi and log phi' (diffspace.quad_rows) through one _cheb.chebval call a
-    step: newton_inverse and the fixed point p of renorm._side_structure.
-    Evaluations of a single series pass through unchanged.
-
-    Returns the list of calls, one per Newton step; ``change`` sees the call
-    count and the values of phi and log phi' and returns the ones to use.
+    Wraps the step of each call, whether the inverse, the pullback or
+    renorm's fixed point p and peak value makes it.  Returns the list of
+    the points of each step, one array per step; ``change`` sees the number
+    of steps so far and the step's residual and slope and returns the ones
+    to use.
     """
-    calls = []
-    chebval = _cheb.chebval
+    steps, solve = [], diffspace.bracketed_newton
 
-    def patched(x, series):
-        if series.ndim == 1:
-            return chebval(x, series)
-        calls.append(x.size)
-        return change(len(calls), *chebval(x, series))
+    def patched(step, x, idx, lo, hi, floor, what):
+        def changed(ia, xa):
+            steps.append(xa.copy())
+            return change(len(steps), *step(ia, xa))
+        return solve(changed, x, idx, lo, hi, floor, what)
 
-    monkeypatch.setattr(_cheb, "chebval", patched)
-    return calls
+    monkeypatch.setattr(diffspace, "bracketed_newton", patched)
+    monkeypatch.setattr(renorm, "bracketed_newton", patched)
+    return steps
+
+
+def inverse_before_the_shared_loop(y, series, floor):
+    """NonlinearityProfile.inverse as a whole-array loop, frozen from before bracketed_newton.
+
+    x with phi(x) = y for the series (2, m) of phi and log phi', each step
+    one _cheb.chebval call; the brackets, the Newton-or-bisect choice and
+    the stop tests run on whole arrays.  The one rule added since it was
+    frozen is the bisection from step 40 on, which no point converging
+    before that step sees.  Raises AssertionError if 100 steps run out.
+    """
+    x = y.copy()
+    idx = np.flatnonzero(np.abs(y) < 1.0)
+    xa, ya = x[idx], y[idx]
+    lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(100):
+            if idx.size == 0:
+                return x
+            f, logd = _cheb.chebval(xa, series)
+            f -= ya
+            lo = np.where(f <= 0.0, xa, lo)
+            hi = np.where(f >= 0.0, xa, hi)
+            xn = xa - f / np.exp(logd)
+            xn = np.where((lo <= xn) & (xn <= hi) & (k < 40), xn, 0.5 * (lo + hi))
+            done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
+            xa = xn
+            if done.any():
+                x[idx[done]] = xn[done]
+                keep = ~done
+                idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
+    if idx.size == 0:
+        return x
+    raise AssertionError("the reference loop ran out of steps")
 
 
 def vectorised_bracketed_newton(step, x, idx, lo, hi, floor, what):

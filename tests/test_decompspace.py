@@ -29,7 +29,7 @@ from renormlab.decompspace import (
     pure_decomposition,
 )
 from renormlab import _cheb, diffspace
-from renormlab.diffspace import newton_inverse, pullback_rows
+from renormlab.diffspace import pullback_rows
 from renormlab.renorm import FixedPointReport
 from renormlab.errors import (
     DepthMismatch,
@@ -43,6 +43,7 @@ from support import (
     assert_report_refused,
     bare_report,
     explicit_fold,
+    inverse_before_the_shared_loop,
     random_decomposition,
     random_geometry,
     random_interval,
@@ -464,16 +465,17 @@ def test_pullback_rows_equal_the_chain_of_node_inverses(rng, monkeypatch, depth,
     # the kernel under pullback_intervals, on ends it does not admit as
     # well: 0.35 ends [0.35, 0.8] and starts [-0.35, 0.35], as in the
     # renormalization's pullback; -1, 1 and nan are left as they are; steep
-    # nodes overshoot their brackets, so some Newton steps of the chain bisect
+    # nodes overshoot their brackets, so some of the pullback's Newton steps bisect
     dec = random_decomposition(rng, depth, scale=scale)
     ends = np.array([0.35, 0.8, -central, central])
+    bisected = _spy_on_bisections(monkeypatch)
     rows = np.array(list(pullback_rows(*dec._batch(), ends)))
     assert rows.shape == (dec.times.size, 4)
-    bisected = _spy_on_bisections(monkeypatch)
     for r, w in enumerate(dec.times.indices_descending()):
-        # NonlinearityProfile.inverse without its argument check, which
-        # refuses nan; a fresh profile builds its own evaluation data
-        ends = newton_inverse(ends, *NonlinearityProfile(dec.nodes[w].eta_values)._offgrid())
+        # the frozen whole-array inverse, which takes nan as well; a fresh
+        # profile builds its own evaluation data
+        ends = inverse_before_the_shared_loop(
+            ends, *NonlinearityProfile(dec.nodes[w].eta_values)._offgrid())
         assert np.array_equal(rows[r], ends, equal_nan=True), w
     assert bool(bisected) == (scale > 1.0)
 
@@ -491,7 +493,7 @@ def test_pullback_bisects_from_step_40(rng):
     g = pullback_intervals(dec, s1, s2)
     ends = np.array([s1.lo, s1.hi, s2.lo, s2.hi])
     for r in range(dec.times.size):
-        ends = newton_inverse(ends, series[r][:, :width[r]], floor[r])
+        ends = inverse_before_the_shared_loop(ends, series[r][:, :width[r]], floor[r])
         assert np.array_equal(g.ends[r], ends), r
     assert np.max(np.abs(g.ends - fair.ends)) < 1e-12
 

@@ -29,14 +29,14 @@ from renormlab import _cheb, diffspace, renorm
 from renormlab.diffspace import (
     bracketed_newton,
     inner_side,
-    newton_inverse,
     quad_rows,
     series_width,
 )
 from support import (
     assert_report_refused,
+    inverse_before_the_shared_loop,
     monotone_profile,
-    patch_series,
+    patch_steps,
     random_decomposition,
     random_profile,
     stored_report,
@@ -104,7 +104,7 @@ def test_overflowing_nonlinearity_is_refused():
 
 def test_inverse_converges_in_a_few_newton_steps(rng, monkeypatch):
     ys = np.array([-0.5, -0.25, 0.25, 0.5])
-    steps = patch_series(monkeypatch)
+    steps = patch_steps(monkeypatch)
     for _ in range(5):
         phi = random_profile(rng)
         steps.clear()
@@ -131,7 +131,7 @@ def test_inverse_accepts_a_residual_at_the_rounding_floor(monkeypatch):
     # with |f| = 2e-15 and every step and bracket above their tolerances, so
     # only the rounding-floor test on |f| can stop it.
     phi = constant_profile(0.3)
-    steps = patch_series(monkeypatch, lambda calls, f, logd: (f + 1e-15 * (-1.0) ** calls, logd))
+    steps = patch_steps(monkeypatch, lambda calls, f, slope: (f + 1e-15 * (-1.0) ** calls, slope))
     ys = np.array([-0.7, 0.1, 0.6])
     xs = phi.inverse(ys)
     assert len(steps) >= 2
@@ -146,23 +146,43 @@ def test_inverse_stops_at_the_rounding_floor(seed):
     renormalize(random_decomposed_map(2.0, 1 + seed % 3, 64, seed=seed), truncate=False)
 
 
+def _with_series(phi, change):
+    """phi with its cached series of phi and log phi' (2, 2n) replaced by change(series).
+
+    The inverse evaluates its series on its own, so a test that perturbs
+    the evaluation perturbs the profile's evaluation data, as the pullback
+    tests do with a decomposition's.
+    """
+    series, floor, width = phi._cache()
+    phi._quad = (change(series.copy()), floor, width)
+    return phi
+
+
 def test_inverse_bisects_from_step_40(rng, monkeypatch):
     # a derivative a million times too steep: every Newton step stays tiny,
     # and the bisection steps from step 40 on close the bracket instead
     phi = random_profile(rng)
     ys = np.array([-0.7, 0.3, 0.9])
-    steps = patch_series(monkeypatch, lambda calls, f, logd: (f, logd + np.log(1e6)))
-    xs = phi.inverse(ys)
+
+    def steep(series):
+        series[1, 0] += np.log(1e6)
+        return series
+
+    steps = patch_steps(monkeypatch)
+    xs = _with_series(phi, steep).inverse(ys)
     assert 40 < len(steps) <= 100
     assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-14
 
 
-def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
+def test_inverse_raises_when_its_budget_runs_out(rng):
     # a nan residual never narrows the bracket, and a step it bisects is no
     # sign of convergence: the budget runs out instead of the midpoint being
     # returned as a root
-    phi = random_profile(rng)
-    patch_series(monkeypatch, lambda calls, f, logd: (np.full_like(f, np.nan), logd))
+    def nan_phi(series):
+        series[0] = np.nan
+        return series
+
+    phi = _with_series(random_profile(rng), nan_phi)
     with pytest.raises(NonConvergence, match="widest bracket 2.0e"):
         phi.inverse(0.3)
     # more points than one chunk: the error counts the open points of all chunks
@@ -171,70 +191,50 @@ def test_inverse_raises_when_its_budget_runs_out(rng, monkeypatch):
 
 
 def test_inverse_bisects_on_a_zero_slope(rng, monkeypatch):
-    # log phi' = -inf on the first step: the slope is 0, and each point
-    # moves to the middle of its bracket instead of dividing by it
+    # log phi' = -inf: the slope is 0, and each point moves to the middle of
+    # its bracket instead of dividing by it, on every step until it closes
     phi = random_profile(rng)
     ys = np.array([-0.6, 0.1, 0.5])
     f = phi.evaluate(ys) - ys
-    steps = patch_series(monkeypatch, lambda calls, f, logd: (
-        f, np.full_like(logd, -np.inf) if calls == 1 else logd))
-    seen = []
-    patched = _cheb.chebval
-    monkeypatch.setattr(_cheb, "chebval", lambda x, series: seen.append(x.copy()) or patched(x, series))
+
+    def flat(series):
+        series[1, 0] = -np.inf
+        return series
+
+    steps = patch_steps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        xs = phi.inverse(ys)
+        xs = _with_series(phi, flat).inverse(ys)
     assert len(steps) >= 2
-    assert np.array_equal(seen[1], np.where(f >= 0.0, 0.5 * (ys - 1.0), 0.5 * (ys + 1.0)))
+    assert np.array_equal(steps[1], np.where(f >= 0.0, 0.5 * (ys - 1.0), 0.5 * (ys + 1.0)))
     assert np.max(np.abs(phi.evaluate(xs) - ys)) < 1e-14
 
 
-def _inverse_before_the_shared_loop(y, series, floor):
-    """newton_inverse as it was before bracketed_newton was split out of it."""
-    x = y.copy()
-    idx = np.flatnonzero(np.abs(y) < 1.0)
-    xa, ya = x[idx], y[idx]
-    lo, hi = np.full_like(xa, -1.0), np.full_like(xa, 1.0)
-    for _ in range(100):
-        if idx.size == 0:
-            return x
-        f, logd = _cheb.chebval(xa, series)
-        f -= ya
-        lo = np.where(f <= 0.0, xa, lo)
-        hi = np.where(f >= 0.0, xa, hi)
-        xn = xa - f / np.exp(logd)
-        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
-        done = (np.abs(xn - xa) <= 1e-15) | (hi - lo <= 4e-16) | (np.abs(f) <= floor)
-        xa = xn
-        if done.any():
-            x[idx[done]] = xn[done]
-            keep = ~done
-            idx, xa, ya, lo, hi = idx[keep], xa[keep], ya[keep], lo[keep], hi[keep]
-    raise AssertionError("the reference loop ran out of steps")
-
-
-@pytest.mark.parametrize("points", [1, 2, 33, 200])
+@pytest.mark.parametrize("points", [1, 2, 33, 200, 2_100])
 def test_newton_inverse_keeps_its_bits(rng, points):
+    # NonlinearityProfile.inverse against the frozen whole-array loop, across
+    # the chunk boundaries at 2,100 points, and each point against a call of
+    # its own
     for scale in (0.3, 0.6, 1.2):
-        quad = [a[0] for a in quad_rows(random_profile(rng, scale=scale).eta_values[None, :])[:2]]
+        phi = random_profile(rng, scale=scale)
         y = rng.uniform(-1.0, 1.0, points)
         if points > 1:
             y[0] = -1.0  # an endpoint, its own preimage
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = newton_inverse(y, *quad)
-            want = _inverse_before_the_shared_loop(y, *quad)
-        assert np.array_equal(got, want)
+        got = phi.inverse(y)
+        assert np.array_equal(got, inverse_before_the_shared_loop(y, *phi._offgrid()))
+        assert got.tolist() == [phi.inverse(v) for v in y.tolist()]
 
 
 def _synthetic_roots(points):
-    # x + x^3 about a root per point, in a bracket of its own; some points
-    # start on their root (f == 0), some see a NaN residual or a zero slope
-    # at their start.  A point whose residual is nan at its root never
-    # converges, so the nan falls only on starts off the root.
+    # x + x^3 about a root per point, every point in the one bracket
+    # [-1.5, 1.5]; some points start on their root (f == 0), some see a NaN
+    # residual or a zero slope at their start.  A point whose residual is
+    # nan at its root never converges, so the nan falls only on starts off
+    # the root.
     rng = np.random.default_rng(points)
     root = rng.uniform(-0.5, 0.5, points)
-    lo, hi = root - rng.uniform(0.1, 1.0, points), root + rng.uniform(0.1, 1.0, points)
-    x0 = lo + rng.uniform(0.0, 1.0, points) * (hi - lo)
+    lo, hi = -1.5, 1.5
+    x0 = rng.uniform(lo, hi, points)
     x0[::5] = root[::5]
 
     def step(idx, xa):

@@ -8,11 +8,14 @@ as an attribute (test_private_names.loaded_names).  Importing a name is not
 reading it.  The package's modules themselves are not checked.
 
 The public members of the exported classes (their methods, properties,
-slots and dataclass fields) are held to the same rule.  The check goes by
-name alone, so a member is counted as read when any attribute of that name
-is: it cannot flag a member whose name another object's attribute shares.
-A NonlinearityProfile.grid read by tests alone, for example, would pass,
-because the program reads Decomposition.grid and cfg.grid.
+slots and dataclass fields) are held to the same rule, except that a
+member counts as read only through an attribute load, ``obj.member``: a
+local variable or a function that shares its name is no read of it.  The
+check goes by name alone, so a member is counted as read when any
+attribute of that name is loaded: it cannot flag a member whose name
+another object's attribute shares.  A NonlinearityProfile.grid read by
+tests alone, for example, would pass, because the program reads
+Decomposition.grid and cfg.grid.
 """
 
 import ast
@@ -26,10 +29,19 @@ from test_private_names import loaded_names
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def attribute_loads(tree: ast.Module) -> set[str]:
+    """The member of every obj.member the module reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_names(exported, sources) -> list[str]:
-    """The exported names that no source loads, sorted."""
-    used = set().union(*(loaded_names(ast.parse(source)) for source in sources))
-    return sorted(name for name in exported if name.rpartition(".")[2] not in used)
+    """The exported names, and Class.members, that no source reads, sorted."""
+    trees = [ast.parse(source) for source in sources]
+    names = set().union(*map(loaded_names, trees))
+    members = set().union(*map(attribute_loads, trees))
+    return sorted(name for name in exported
+                  if name.rpartition(".")[2] not in (members if "." in name else names))
 
 
 def public_members(cls) -> list[str]:
@@ -41,9 +53,11 @@ def public_members(cls) -> list[str]:
 
 def test_the_checker_flags_a_name_no_source_reads():
     sources = ["from .a import imported, called\nx = called(1)\n",
-               "import pkg\npkg.attribute()\n"]
+               "import pkg\npkg.attribute()\nsize = 2\npkg.width = size\n"]
     assert unread_names(["called", "attribute", "imported"], sources) == ["imported"]
-    assert unread_names(["Box.attribute", "Box.size"], sources) == ["Box.size"]
+    # a member is read only as obj.member: a bare name or an attribute store is no read
+    assert unread_names(["Box.attribute", "Box.size", "Box.width", "Box.called"],
+                        sources) == ["Box.called", "Box.size", "Box.width"]
 
 
 def test_the_checker_lists_methods_properties_slots_and_fields():

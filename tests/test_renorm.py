@@ -48,7 +48,7 @@ from renormlab.errors import (
 from support import (
     assert_report_refused,
     bare_report,
-    patch_series,
+    patch_steps,
     random_geometry,
     stored_report,
 )
@@ -153,7 +153,7 @@ def test_side_structure_skips_levels_below_the_diagonal():
 
 def test_side_structure_raises_when_its_budget_runs_out(monkeypatch):
     # a nan residual never narrows the bracket, so the budget runs out
-    patch_series(monkeypatch, lambda calls, f, logd: (np.full_like(f, np.nan), logd))
+    patch_steps(monkeypatch, lambda calls, f, slope: (np.full_like(f, np.nan), slope))
     with pytest.raises(NonConvergence, match="fixed point p did not converge"):
         renorm._side_structure(identity_profile(48), 2.0, np.array([0.6, 0.8]))
 
@@ -177,7 +177,7 @@ def test_no_fixed_point_below_half():
 def test_is_renormalizable():
     # renormalize runs where the peak image lands in [p, b] and refuses elsewhere
     for t in (0.55, 0.75):
-        assert 0.0 <= renormalize(_identity_map(t)).rho <= 1.0
+        assert 0.0 <= renormalize(_identity_map(t)).renormalized.t <= 1.0
     with pytest.raises(DomainError, match="overshoots"):
         renormalize(_identity_map(0.99))
     with pytest.raises(NoFixedPoint):
@@ -222,9 +222,8 @@ def test_truncation_consistency():
 def test_renorm_step_fields():
     f = _identity_map(0.75)
     step = renormalize(f)
-    assert 0.0 < step.p < step.b < 1.0
-    assert 0.0 <= step.rho <= 1.0
-    assert step.renormalized.t == step.rho
+    assert 0.0 < step.p == find_fixed_point_p(f) < 1.0
+    assert 0.0 <= step.renormalized.t <= 1.0
     assert step.geometry_used.depth == f.decomposition.depth
     assert geometry_distance(step.geometry_used, dynamical_geometry(f)) == 0.0
 
