@@ -121,6 +121,14 @@ def on_grid(coeffs: np.ndarray, n: int, interior: bool = False) -> np.ndarray:
     return rowdot(coeffs, _sample_matrix(n, coeffs.shape[-1], interior))
 
 
+@lru_cache(maxsize=64)
+def degrees(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1 as a read-only float array: a cosine table's column degrees."""
+    d = np.arange(n, dtype=float)
+    d.setflags(write=False)
+    return d
+
+
 # Points per cosine table in chebval: a table holds _CHUNK x terms doubles.
 _CHUNK = 1024
 

@@ -49,13 +49,15 @@ from .errors import DepthMismatch, DomainError, GeometryError
 # Admissibility margin: every geometry interval must have half-length <= this.
 KAPPA_MARGIN = 0.95
 
-# Rows per batched step, which bounds its temporaries: the evaluation data,
-# the inner side of a compose fold (its barycentric weights are (rows, 2n, n),
-# 0.5 MB at 8 rows and n = 64) and the zooms of a renormalization step (a zoom
-# stack holds a few (rows, n, n) arrays, 0.25 MB each at 8 rows).
+# Bytes of a batch's largest temporary, the barycentric weights of a compose
+# fold's inner side: (rows, 2n, n) doubles, 0.5 MB at 8 rows and n = 64.  The
+# compose fold and the zooms take _batch_rows(n) rows per call, so a coarse
+# grid makes fewer, larger numpy calls on the same bytes; a zoom's largest
+# arrays are (rows, n, n), half the bound.  The evaluation data keeps
+# _CACHE_ROWS rows a batch: its arrays are a few rows of 2n or 4n doubles, and
+# batching it by bytes gained nothing at grid 32.
+_BATCH_BYTES = 8 * 2 * 64 * 64 * 8
 _CACHE_ROWS = 64
-_COMPOSE_ROWS = 8
-_ZOOM_ROWS = 8
 
 ROOT = ""
 
@@ -96,6 +98,15 @@ class DecompositionTimes:
 
     def __repr__(self):
         return f"DecompositionTimes(depth={self.depth})"
+
+
+def _batch_rows(n: int) -> int:
+    """Rows per call of the compose fold and the zooms at grid n: 8 at 64, 32 at 32, 128 at 16.
+
+    As many rows as keep their (2n, n) barycentric weights within
+    _BATCH_BYTES, and at least one.
+    """
+    return max(1, _BATCH_BYTES // (16 * n * n))
 
 
 def _full_tree_depth(n: int) -> int | None:
@@ -154,7 +165,8 @@ class Decomposition:
         """Evaluation data of every row, read by the compose fold and the pullback.
 
         (series, floor, width): diffspace.quad_rows of the rows, _CACHE_ROWS
-        at a time, each row the same as its node would build alone.
+        at a time at every grid, each row the same as its node would build
+        alone.
         """
         if self._quad is None:
             parts = [quad_rows(self.eta[start:start + _CACHE_ROWS])
@@ -196,14 +208,16 @@ def compose_all(dec: Decomposition) -> NonlinearityProfile:
 
     The rows run in descending time order, so each later node goes
     innermost.  The inner side of every step and the resolution check run
-    in one batch per chunk; only the resample of the running result and the
-    chain rule stay sequential (compose_rows), which is bit for bit the fold
-    of compose() over the same nodes.
+    in one batch of _batch_rows(grid) rows at a time, so a batch's weights
+    take the same bytes at every grid; only the resample of the running
+    result and the chain rule stay sequential (compose_rows), which is bit
+    for bit the fold of compose() over the same nodes.
     """
     series = dec._batch()[0]
     result = dec.eta[0]
-    for start in range(1, dec.times.size, _COMPOSE_ROWS):
-        chunk = slice(start, start + _COMPOSE_ROWS)
+    rows = _batch_rows(dec.grid)
+    for start in range(1, dec.times.size, rows):
+        chunk = slice(start, start + rows)
         inner = dec.eta[chunk]
         result = compose_rows(result, inner, *inner_side(inner, series[chunk]))[-1]
     return NonlinearityProfile(result)
@@ -312,14 +326,14 @@ def pullback_intervals(dec: Decomposition, s1: OrientedInterval, s2: OrientedInt
 
 
 def _zoom_children(out: np.ndarray, eta: np.ndarray, ends: np.ndarray, dst: np.ndarray):
-    """Zoom row j of eta into the s2 and s1 intervals of ends[j], _ZOOM_ROWS at a time.
+    """Zoom row j of eta into the s2 and s1 intervals of ends[j], _batch_rows at a time.
 
     The children land at out rows dst[j] and half + dst[j], half = (len(out) + 1) / 2.
     """
-    half = (out.shape[0] + 1) // 2
+    half, rows = (out.shape[0] + 1) // 2, _batch_rows(eta.shape[-1])
     for shift, col, sign in ((0, 2, -1.0), (half, 0, 1.0)):
-        for start in range(0, dst.size, _ZOOM_ROWS):
-            part = slice(start, start + _ZOOM_ROWS)
+        for start in range(0, dst.size, rows):
+            part = slice(start, start + rows)
             out[shift + dst[part]] = zoom_rows(eta[part], *ends[part, col:col + 2].T, sign)
 
 

@@ -183,22 +183,25 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo: float, hi: float,
     return x
 
 
-def _row_step(series: np.ndarray, y: np.ndarray):
-    """bracketed_newton's step for phi(x) = y[idx], phi one row's series (2, m).
+def _row_step(series: np.ndarray, width: int, y: np.ndarray):
+    """bracketed_newton's step for phi(x) = y[idx], phi one row's series (2, 2n).
 
-    series stacks the Chebyshev coefficients of phi and log phi' cut to
-    their width (quad_rows, series_width).  A step evaluates both at the
-    open points in one cosine table of m columns and one einsum, as
-    _cheb.chebval does, and returns phi - y and phi'.  chebval's clip is
-    left out: every iterate stays in its bracket inside [-1, 1], where the
-    clip is the identity.
+    series stacks the Chebyshev coefficients of phi and log phi' (quad_rows);
+    a step evaluates both, cut to the row's width, at the open points in one
+    cosine table of width columns and one einsum, as _cheb.chebval does, and
+    returns phi - y[idx] and phi'.  The table's degrees are a slice of
+    _cheb.degrees, and while every point is open (idx is ascending, so it is
+    all of y) the targets are y itself.  chebval's clip is left out: every
+    iterate stays in its bracket inside [-1, 1], where the clip is the
+    identity.
     """
-    degrees = np.arange(series.shape[-1], dtype=float)
+    degrees = _cheb.degrees(series.shape[-1])[:width]
+    series = series[:, :width]
 
     def step(idx, xa):
         table = np.arccos(xa)[:, None] * degrees
         f, logd = np.einsum("...j,kj->k...", np.cos(table, out=table), series)
-        f -= y[idx]
+        f -= y if idx.size == y.size else y[idx]
         return f, np.exp(logd)
 
     return step
@@ -211,16 +214,21 @@ def pullback_rows(series: np.ndarray, floor: np.ndarray, width, ends):
     yields one list per row: row r's is row r - 1's (ends for r = 0) under
     row r's inverse, the same bracketed_newton on the same row step as
     NonlinearityProfile.inverse, so bit for bit that profile's inverse.
-    Points with |y| = 1 or nan stay as they are.  A row is solved when the
+    Points with |y| = 1 or nan stay as they are; the open points of a row
+    are read off the list the row before yields.  A row is solved when the
     caller asks for it, so a caller that stops at a row never solves the
     rows after it.  Raises NonConvergence, naming the inverse, if a row's
     100 steps run out.
     """
     y = np.array(ends, dtype=float)
+    every = np.arange(y.size)
+    open_ = every[np.abs(y) < 1.0].tolist()
     for row, fl, w in zip(series, floor, width):
-        y = bracketed_newton(_row_step(row[:, :w], y), y.copy(), (np.abs(y) < 1.0).nonzero()[0],
-                             -1.0, 1.0, fl, "inverse")
-        yield y.tolist()
+        idx = every if len(open_) == y.size else np.array(open_, dtype=np.intp)
+        y = bracketed_newton(_row_step(row, w, y), y.copy(), idx, -1.0, 1.0, fl, "inverse")
+        ys = y.tolist()
+        open_ = [i for i in open_ if abs(ys[i]) < 1.0]  # a closed point is never solved again
+        yield ys
 
 
 class NonlinearityProfile:
@@ -297,9 +305,9 @@ class NonlinearityProfile:
         """
         yv = _check_unit(y, "inverse argument")
         ys = yv.reshape(-1)
-        series, floor = self._offgrid()
-        x = bracketed_newton(_row_step(series, ys), ys.copy(), (np.abs(ys) < 1.0).nonzero()[0],
-                             -1.0, 1.0, floor, "inverse")
+        series, floor, width = self._cache()
+        x = bracketed_newton(_row_step(series, width, ys), ys.copy(),
+                             (np.abs(ys) < 1.0).nonzero()[0], -1.0, 1.0, floor, "inverse")
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 
     def __repr__(self):

@@ -68,7 +68,7 @@ _MAX_SOLVER_BYTES = 2 ** 31
 
 # Most outer passes SolverConfig allows.  A tol below the rounding floor (a
 # residual of about 3e-15 at depth 8) never converges, and a depth-8 pass takes
-# about 40 ms at grid 32 and 65 ms at grid 64 (alpha 2, one BLAS thread, a
+# about 35 ms at grid 32 and 62 ms at grid 64 (alpha 2, one BLAS thread, a
 # 2-core Xeon), so this cap ends such a run within about a minute.
 _MAX_OUTER_PASSES = 1000
 
@@ -83,7 +83,7 @@ _ANDERSON_DET_RTOL = 1e-10
 # within _SWITCH_FACTOR * tol, or its extrapolated next residual meets tol
 # (find_fixed_point).  Grids 32 and 64 move the depth-8 fixed point by about
 # 1e-14, which the passes at the configured grid damp; a depth-8 pass at grid 32
-# takes 30-44% less time than at grid 64.
+# takes 40-45% less time than at grid 64.
 _COARSE_GRID = 32
 _SWITCH_FACTOR = 100.0
 

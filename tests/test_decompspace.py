@@ -1,6 +1,7 @@
 """Tree-indexed decompositions, geometries, and the pure-decomposition operator."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from renormlab.decompspace import (
     pullback_intervals,
     pure_decomposition,
 )
-from renormlab import _cheb, diffspace
+from renormlab import _cheb, decompspace, diffspace
 from renormlab.diffspace import pullback_rows
 from renormlab.renorm import FixedPointReport
 from renormlab.errors import (
@@ -169,19 +170,22 @@ def test_compose_all_matches_nested_evaluation(rng):
 
 
 def test_compose_all_matches_explicit_fold(rng):
-    dec = random_decomposition(rng, 2)
-    manual = None
-    for w in dec.times.indices_descending():
-        manual = dec.nodes[w] if manual is None else compose(manual, dec.nodes[w])
-    phi = compose_all(dec)
-    assert np.array_equal(phi.eta_values, manual.eta_values)
+    # at depth 6 and grid 32 the 126 inner rows run in four 32-row batches
+    for depth, grid in ((2, 64), (6, 32)):
+        dec = random_decomposition(rng, depth, grid=grid)
+        manual = None
+        for w in dec.times.indices_descending():
+            manual = dec.nodes[w] if manual is None else compose(manual, dec.nodes[w])
+        phi = compose_all(dec)
+        assert np.array_equal(phi.eta_values, manual.eta_values), (depth, grid)
 
 
 @pytest.mark.parametrize("grid", [16, 32, 64])
 def test_compose_all_takes_grid_node_hits_as_the_explicit_fold_does(rng, monkeypatch, grid):
     # an identity row maps grid nodes onto grid nodes, so the resample of the
     # running result hits grid nodes there: the branch that copies a node's
-    # sample instead of interpolating, at rows spread over every chunk
+    # sample instead of interpolating, at rows spread over every batch; the
+    # 254 inner rows of depth 7 span 2, 8 and 32 batches at grids 16, 32, 64
     hits = []
     bary_points = _cheb.bary_points
 
@@ -191,7 +195,8 @@ def test_compose_all_takes_grid_node_hits_as_the_explicit_fold_does(rng, monkeyp
         return k, hit
 
     monkeypatch.setattr(_cheb, "bary_points", spy)
-    dec = random_decomposition(rng, 4, grid=grid)
+    dec = random_decomposition(rng, 7, grid=grid)
+    assert dec.times.size - 1 > decompspace._batch_rows(grid)
     eta = np.array(dec.eta)
     eta[1::3] = 0.0
     dec = Decomposition(eta)
@@ -214,20 +219,54 @@ def test_compose_all_takes_grid_node_hits_as_the_explicit_fold_does(rng, monkeyp
 
 def test_unresolvable_fold_raises_the_explicit_folds_error():
     # grid 16 cannot carry compositions of eta = 6 nodes: the explicit fold
-    # first fails at row 4, and rows 5 to 8 of the same chunk fail by more
-    times = DecompositionTimes(3)
-    eta = np.zeros((times.size, 16))
-    eta[2:12] = 6.0
-    dec = Decomposition(eta)
-    manual = dec.nodes[times.indices_descending()[0]]
-    with pytest.raises(ResolutionError) as explicit:
-        for w in times.indices_descending()[1:]:
-            manual = compose(manual, dec.nodes[w])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ResolutionError) as batched:
-            compose_all(dec)
-    assert str(batched.value) == str(explicit.value)
+    # first fails at row 4, and the rows after it in the same batch (rows 5
+    # to 14 at depth 3, 5 to 126 at depth 6) are folded, under warnings as
+    # errors, before the check raises
+    for depth, last in ((3, 12), (6, 127)):
+        times = DecompositionTimes(depth)
+        eta = np.zeros((times.size, 16))
+        eta[2:last] = 6.0
+        dec = Decomposition(eta)
+        assert decompspace._batch_rows(16) >= times.size - 1
+        manual = dec.nodes[times.indices_descending()[0]]
+        with pytest.raises(ResolutionError) as explicit:
+            for row, w in enumerate(times.indices_descending()[1:], 1):
+                manual = compose(manual, dec.nodes[w])
+        assert row == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError) as batched:
+                compose_all(dec)
+        assert str(batched.value) == str(explicit.value)
+
+
+@pytest.mark.parametrize("grid", [16, 32])
+def test_a_coarse_grid_call_peaks_no_higher_than_at_grid_64(grid):
+    # The compose fold and the zooms take rows by the byte bound, so their
+    # largest temporaries take the same bytes at every grid: a depth-8 call at
+    # a coarse grid, which also builds fewer bytes of rows and evaluation
+    # data, peaks no higher than at grid 64.  A stage whose rows outgrew the
+    # bound at a coarse grid, as rows in proportion to 1/n^3 would (64 at
+    # grid 32, 512 at grid 16), peaks higher there.
+    g = random_geometry(np.random.default_rng(8), 8)
+
+    def peaks(n):
+        # compose_all on fresh rows, as a solver pass calls it: it builds their evaluation data
+        dec = pure_decomposition(g, 2.0, grid=n)
+        out = []
+        for call in (lambda: pure_decomposition(g, 2.0, grid=n),
+                     lambda: compose_all(Decomposition(dec.eta))):
+            call()  # the cached grid matrices are built outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return out
+
+    coarse, fine = peaks(grid), peaks(64)
+    assert coarse[0] <= fine[0] and coarse[1] <= fine[1], (coarse, fine)
 
 
 # ----------------------------------------------------------------- geometry
@@ -556,15 +595,17 @@ def test_geometric_renormalize_places_nodes(rng):
 
 
 def test_geometric_renormalize_zoom_correspondence(rng):
-    g = random_geometry(rng, 1)
-    dec = random_decomposition(rng, 1)
-    out = geometric_renormalize(g, 2.0, dec, truncate=False)
-    assert out.depth == 2
-    for (lo1, hi1, lo2, hi2), w in zip(g.ends.tolist(), dec.times.indices_descending()):
-        want1 = zoom(dec.nodes[w], OrientedInterval(lo1, hi1, "+"))
-        want2 = zoom(dec.nodes[w], OrientedInterval(lo2, hi2, "-"))
-        assert np.array_equal(out.nodes["1" + w].eta_values, want1.eta_values)
-        assert np.array_equal(out.nodes["2" + w].eta_values, want2.eta_values)
+    # at depth 6 and grid 32 each child level's 127 zooms run in four 32-row batches
+    for depth, grid in ((1, 64), (6, 32)):
+        g = random_geometry(rng, depth)
+        dec = random_decomposition(rng, depth, grid=grid)
+        out = geometric_renormalize(g, 2.0, dec, truncate=False)
+        assert out.depth == depth + 1
+        for (lo1, hi1, lo2, hi2), w in zip(g.ends.tolist(), dec.times.indices_descending()):
+            want1 = zoom(dec.nodes[w], OrientedInterval(lo1, hi1, "+"))
+            want2 = zoom(dec.nodes[w], OrientedInterval(lo2, hi2, "-"))
+            assert np.array_equal(out.nodes["1" + w].eta_values, want1.eta_values), w
+            assert np.array_equal(out.nodes["2" + w].eta_values, want2.eta_values), w
 
 
 def test_truncation_drops_only_the_deepest_level(rng):
