@@ -6,7 +6,7 @@ rescale them; decompspace owns the binary tree of decomposition times and
 its one row order, and assembles tree-indexed decompositions, the geometric
 renormalization over a fixed interval geometry and its pure fixed points;
 renorm couples the geometry to the dynamics of the decomposed unimodal map
-f = Phi o q_t and solves for fixed points and periodic orbits of the
+f = Phi o q_t and solves for truncation fixed points of the
 renormalization; spectral extracts universal constants and cross-checks
 them against direct cascade iteration of the bare fold family.
 """
@@ -61,7 +61,6 @@ from .renorm import (
     dynamical_geometry,
     find_fixed_point,
     find_fixed_point_p,
-    find_periodic_orbit,
     observed_eval,
     peak_value_rho,
     random_decomposed_map,

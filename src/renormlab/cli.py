@@ -1,7 +1,7 @@
 """Command line front end: solvers, sweeps and data export.
 
-Subcommands mirror the library layers.  fixed-point and orbit run the outer
-solvers and emit reports as JSON; window, cascade and orbit-diagnostics emit
+Subcommands mirror the library layers.  fixed-point runs the outer solver
+and emits reports as JSON; window, cascade and orbit-diagnostics emit
 CSV sweeps; spectrum reloads a stored report and prints the universal
 constants extracted from it.  Exit codes: 0 success, 1 usage or validation
 trouble, 2 a solver that honestly failed to converge (residual trace goes to
@@ -30,7 +30,6 @@ from .renorm import (
     _solver_bytes,
     _window,
     find_fixed_point,
-    find_periodic_orbit,
     peak_value_rho,
     random_decomposed_map,
     renormalization_orbit_diagnostics,
@@ -206,13 +205,6 @@ def _cmd_fixed_point(args) -> int:
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    reports = find_periodic_orbit(_config(args), args.k)
-    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
-    return 0
-
-
 def _cmd_window(args) -> int:
     # the bare fold's window: only the observed identity is read, not dec
     cfg = _config(args)
@@ -279,11 +271,6 @@ def _build_parser() -> _Parser:
                         help="comma list of alphas, solved one per CPU, one output file each")
     _add_shared(p, "depth", "grid", "tol", "max-iter", "out")
     p.set_defaults(handler=_cmd_fixed_point)
-
-    p = sub.add_parser("orbit", help="solve for a periodic orbit of length k")
-    _add_shared(p, "alpha", "depth", "grid", "tol", "max-iter", "out")
-    p.add_argument("-k", type=int, required=True, help="orbit length, at least 1")
-    p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("window", help="renormalizable peak-value window of the identity")
     _add_shared(p, "alpha", "grid", "out")

@@ -9,8 +9,8 @@ by pulling the side and central intervals back through the decomposition,
 and the new peak value after rescaling the fold.  One renormalization step
 couples the geometric operator with that new peak value; on top of it sit
 the peak-value window scan, the invariant-peak solver and the outer
-iterations producing truncation fixed points and periodic orbits of the
-renormalization operator.
+iteration producing truncation fixed points of the renormalization
+operator.
 """
 
 from __future__ import annotations
@@ -80,16 +80,11 @@ _ANDERSON_HISTORY = 2
 _ANDERSON_DET_RTOL = 1e-10
 
 # The outer passes run at grid min(config.grid, _COARSE_GRID) until one comes
-# within _SWITCH_FACTOR * tol, or its extrapolated next residual meets tol
-# (find_fixed_point).  Grids 32 and 64 move the depth-8 fixed point by about
-# 1e-14, which the passes at the configured grid damp; a depth-8 pass at grid 32
-# takes 40-45% less time than at grid 64.
+# within _SWITCH_FACTOR * tol (find_fixed_point).  Grids 32 and 64 move the
+# depth-8 fixed point by about 1e-14, which the passes at the configured grid
+# damp; a depth-8 pass at grid 32 takes 40-45% less time than at grid 64.
 _COARSE_GRID = 32
 _SWITCH_FACTOR = 100.0
-
-# Longest orbit find_periodic_orbit takes: each outer pass makes k steps, each
-# as long as a fixed-point pass (above), for up to max_iter passes.
-_MAX_ORBIT_LENGTH = 16
 
 # Most steps renormalization_orbit_diagnostics tracks: from a random start the
 # distance to the pure set shrinks about 0.4x a step and is at rounding level
@@ -434,7 +429,7 @@ def _solver_bytes(cfg) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the outer solvers: alpha, the tree depth and grid, tol and the pass cap.
+    """Knobs for the outer solver: alpha, the tree depth and grid, tol and the pass cap.
 
     grid is the grid the solve certifies at: the outer passes run at
     min(grid, 32) until they come near tol, and every report comes from a
@@ -468,13 +463,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """A converged truncation fixed point (or one element of a cycle).
+    """A converged truncation fixed point.
 
     residual_geometry is the distance between the dynamical geometry of the
     certified map and the geometry it was built from; residual_peak is the
-    defect |rho - t| of the peak-value invariance; coincident marks cycle
-    elements that collapse onto a fixed point.  depth and grid are those of
-    pure_star, whose depth geometry_star shares.
+    defect |rho - t| of the peak-value invariance.  depth and grid are those
+    of pure_star, whose depth geometry_star shares.
 
     A report is an immutable value.  On first use it computes one truncated
     renormalize step of its own map, DecomposedMap(pure_star, t_star,
@@ -491,7 +485,6 @@ class FixedPointReport:
     residual_geometry: float
     residual_peak: float
     iterations: int
-    coincident: bool | None = None
 
     def __post_init__(self):
         if self.geometry_star.depth != self.pure_star.depth:
@@ -532,7 +525,7 @@ class FixedPointReport:
         paths = self.pure_star.times.indices_descending()
         root, ends = self.geometry_star.side_root, self.geometry_star.ends.tolist()
         rows = self.pure_star.eta.tolist()
-        data = {
+        return {
             "alpha": float(self.alpha),
             "depth": self.depth,
             "grid": self.grid,
@@ -554,9 +547,6 @@ class FixedPointReport:
                 "nodes": [{"path": w, "eta": row} for w, row in zip(paths, rows)],
             },
         }
-        if self.coincident is not None:
-            data["coincident"] = bool(self.coincident)
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixedPointReport":
@@ -574,18 +564,16 @@ class FixedPointReport:
         """
         try:
             if not isinstance(data, dict):
-                raise ConfigError("a report is one JSON object; orbit writes a list of k "
-                                  "reports, one per cycle element")
+                raise ConfigError("a report is one JSON object")
             depth, grid = (_integer(data[key], key, ConfigError) for key in ("depth", "grid"))
             alpha, t_star = float(data["alpha"]), float(data["t_star"])
             SolverConfig(alpha=alpha, depth=depth, grid=grid)
             residuals = float(data["residual_geometry"]), float(data["residual_peak"])
             iterations = _integer(data["iterations"], "iterations", ConfigError)
             if not (0.0 <= t_star <= 1.0 and iterations >= 1
-                    and all(0.0 <= r < np.inf for r in residuals)
-                    and isinstance(data.get("coincident", False), bool)):
+                    and all(0.0 <= r < np.inf for r in residuals)):
                 raise ConfigError("needs t_star in [0, 1], finite residuals >= 0, "
-                                  "iterations >= 1, coincident a bool or absent")
+                                  "iterations >= 1")
             dec, geo = data["decomposition"], data["geometry"]
             if {_integer(part["depth"], "depth", ConfigError) for part in (dec, geo)} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
@@ -614,7 +602,6 @@ class FixedPointReport:
                 residual_geometry=residuals[0],
                 residual_peak=residuals[1],
                 iterations=iterations,
-                coincident=data.get("coincident"),
             )
         except (TypeError, KeyError, ValueError, OverflowError, RenormlabError) as exc:
             detail = exc if isinstance(exc, RenormlabError) else f"{type(exc).__name__}: {exc}"
@@ -674,17 +661,8 @@ def _anderson_mix(history) -> Geometry:
     return Geometry.from_rows(OrientedInterval(x[0], x[1], "+"), x[2:].reshape(-1, 4))
 
 
-def _outer_pass(config: SolverConfig, k: int, g: Geometry, grid: int):
-    """k steps from g at grid: (their maps, the geometries they start from, the k-th image)."""
-    maps, geoms, g_img = [], [], g
-    for _ in range(k):
-        geoms.append(g_img)
-        dm, g_img = _undamped_step(g_img, config.alpha, grid)
-        maps.append(dm)
-    return maps, geoms, g_img
-
-
-def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None):
+def _outer_solve(config: SolverConfig, initial_geometry: Geometry | None):
+    """(the last pass's map, the geometry it starts from, its closure, the pass count)."""
     g = (_seed_geometry(config.alpha, config.depth, config.grid)
          if initial_geometry is None else initial_geometry)
     if g.depth != config.depth:
@@ -695,24 +673,23 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
     trace, history = [], []
     for it in range(1, config.max_iter + 1):
         try:
-            maps, geoms, g_img = _outer_pass(config, k, g, grid)
+            dm, g_img = _undamped_step(g, config.alpha, grid)
         except ResolutionError:
             if grid == config.grid:
                 raise
             # the coarse grid cannot resolve this geometry: rerun at the configured one
             grid = config.grid
-            maps, geoms, g_img = _outer_pass(config, k, g, grid)
+            dm, g_img = _undamped_step(g, config.alpha, grid)
         closure = geometry_distance(g_img, g)
-        resid = closure + (1.0 if t_prev is None else abs(maps[0].t - t_prev))
+        resid = closure + (1.0 if t_prev is None else abs(dm.t - t_prev))
         trace.append(resid)
         if grid < config.grid:
-            if (resid <= _SWITCH_FACTOR * config.tol
-                    or len(trace) > 1 and resid * resid <= config.tol * trace[-2]):
+            if resid <= _SWITCH_FACTOR * config.tol:
                 grid = config.grid
                 if resid <= config.tol:
                     continue  # certify: rerun this pass from the same g at the configured grid
         elif resid <= config.tol:
-            return maps, geoms, closure, it
+            return dm, g, closure, it
         # a closure that grew restarts the mixing from this pass alone
         if history and closure > closure_prev:
             history = []
@@ -721,34 +698,10 @@ def _outer_solve(config: SolverConfig, k: int, initial_geometry: Geometry | None
             g = _anderson_mix(history) if len(history) > 1 else g_img
         except (GeometryError, DomainError):
             g = g_img
-        t_prev, closure_prev = maps[0].t, closure
+        t_prev, closure_prev = dm.t, closure
     raise NonConvergence(
         f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} steps, "
-        f"the last at grid {maps[-1].decomposition.grid} (tol {config.tol:.1e})", tuple(trace))
-
-
-def _cycle_reports(config: SolverConfig, maps, geoms, closure: float, iterations: int):
-    k = len(maps)
-    coincident = None
-    if k > 1:
-        diam = max(geometry_distance(geoms[i], geoms[j])
-                   for i in range(k) for j in range(i + 1, k))
-        diam += max(abs(maps[i].t - maps[j].t)
-                    for i in range(k) for j in range(i + 1, k))
-        coincident = bool(diam <= config.tol)
-    # for j < k-1 the image geometry is geoms[j+1] itself, distance 0;
-    # the wrap-around distance is the cycle closure residual
-    return [FixedPointReport(
-        alpha=config.alpha,
-        t_star=maps[j].t,
-        geometry_star=geoms[j],
-        # fresh rows: the solve's evaluation batch is not kept with the report
-        pure_star=Decomposition(maps[j].decomposition.eta),
-        residual_geometry=closure if j == k - 1 else 0.0,
-        residual_peak=abs(peak_value_rho(maps[j]) - maps[j].t),
-        iterations=iterations,
-        coincident=coincident,
-    ) for j in range(k)]
+        f"the last at grid {dm.decomposition.grid} (tol {config.tol:.1e})", tuple(trace))
 
 
 def find_fixed_point(config: SolverConfig,
@@ -763,8 +716,7 @@ def find_fixed_point(config: SolverConfig,
     geometry is inadmissible, and the mixing restarts when |T(g) - g| grew.
     Convergence is declared when the geometry movement plus the peak-value
     movement drops below tol.  The passes run at grid min(config.grid, 32)
-    until one comes within 100 tol, or its residual squared over the
-    previous one meets tol; from then on they run at config.grid.  A coarse
+    until one comes within 100 tol; from then on they run at config.grid.  A coarse
     pass that meets tol, or that raises ResolutionError, is rerun from the
     same g at config.grid, so only a pass at config.grid returns; the
     geometry does not depend on the grid, and the mixing history carries
@@ -773,23 +725,17 @@ def find_fixed_point(config: SolverConfig,
     residual_geometry is |T(g) - g| and residual_peak is recomputed through
     peak_value_rho.  NonConvergence names the grid of the last pass.
     """
-    return _cycle_reports(config, *_outer_solve(config, 1, initial_geometry))[0]
-
-
-def find_periodic_orbit(config: SolverConfig, k: int,
-                        initial_geometry: Geometry | None = None):
-    """Outer iteration on the k-fold renormalization step.
-
-    Each pass makes k steps from g and mixes the k-th image with the last
-    passes as find_fixed_point does.  Returns the cycle as k reports; the
-    last one's residual_geometry is the closure defect of the cycle.  k = 1
-    reduces to find_fixed_point.  When the cycle diameter is below tol every
-    report is flagged coincident: the orbit has collapsed onto a fixed point.
-    """
-    k = _integer(k, "orbit length k", ConfigError)
-    if not 1 <= k <= _MAX_ORBIT_LENGTH:
-        raise ConfigError(f"orbit length k must be at least 1 and at most {_MAX_ORBIT_LENGTH}")
-    return _cycle_reports(config, *_outer_solve(config, k, initial_geometry))
+    dm, g, closure, iterations = _outer_solve(config, initial_geometry)
+    return FixedPointReport(
+        alpha=config.alpha,
+        t_star=dm.t,
+        geometry_star=g,
+        # fresh rows: the solve's evaluation batch is not kept with the report
+        pure_star=Decomposition(dm.decomposition.eta),
+        residual_geometry=closure,
+        residual_peak=abs(peak_value_rho(dm) - dm.t),
+        iterations=iterations,
+    )
 
 
 def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):

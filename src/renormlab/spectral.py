@@ -164,8 +164,13 @@ def cascade_orbit_scaling(alpha: float, m: int) -> list:
 
     d_k = q^(2^{k-1})(0) at the superstable level t_k is the signed distance
     from the critical point to the orbit point closest to it; the ratios
-    converge to the universal spatial scaling of the cascade.
+    converge to the universal spatial scaling of the cascade.  Levels 1 to m
+    give m - 1 ratios, so ConfigError is raised before any scan unless
+    2 <= m <= 16 (superstable_cascade checks alpha and the top bound).
     """
+    m = _integer(m, "cascade level m", ConfigError)
+    if m < 2:
+        raise ConfigError("cascade orbit scaling needs at least two levels beyond t_0")
     table = superstable_cascade(alpha, m)
     d = [_critical_iterate(table.alpha, k - 1, table.t_values[k]) for k in range(1, m + 1)]
     return [abs(d[i + 1] / d[i]) for i in range(len(d) - 1)]

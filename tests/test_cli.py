@@ -28,7 +28,8 @@ FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
 
 def test_usage_errors_exit_1():
     for argv in ([],
-                 ["orbit", "--alpha", "2"],  # missing -k
+                 # a prefix of orbit-diagnostics, and no subcommand of its own
+                 ["orbit", "--alpha", "2", "-k", "2"],
                  ["no-such-command"],
                  # an option the subcommand does not read is unknown to it
                  ["fixed-point", "--alpha", "2", "--seed", "1"],
@@ -45,7 +46,6 @@ def test_usage_errors_exit_1():
 # The options each subcommand's handler reads, and no others.
 OPTION_SETS = {
     "fixed-point": {"alpha", "alpha-sweep", "depth", "grid", "tol", "max-iter", "out"},
-    "orbit": {"alpha", "depth", "grid", "tol", "max-iter", "k", "out"},
     "window": {"alpha", "grid", "out"},
     "cascade": {"alpha", "m", "out"},
     "spectrum": {"alpha", "in", "levels", "out"},
@@ -59,7 +59,7 @@ def test_each_subcommand_takes_exactly_its_options():
                     for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in sub.choices.items()}
     assert found == OPTION_SETS
-    assert sum(map(len, found.values())) == 30
+    assert sum(map(len, found.values())) == 23
 
 
 def _readme_commands():
@@ -119,17 +119,13 @@ def test_validation_errors_exit_1(capsys):
      "--out directory missing does not exist"),
     (["fixed-point", "--alpha-sweep", "1.5,2,3", *FAST, "--out", "missing/x.json"],
      "--out directory missing does not exist"),
-    (["orbit", "--alpha", "2", "-k", "2", "--out", "missing/x.json"],
-     "--out directory missing does not exist"),
 ], ids=["tol-inf", "fixed-point-alpha-inf", "window-alpha-inf", "cascade-alpha-inf",
-        "sweep-repeats-alpha", "fixed-point-out-missing", "sweep-out-missing",
-        "orbit-out-missing"])
+        "sweep-repeats-alpha", "fixed-point-out-missing", "sweep-out-missing"])
 def test_bad_settings_exit_1_before_any_solve(argv, message, monkeypatch, tmp_path, capsys):
     def solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(cli, "find_fixed_point", solve)
-    monkeypatch.setattr(cli, "find_periodic_orbit", solve)
     monkeypatch.setattr(renorm, "_side_structure", solve)
     monkeypatch.setattr(spectral, "_next_superstable", solve)
     monkeypatch.chdir(tmp_path)
@@ -221,22 +217,12 @@ def test_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[:3] == outputs[3:]
 
 
-def test_orbit_length_one_matches_fixed_point(report_file, tmp_path):
+def test_spectrum_refuses_an_orbit_file(report_file, tmp_path, capsys):
+    # a list of reports is no report, even when it holds one
     out = tmp_path / "orbit.json"
-    assert main(["orbit", "--alpha", "2", *FAST, "-k", "1", "--out", str(out)]) == 0
-    reports = json.loads(out.read_text())
-    assert isinstance(reports, list) and len(reports) == 1
-    t_fp = json.loads(report_file.read_text())["t_star"]
-    assert abs(reports[0]["t_star"] - t_fp) < 1e-7
-
-
-def test_spectrum_refuses_an_orbit_file(tmp_path, capsys):
-    out = tmp_path / "orbit.json"
-    assert main(["orbit", "--alpha", "2", *FAST, "-k", "1", "--out", str(out)]) == 0
+    out.write_text(json.dumps([json.loads(report_file.read_text())]))
     assert main(["spectrum", "--in", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: malformed report: a report is one JSON object; "
-                                       "orbit writes a list of k reports, one per cycle "
-                                       "element\n")
+    assert capsys.readouterr().err == "error: malformed report: a report is one JSON object\n"
 
 
 def test_alpha_sweep_writes_per_alpha_files(tmp_path):
@@ -483,7 +469,6 @@ SCALAR_CORRUPTIONS = {
     "residual-negative": _setting("residual_geometry", -1e-9),
     "residual-infinite": _setting("residual_peak", float("inf")),
     "iterations-negative": _setting("iterations", -3),
-    "coincident-not-bool": _setting("coincident", "yes"),
     "depth-fractional": _fractional("depth"),
     "grid-fractional": _fractional("grid"),
     "iterations-fractional": _setting("iterations", 2.7),
@@ -507,13 +492,11 @@ def test_spectrum_rejects_malformed_report(report_file, tmp_path, capsys, corrup
 
 
 @pytest.mark.parametrize("argv", [
-    ["orbit", "--alpha", "2", *FAST, "-k", "0"],
-    ["orbit", "--alpha", "2", *FAST, "-k", "1000000"],
     ["orbit-diagnostics", "--alpha", "2", "--depth", "2", "--grid", "48", "--steps", "0"],
     ["orbit-diagnostics", "--alpha", "2", "--depth", "2", "--grid", "48", "--steps", "1000000"],
     ["spectrum", "--levels", "-1"],
     ["spectrum", "--levels", "1000000"],
-], ids=["k-0", "k-huge", "steps-0", "steps-huge", "levels-negative", "levels-huge"])
+], ids=["steps-0", "steps-huge", "levels-negative", "levels-huge"])
 def test_loop_counts_are_bounded_before_any_step(argv, report_file, monkeypatch, capsys):
     def step(*args, **kwargs):
         raise AssertionError("a renormalization step ran")

@@ -23,7 +23,6 @@ from renormlab.renorm import (
     dynamical_geometry,
     find_fixed_point,
     find_fixed_point_p,
-    find_periodic_orbit,
     observed_eval,
     peak_value_rho,
     random_decomposed_map,
@@ -433,10 +432,8 @@ def test_orbit_counts_refuse_fractions_before_any_step(small_report, monkeypatch
     def step(*args, **kwargs):
         raise AssertionError("a solve or renormalization step ran")
 
-    for name in ("_outer_solve", "renormalize", "dynamical_geometry"):
+    for name in ("renormalize", "dynamical_geometry"):
         monkeypatch.setattr(renorm, name, step)
-    with pytest.raises(ConfigError, match="orbit length k must be an integer"):
-        find_periodic_orbit(SMALL, 1.5)
     f = DecomposedMap(small_report.pure_star, small_report.t_star, small_report.alpha)
     for steps in (2.5, True):
         with pytest.raises(ConfigError, match="steps must be an integer"):
@@ -472,9 +469,6 @@ def test_reports_are_certified_by_the_last_pass(monkeypatch):
     monkeypatch.setattr(renorm, "_undamped_step", counted)
     rep = find_fixed_point(SMALL)
     assert len(calls) == rep.iterations
-    calls.clear()
-    reports = find_periodic_orbit(SMALL, 2)
-    assert len(calls) == 2 * reports[0].iterations
 
 
 def _spy_on_steps(monkeypatch, fail=lambda grid, calls: False):
@@ -634,12 +628,14 @@ def test_report_dict_round_trip(small_report):
     assert back.alpha == rep.alpha and back.depth == rep.depth
     assert geometry_distance(back.geometry_star, rep.geometry_star) == 0.0
     assert decomposition_distance(back.pure_star, rep.pure_star) == 0.0
-    assert back.coincident == rep.coincident
-    # a report written with a delta_estimate key still loads; the key is dropped
+    # a report written with a delta_estimate key, or with the coincident flag
+    # older reports carry (of any value), still loads; the key is dropped
     data = rep.to_dict()
-    assert "delta_estimate" not in data
-    old = FixedPointReport.from_dict(dict(data, delta_estimate=4.669))
-    assert old.to_dict() == data
+    assert "delta_estimate" not in data and "coincident" not in data
+    for key, value in (("delta_estimate", 4.669), ("coincident", True),
+                       ("coincident", False), ("coincident", "yes")):
+        old = FixedPointReport.from_dict(dict(data, **{key: value}))
+        assert old.to_dict() == data
 
 
 def test_report_round_trip_is_byte_identical_in_any_entry_order(rng):
@@ -729,33 +725,9 @@ def test_stored_reports_obey_the_solvers_bounds(depth, grid, message):
         FixedPointReport.from_dict(bare_report(depth, grid))
 
 
-def test_periodic_orbit_collapses_to_fixed_point(small_report):
-    reports = find_periodic_orbit(SMALL, 2)
-    assert len(reports) == 2
-    assert reports[-1].residual_geometry <= 1e-8
-    assert all(r.coincident for r in reports)
-    for r in reports:
-        assert r.t_star == pytest.approx(small_report.t_star, abs=1e-6)
-
-
 def test_reports_do_not_keep_the_solves_evaluation_batch():
     # the solve's compose fold and pullback build it on their own decomposition
-    for report in [find_fixed_point(SMALL), *find_periodic_orbit(SMALL, 2)]:
-        assert report.pure_star._quad is None
-
-
-def test_periodic_orbit_switches_grids_without_an_extra_pass(monkeypatch):
-    # its residual falls about 1000x a pass (2.3e-6 to 1.9e-9), past the
-    # 100 tol window; the extrapolated residual switches it in time, so it
-    # takes the 4 passes of running every pass at grid 64
-    calls = _spy_on_steps(monkeypatch)
-    reports = find_periodic_orbit(SolverConfig(alpha=2.0, depth=5), 2)
-    assert reports[0].iterations == 4 and calls[0][1] == 32 and calls[-1][1] == 64
-
-
-def test_periodic_orbit_rejects_bad_length():
-    with pytest.raises(ConfigError, match="at least 1"):
-        find_periodic_orbit(SolverConfig(alpha=2.0, depth=3, grid=48), 0)
+    assert find_fixed_point(SMALL).pure_star._quad is None
 
 
 # ------------------------------------------------------------- diagnostics

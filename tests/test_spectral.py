@@ -68,7 +68,7 @@ def test_cascade_csv_format(cascade6):
         assert float(row.split(",")[2]) == delta
 
 
-def test_cascade_rejects_empty_request():
+def test_cascade_rejects_empty_request(monkeypatch):
     with pytest.raises(ConfigError, match="at least one level"):
         superstable_cascade(2.0, 0)
     # level m iterates 2^m steps; the bound holds before any of them
@@ -78,6 +78,11 @@ def test_cascade_rejects_empty_request():
         cascade_orbit_scaling(2.0, 40)
     with pytest.raises(ConfigError, match="alpha must exceed 1"):
         superstable_cascade(1.0, 3)
+    # one level gives one displacement and no ratio: refused before any scan
+    monkeypatch.setattr(spectral, "_next_superstable", None)
+    for m in (1, 0):
+        with pytest.raises(ConfigError, match="at least two levels"):
+            cascade_orbit_scaling(2.0, m)
 
 
 @pytest.mark.parametrize("alpha", [6.0, 8.0, 10.0])
