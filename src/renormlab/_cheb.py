@@ -1,8 +1,10 @@
 """Chebyshev-Lobatto grids, transforms and barycentric resampling.
 
-Small cached kernels shared by the nonlinearity-space code.  Everything is
-plain numpy; the per-size matrices the solvers use are cached because they
-reuse one or two grid sizes throughout a run.  Nothing here calls LAPACK.
+Small cached kernels shared by the nonlinearity-space code, among them
+chebval, the package's one evaluator off the fixed grids; it clips nothing,
+so its callers keep every point in [-1, 1].  Everything is plain numpy; the
+per-size matrices the solvers use are cached because they reuse one or two
+grid sizes throughout a run.  Nothing here calls LAPACK.
 
 The row kernels take a stack of sample or coefficient vectors, one per row,
 and compute every row with the same operations in the same order whatever
@@ -143,17 +145,16 @@ def chebval(x: np.ndarray, series: np.ndarray) -> np.ndarray:
     whatever the other points of the call, and each row of a stack as that
     series alone, bit for bit.  The table has one column per term given, so
     the profiles pass their series cut to its significant width
-    (diffspace.series_width), series[..., :width].  Points are clipped to
-    [-1, 1]; callers stay within roundoff slack of it.  For the fixed grids
-    use on_grid.
+    (diffspace.series_width), series[..., :width].  Nothing is clipped:
+    every caller keeps x in [-1, 1], and a point outside gives nan.  For the
+    fixed grids use on_grid.
     """
     if x.size > _CHUNK:
         flat = x.reshape(-1)
         out = np.concatenate([chebval(flat[a:a + _CHUNK], series)
                               for a in range(0, flat.size, _CHUNK)], axis=-1)
         return out.reshape(series.shape[:-1] + x.shape)
-    table = (np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))[..., None]
-             * np.arange(series.shape[-1], dtype=float))
+    table = np.arccos(x)[..., None] * degrees(series.shape[-1])
     return np.einsum("...j,kj->k..." if series.ndim == 2 else "...j,j->...",
                      np.cos(table, out=table), series)
 

@@ -19,15 +19,13 @@ import sys
 
 import numpy as np
 
-from .decompspace import identity_decomposition
+from .decompspace import _MAX_SOLVER_BYTES, _solver_bytes, identity_decomposition
 from .diffspace import identity_profile
 from .errors import ConfigError, DomainError, NoFixedPoint, NonConvergence, RenormlabError
 from .renorm import (
-    _MAX_SOLVER_BYTES,
     DecomposedMap,
     FixedPointReport,
     SolverConfig,
-    _solver_bytes,
     _window,
     find_fixed_point,
     peak_value_rho,
@@ -129,7 +127,8 @@ def _sweep(configs, paths) -> int:
     the pool is shut down, its queued solves cancelled, on every way out.
     """
     # the alphas share one depth and grid, so one solve's estimate serves all
-    workers = min(len(configs), _usable_cpus(), _MAX_SOLVER_BYTES // _solver_bytes(configs[0]))
+    one = _solver_bytes(configs[0].depth, configs[0].grid)
+    workers = min(len(configs), _usable_cpus(), _MAX_SOLVER_BYTES // one)
     if workers < 2 or not hasattr(os, "fork"):
         return _write_sweep(configs, paths, map(_solve_one, configs))
 

@@ -68,6 +68,26 @@ ROOT = ""
 # (a 2-core Xeon), four times that every two levels more.
 _MAX_DEPTH = 19
 
+# SolverConfig, identity_decomposition and random_decomposed_map refuse a tree
+# whose _solver_bytes exceed this; an alpha sweep fits its parallel solves in it.
+_MAX_SOLVER_BYTES = 2 ** 31
+
+
+def _solver_bytes(depth: int, grid: int) -> int:
+    """Estimated peak bytes of one solve at this depth and grid.
+
+    16 float64 grids per tree node (eta, cached coefficients, a few decompositions
+    alive at once) plus 16 grid x grid coefficient and Vandermonde matrices.
+    """
+    nodes = 2 ** (min(depth, 62) + 1) - 1  # deeper is far over the limit anyway
+    return 8 * 16 * grid * (nodes + grid)
+
+
+def _check_solver_bytes(depth: int, grid: int, error: type) -> None:
+    if _solver_bytes(depth, grid) > _MAX_SOLVER_BYTES:
+        raise error(f"depth {depth} at grid {grid} would need over "
+                    f"{_MAX_SOLVER_BYTES >> 30} GiB")
+
 
 @lru_cache(maxsize=64)
 def _descending(depth: int) -> tuple[str, ...]:
@@ -192,7 +212,9 @@ class Decomposition:
 
 
 def identity_decomposition(depth: int, grid: int) -> Decomposition:
-    return Decomposition(np.zeros((DecompositionTimes(depth).size, grid)))
+    times = DecompositionTimes(depth)
+    _check_solver_bytes(times.depth, grid, DomainError)
+    return Decomposition(np.zeros((times.size, grid)))
 
 
 def decomposition_distance(a: Decomposition, b: Decomposition) -> float:

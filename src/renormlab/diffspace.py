@@ -183,24 +183,17 @@ def bracketed_newton(step, x: np.ndarray, idx: np.ndarray, lo: float, hi: float,
     return x
 
 
-def _row_step(series: np.ndarray, width: int, y: np.ndarray):
-    """bracketed_newton's step for phi(x) = y[idx], phi one row's series (2, 2n).
+def _row_step(series: np.ndarray, y: np.ndarray):
+    """bracketed_newton's step for phi(x) = y[idx], phi one row's series (2, width).
 
-    series stacks the Chebyshev coefficients of phi and log phi' (quad_rows);
-    a step evaluates both, cut to the row's width, at the open points in one
-    cosine table of width columns and one einsum, as _cheb.chebval does, and
-    returns phi - y[idx] and phi'.  The table's degrees are a slice of
-    _cheb.degrees, and while every point is open (idx is ascending, so it is
-    all of y) the targets are y itself.  chebval's clip is left out: every
-    iterate stays in its bracket inside [-1, 1], where the clip is the
-    identity.
+    series stacks the coefficients of phi and log phi' (quad_rows) cut to the
+    row's width.  A step evaluates both at the open points, each inside its
+    bracket in [-1, 1] as chebval requires, in one _cheb.chebval call, and
+    returns phi - y[idx] and phi'; while every point is open (idx is
+    ascending, so it is all of y) the targets are y itself.
     """
-    degrees = _cheb.degrees(series.shape[-1])[:width]
-    series = series[:, :width]
-
     def step(idx, xa):
-        table = np.arccos(xa)[:, None] * degrees
-        f, logd = np.einsum("...j,kj->k...", np.cos(table, out=table), series)
+        f, logd = _cheb.chebval(xa, series)
         f -= y if idx.size == y.size else y[idx]
         return f, np.exp(logd)
 
@@ -225,7 +218,7 @@ def pullback_rows(series: np.ndarray, floor: np.ndarray, width, ends):
     open_ = every[np.abs(y) < 1.0].tolist()
     for row, fl, w in zip(series, floor, width):
         idx = every if len(open_) == y.size else np.array(open_, dtype=np.intp)
-        y = bracketed_newton(_row_step(row, w, y), y.copy(), idx, -1.0, 1.0, fl, "inverse")
+        y = bracketed_newton(_row_step(row[:, :w], y), y.copy(), idx, -1.0, 1.0, fl, "inverse")
         ys = y.tolist()
         open_ = [i for i in open_ if abs(ys[i]) < 1.0]  # a closed point is never solved again
         yield ys
@@ -305,8 +298,8 @@ class NonlinearityProfile:
         """
         yv = _check_unit(y, "inverse argument")
         ys = yv.reshape(-1)
-        series, floor, width = self._cache()
-        x = bracketed_newton(_row_step(series, width, ys), ys.copy(),
+        series, floor = self._offgrid()
+        x = bracketed_newton(_row_step(series, ys), ys.copy(),
                              (np.abs(ys) < 1.0).nonzero()[0], -1.0, 1.0, floor, "inverse")
         return x[0] if yv.ndim == 0 else x.reshape(yv.shape)
 

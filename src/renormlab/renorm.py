@@ -25,6 +25,7 @@ from .decompspace import (
     Decomposition,
     DecompositionTimes,
     Geometry,
+    _check_solver_bytes,
     _in_row_order,
     compose_all,
     decomposition_distance,
@@ -60,11 +61,6 @@ from .errors import (
 _WINDOW_SCAN_STEP = 1e-3
 _WINDOW_EDGE_TOL = 1e-10
 _PEAK_SCAN_STEP = 2e-3
-
-# SolverConfig refuses a solve whose estimated bytes (_solver_bytes) exceed this,
-# so --depth 40 fails fast, and an alpha sweep runs no more solves at once than
-# fit in it together.
-_MAX_SOLVER_BYTES = 2 ** 31
 
 # Most outer passes SolverConfig allows.  A tol below the rounding floor (a
 # residual of about 3e-15 at depth 8) never converges, and a depth-8 pass takes
@@ -416,17 +412,6 @@ def solve_peak_value(phi: Decomposition, alpha: float) -> float:
     return _solve_peak(compose_all(phi), alpha)
 
 
-def _solver_bytes(cfg) -> int:
-    """Estimated peak bytes of one solve at cfg's depth and grid.
-
-    16 float64 grids per tree node (eta, cached coefficients, a few
-    decompositions alive at once) plus 16 grid x grid coefficient and
-    Vandermonde matrices.
-    """
-    nodes = 2 ** (min(cfg.depth, 62) + 1) - 1  # deeper is far over the limit anyway
-    return 8 * 16 * cfg.grid * (nodes + cfg.grid)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the outer solver: alpha, the tree depth and grid, tol and the pass cap.
@@ -456,9 +441,7 @@ class SolverConfig:
             raise ConfigError("tol must be positive and finite")
         if not 1 <= self.max_iter <= _MAX_OUTER_PASSES:
             raise ConfigError(f"max_iter must be at least 1 and at most {_MAX_OUTER_PASSES}")
-        if _solver_bytes(self) > _MAX_SOLVER_BYTES:
-            raise ConfigError(f"depth {self.depth} at grid {self.grid} would need over "
-                              f"{_MAX_SOLVER_BYTES >> 30} GiB")
+        _check_solver_bytes(self.depth, self.grid, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -779,8 +762,9 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int) -> Dec
     decaying coefficients, shrunk per level so the total nonlinearity stays
     resolvable on the grid and a renormalization window exists.
     """
-    rng = np.random.default_rng(seed)
     times = DecompositionTimes(depth)
+    _check_solver_bytes(times.depth, grid, DomainError)
+    rng = np.random.default_rng(seed)
     decay = 0.6 ** np.arange(8)
     coeffs = np.array([rng.standard_normal(8) * decay * (0.25 * 0.45 ** len(w))
                        for w in times.indices_descending()])

@@ -14,11 +14,11 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from renormlab import cli, decompspace, errors, renorm, spectral
+from renormlab import _cheb, cli, decompspace, errors, renorm, spectral
 from renormlab.cli import _build_parser, main
-from renormlab.renorm import SolverConfig
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
 
@@ -168,6 +168,21 @@ def test_unresolved_pass_at_the_configured_grid_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: grid 48 cannot resolve the composition\n"
 
 
+def test_an_unresolved_pass_at_a_configured_grid_of_32_is_not_rerun(monkeypatch, capsys):
+    # the first pass already runs at the configured grid: its error is the run's
+    grids, step = [], renorm._undamped_step
+
+    def spied(g, alpha, grid):
+        grids.append(grid)
+        return step(g, alpha, grid)
+
+    monkeypatch.setattr(renorm, "_undamped_step", spied)
+    assert main(["fixed-point", "--alpha", "48", "--depth", "8", "--grid", "32"]) == 2
+    assert grids == [32]
+    assert capsys.readouterr().err == ("error: composition residual 1.427e-05 exceeds grid "
+                                       "resolution at degree 32\n")
+
+
 def test_spectrum_requires_readable_report(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     assert main(["spectrum", "--alpha", "2", "--in", str(missing)]) == 1
@@ -306,7 +321,7 @@ def test_each_sweep_worker_keeps_to_one_cpu(tmp_path, monkeypatch, capsys):
 def test_alpha_sweep_workers_fit_in_the_solver_memory_cap(tmp_path, monkeypatch, capsys):
     # two solves of this size fit under the cap, three do not
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    cap = 2 * cli._solver_bytes(SolverConfig(alpha=2.0, depth=3, grid=48)) + 1
+    cap = 2 * cli._solver_bytes(3, 48) + 1
     monkeypatch.setattr(cli, "_MAX_SOLVER_BYTES", cap)
     made = []
     real = concurrent.futures.ProcessPoolExecutor
@@ -377,6 +392,33 @@ def test_alpha_sweep_survives_a_dying_worker(tmp_path):
     assert proc.stderr == "alpha 3: worker process died\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep-alpha1.5.json",
                                                           "sweep-alpha2.json"]
+
+
+_DYING_POOL = """
+import multiprocessing, os, sys
+from renormlab import cli
+
+cli._pin = lambda cpus: os._exit(3)  # every worker dies before it takes a solve
+cli._usable_cpus = lambda: 3
+code = cli.main(sys.argv[1:])
+print("children", len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform has no CPU affinity")
+def test_alpha_sweep_whose_workers_all_die_reports_each_alpha(tmp_path):
+    # the pool breaks at submit or at a result, whichever comes first: each alpha reads the same
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    argv = ["fixed-point", "--alpha-sweep", "1.5,2,3", "--depth", "3", "--grid", "32",
+            "--out", "sweep.json"]
+    proc = subprocess.run([sys.executable, "-c", _DYING_POOL, *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "children 0\n"
+    assert proc.stderr == "".join(f"alpha {a}: worker process died\n" for a in ("1.5", "2", "3"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_error_survives_a_pickle_round_trip():
@@ -544,6 +586,19 @@ def test_window_composes_nothing(monkeypatch, capsys):
     assert calls == []
 
 
+def test_window_warns_of_a_second_window_and_skips_samples_without_rho(monkeypatch, capsys):
+    # past the bare fold's top at 0.9196 rho leaves [0, 1]: the last three samples
+    found = renorm.WindowResult(0.5, 0.95, ((0.5, 0.95), (0.96, 0.97)))
+    monkeypatch.setattr(cli, "_window", lambda obs, alpha: found)
+    assert main(["window", "--alpha", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["# window t_min=0.5 t_max=0.95",
+                         "# warning: 2 disjoint renormalizable windows; sweeping the first",
+                         "t,rho"]
+    ts = [float(line.split(",")[0]) for line in lines[3:]]
+    assert len(ts) == 30 and ts[0] == 0.5 and ts[-1] < 0.9196433776
+
+
 # ----------------------------------------------------------------- cascade
 
 
@@ -583,6 +638,26 @@ def test_orbit_diagnostics_csv_deterministic(capsys):
         assert 0.0 < float(kappa) < 1.0
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_every_chebval_point_lies_in_the_unit_interval(tmp_path, monkeypatch, capsys):
+    # chebval clips nothing: every caller keeps its points in [-1, 1] by construction
+    real, calls, outside = _cheb.chebval, [], []
+
+    def spied(x, series):
+        calls.append(x.size)
+        outside.extend(x[~(np.abs(x) <= 1.0)].tolist())
+        return real(x, series)
+
+    monkeypatch.setattr(_cheb, "chebval", spied)
+    report = str(tmp_path / "fp.json")
+    for argv in (["fixed-point", "--alpha", "2", "--depth", "5", "--out", report],
+                 ["spectrum", "--alpha", "2", "--in", report],
+                 ["window", "--alpha", "2"],
+                 ["orbit-diagnostics", "--alpha", "2", "--seed", "1"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) > 100 and outside == [], argv
 
 
 # ------------------------------------------------------------- entry point

@@ -155,6 +155,8 @@ def test_norm_and_distance_basics(rng):
     assert decomposition_distance(a, b) == decomposition_distance(b, a) > 0.0
     with pytest.raises(DepthMismatch):
         decomposition_distance(a, random_decomposition(rng, 3))
+    with pytest.raises(DomainError, match="^decompositions must share a grid degree$"):
+        decomposition_distance(identity_decomposition(2, 16), identity_decomposition(2, 32))
 
 
 # ---------------------------------------------------------- composition law

@@ -90,6 +90,15 @@ def test_inverse_round_trip(rng):
     assert abs(phi.evaluate(phi.inverse(y)) - y) < 1e-12
 
 
+def test_samples_that_are_no_finite_1d_array_are_refused():
+    with pytest.raises(DomainError, match="must be a 1-d array with at least 4 nodes"):
+        NonlinearityProfile(np.zeros((2, 16)))
+    eta = np.zeros(16)
+    eta[5] = np.nan
+    with pytest.raises(DomainError, match="must be finite"):
+        NonlinearityProfile(eta)
+
+
 def test_overflowing_nonlinearity_is_refused():
     # exp(int eta) overflows for eta = 800, so phi cannot be normalised; the
     # overflow is reported as the ResolutionError alone, with no warning first
@@ -439,6 +448,8 @@ def test_linear_combination_acts_samplewise(rng):
     phi, psi = random_profile(rng), random_profile(rng)
     out = linear_combination(0.3, phi, -1.25, psi)
     assert np.array_equal(out.eta_values, 0.3 * phi.eta_values + (-1.25) * psi.eta_values)
+    with pytest.raises(DomainError, match="^profiles must share a grid degree$"):
+        linear_combination(1.0, identity_profile(16), 1.0, identity_profile(32))
 
 
 def test_compose_semantics_match_pointwise_composition(rng):
@@ -446,6 +457,8 @@ def test_compose_semantics_match_pointwise_composition(rng):
     both = compose(outer, inner)
     direct = outer.evaluate(inner.evaluate(XS))
     assert np.max(np.abs(both.evaluate(XS) - direct)) < 1e-12
+    with pytest.raises(DomainError, match="^profiles must share a grid degree$"):
+        compose(identity_profile(16), identity_profile(32))
 
 
 def test_compose_with_identity_outer_is_bitwise():

@@ -161,6 +161,9 @@ def test_rho_closed_forms():
     for t in (0.55, 0.75, GOLDEN_T):
         _, _, rho = _structure_oracle(t)
         assert peak_value_rho(_identity_map(t)) == pytest.approx(rho, abs=1e-10)
+    # past the window's top q_t(0) lies above the preimage of the side interval
+    with pytest.raises(DomainError, match=r"^rescaled peak value 1\.131997 falls outside "):
+        peak_value_rho(_identity_map(0.95, depth=1, grid=64))
 
 
 def test_no_fixed_point_below_half():
@@ -456,6 +459,9 @@ def test_fixed_point_small_depth(small_report):
     assert 1 <= rep.iterations <= 10
     assert 0.5 < rep.t_star < 1.0
     assert rep.geometry_star.contraction_factor < 1.0
+    with pytest.raises(DepthMismatch, match="^initial geometry depth 3 differs from "
+                                            "configured depth 4$"):
+        find_fixed_point(dataclasses.replace(SMALL, depth=4), rep.geometry_star)
 
 
 def test_reports_are_certified_by_the_last_pass(monkeypatch):

@@ -1,5 +1,6 @@
 """The time tree: ROOT and the descending word order that lays out decomposition rows."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,8 @@ from renormlab.decompspace import (
     DecompositionTimes,
     Geometry,
     _MAX_DEPTH,
+    _MAX_SOLVER_BYTES,
+    _solver_bytes,
     identity_decomposition,
 )
 from renormlab.diffspace import OrientedInterval
@@ -84,3 +87,21 @@ def test_a_depth_past_the_bound_is_refused_before_any_word_is_built(monkeypatch)
         with pytest.raises(DomainError, match=f"^depth must be at least 0 and at most "
                                               f"{_MAX_DEPTH}, not "):
             build()
+
+
+def test_a_tree_past_the_solver_byte_bound_is_refused_before_it_is_allocated():
+    # within the depth bound but past SolverConfig's byte bound, which is checked
+    # before a row or a word is built: the first tree's rows alone take 84 GB
+    assert _solver_bytes(8, 64) < _MAX_SOLVER_BYTES
+    for depth, grid, build in ((19, 10 ** 4, lambda: identity_decomposition(19, 10 ** 4)),
+                               (19, 64, lambda: random_decomposed_map(2.0, 19, 64, 0))):
+        assert _solver_bytes(depth, grid) > _MAX_SOLVER_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"^depth {depth} at grid {grid} would need "
+                                                  f"over 2 GiB$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
