@@ -11,7 +11,12 @@ and compute every row with the same operations in the same order whatever
 the stack's height: products go through ``rowdot`` (einsum), not BLAS,
 whose gemm and gemv round the same row differently.  A single profile and
 the same profile as one row of a decomposition's batch therefore get
-bitwise identical results.
+bitwise identical results.  Every einsum in the package is ``_einsum``,
+numpy's C entry point ``c_einsum``, which numpy's Python einsum calls
+when it does not optimize: the same products without about 2 us of
+dispatch a call.  bary_points runs its subtraction and division over long
+flat segments against per-grid tiles of the nodes and weights
+(_bary_tiles), not over rows only n long.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _einsum
 from numpy.polynomial import chebyshev as _C
 
 
@@ -100,12 +106,12 @@ def integrate_coeffs(coeffs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def antiderivative_matrix(n: int) -> np.ndarray:
     """Samples on nodes(n) -> coefficients of their antiderivative from -1, (n+1, n)."""
-    return _frozen(np.einsum("ij,jk->ik", _integration_matrix(n), _coeff_matrix(n)))
+    return _frozen(_einsum("ij,jk->ik", _integration_matrix(n), _coeff_matrix(n)))
 
 
 def rowdot(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat.T for one vector or a stack of rows, each row bitwise as if alone."""
-    return np.einsum("...j,kj->...k", rows, mat)
+    return _einsum("...j,kj->...k", rows, mat)
 
 
 def _grid_points(n: int, interior: bool) -> np.ndarray:
@@ -155,8 +161,19 @@ def chebval(x: np.ndarray, series: np.ndarray) -> np.ndarray:
                               for a in range(0, flat.size, _CHUNK)], axis=-1)
         return out.reshape(series.shape[:-1] + x.shape)
     table = np.arccos(x)[..., None] * degrees(series.shape[-1])
-    return np.einsum("...j,kj->k..." if series.ndim == 2 else "...j,j->...",
-                     np.cos(table, out=table), series)
+    return _einsum("...j,kj->k..." if series.ndim == 2 else "...j,j->...",
+                   np.cos(table, out=table), series)
+
+
+# Bytes of each of bary_points' tiles: 8192 doubles, 128 points at grid 64.
+_TILE_BYTES = 64 * 1024
+
+
+@lru_cache(maxsize=64)
+def _bary_tiles(n: int):
+    """nodes(n) and bary_weights(n), read-only, each repeated as often as fits in _TILE_BYTES."""
+    reps = max(1, _TILE_BYTES // (8 * n))
+    return _frozen(np.tile(nodes(n), reps)), _frozen(np.tile(bary_weights(n), reps))
 
 
 def bary_points(x: np.ndarray, n: int):
@@ -165,20 +182,33 @@ def bary_points(x: np.ndarray, n: int):
     Returns (k, hit): the weights w_j / (x - x_j) (r, p, n), and the points
     that sit on a grid node as (rows, columns, nodes) index arrays, or None
     when there is none.  It depends on the points alone, so a loop that
-    resamples changing values at the same points builds it once.
+    resamples changing values at the same points builds it once.  Each
+    weight is the one IEEE subtraction and division of
+    bary_weights(n) / (x[..., None] - nodes(n)), bit for bit, with a hit's
+    difference set to 1.0 so that its weight is w_j.
     """
     xs = nodes(n)
     at = np.searchsorted(xs, x)
     exact = xs.take(at, mode="clip") == x
-    d = x[..., None] - xs
+    # Each point repeated n times lines up with the tiles, so both passes run
+    # over long segments, where a broadcast runs numpy's loop over rows only
+    # n long.  In place: from a few rows on, a second array this size beside
+    # d passes malloc's mmap threshold, and each call faults its pages in afresh.
+    xt, wt = _bary_tiles(n)
+    flat = np.repeat(x, n)
+    for a in range(0, flat.size, xt.size):
+        seg = flat[a:a + xt.size]
+        np.subtract(seg, xt[:seg.size], out=seg)
+    d = flat.reshape(x.shape + (n,))
     hit = None
     if exact.any():
         rows, cols = np.nonzero(exact)
         hit = (rows, cols, at[rows, cols])
         d[hit] = 1.0
-    # in place: from a few rows on, a second array this size alive beside d
-    # passes malloc's mmap threshold, and each call faults its pages in afresh
-    return np.divide(bary_weights(n), d, out=d), hit
+    for a in range(0, flat.size, wt.size):
+        seg = flat[a:a + wt.size]
+        np.divide(wt[:seg.size], seg, out=seg)
+    return d, hit
 
 
 def bary_apply(values: np.ndarray, k: np.ndarray, hit) -> np.ndarray:
@@ -194,7 +224,7 @@ def bary_apply(values: np.ndarray, k: np.ndarray, hit) -> np.ndarray:
     terms = np.empty((values.shape[0], 2, values.shape[1]))
     terms[:, 0] = values - anchor
     terms[:, 1] = 1.0
-    sums = np.einsum("rpj,rcj->rcp", k, terms)
+    sums = _einsum("rpj,rcj->rcp", k, terms)
     out = anchor + sums[:, 0] / sums[:, 1]
     if hit is not None:
         rows, cols, at = hit

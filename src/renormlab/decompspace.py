@@ -160,12 +160,13 @@ class Decomposition:
     (times.indices_descending()), the order of the composition fold, the
     pullback and the stored report; the depth, and so the tree, follow from
     the row count.  The rows are kept as one read-only copy.  ``nodes[w]``
-    is a NonlinearityProfile viewing row w; the evaluation data of every row
-    is built in one batch the first time a fold or pullback needs it, and a
-    node view builds its own only if it is evaluated.
+    is a NonlinearityProfile viewing row w, all of them built on the first
+    read of ``nodes``; the evaluation data of every row is built in one
+    batch the first time a fold or pullback needs it, and a node view
+    builds its own only if it is evaluated.
     """
 
-    __slots__ = ("times", "eta", "nodes", "_quad")
+    __slots__ = ("times", "eta", "_nodes", "_quad")
 
     def __init__(self, eta):
         eta = np.array(eta, dtype=float)
@@ -177,9 +178,16 @@ class Decomposition:
         eta.setflags(write=False)
         self.times = DecompositionTimes(depth)
         self.eta = eta
-        self.nodes = MappingProxyType({w: NonlinearityProfile._view(row)
-                                       for w, row in zip(self.times.indices_descending(), eta)})
-        self._quad = None
+        self._nodes = self._quad = None
+
+    @property
+    def nodes(self) -> MappingProxyType:
+        """Read-only mapping from each index, in row order, to a profile viewing its row."""
+        if self._nodes is None:
+            self._nodes = MappingProxyType({
+                w: NonlinearityProfile._view(row)
+                for w, row in zip(self.times.indices_descending(), self.eta)})
+        return self._nodes
 
     def _batch(self):
         """Evaluation data of every row, read by the compose fold and the pullback.

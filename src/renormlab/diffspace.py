@@ -366,7 +366,7 @@ def compose_rows(outer_eta: np.ndarray, inner_eta: np.ndarray, pts, d, h) -> np.
     for j in range(k.shape[0]):
         anchor = result[:1]
         np.subtract(result, anchor, out=terms[0, 0])
-        np.einsum("rpj,rcj->rcp", k[j:j + 1], terms, out=sums)
+        _cheb._einsum("rpj,rcj->rcp", k[j:j + 1], terms, out=sums)
         np.divide(sums[0, 0], sums[0, 1], out=ov[j])
         np.add(anchor, ov[j], out=ov[j])
         a, b = cut[j], cut[j + 1]

@@ -141,7 +141,9 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
     1 + 2 alpha t x^(alpha-1) Phi'(q_t(x)) >= 1.  Then b in (p, 1) with
     f(b) = -p is closed form (_side_end): Phi^{-1}(-p) lies below 2t - 1
     because Phi(2t - 1) = f0 > -p, and b is its positive preimage under q_t.
-    Where f0 <= 0, p and b are nan and nothing is solved; callers mask on f0.
+    Only levels whose f0 exceeds Phi's rounding floor (quad_rows) are solved:
+    a peak image at rounding level does not tell above the diagonal from
+    below it.  Elsewhere p and b are nan.
     Phi's series are evaluated up to their width (diffspace.series_width),
     as in Phi's own evaluate and inverse.  A level's results do not depend
     on the other levels of the call.
@@ -149,7 +151,7 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
     series, floor = obs._offgrid()
     f0 = obs._eval(2.0 * t - 1.0)
-    idx = np.flatnonzero(f0 > 0.0)
+    idx = np.flatnonzero(f0 > floor)
 
     def step(i, x):
         lx, ti = np.log(x), t[i]
@@ -166,7 +168,7 @@ def _side_structure(obs: NonlinearityProfile, alpha: float, t_values: np.ndarray
 
 def _checked_structure(f: DecomposedMap):
     f0, p, b = _side_structure(f.observed, f.alpha, np.array([f.t]))
-    if not f0[0] > 0.0:
+    if np.isnan(p[0]):
         raise NoFixedPoint(
             f"peak image {f0[0]:.6f} does not rise above the diagonal (t={f.t:.6f})")
     return float(f0[0]), float(p[0]), float(b[0])
@@ -367,9 +369,10 @@ def _window(obs: NonlinearityProfile, alpha: float) -> WindowResult:
 def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     """Invariant fold level: t with rho(t) = t, bracketed on the scan grid.
 
-    f0 = Phi(2t - 1) rises with t, so the levels with f0 > 0 are one run and
-    rho is defined on all of it.  rho is 0 at the first window's bottom edge
-    and 1 at its top, and above the top it exceeds 1 (there 2t - 1 > r).  So
+    f0 = Phi(2t - 1) rises with t, so the levels with f0 above the rounding
+    floor, those _side_structure solves, are one run and rho is defined on
+    all of it.  rho is 0 at the first window's bottom edge and 1 at its
+    top, and above the top it exceeds 1 (there 2t - 1 > r).  So
     the gap rho(t) - t, computed unchecked, rises through 0 between the first
     window's first level and the first level past its top.  The scan covers
     (1/2, 1], so that level is on the grid even when the top lies above the
@@ -632,13 +635,13 @@ def _anderson_mix(history) -> Geometry:
     """
     xs, gxs = (np.array(col) for col in zip(*history))
     df, dg = np.diff(gxs - xs, axis=0), np.diff(gxs, axis=0)
-    gram = np.einsum("ik,jk->ij", df, df)
-    rhs = np.einsum("ik,k->i", df, gxs[-1] - xs[-1])
+    gram = _cheb._einsum("ik,jk->ij", df, df)
+    rhs = _cheb._einsum("ik,k->i", df, gxs[-1] - xs[-1])
     a, b, d = gram[0, 0], gram[0, -1], gram[-1, -1]
     det = a * d - b * b  # exactly 0 for one difference
     if det > _ANDERSON_DET_RTOL * a * d:
         gamma = np.array([d * rhs[0] - b * rhs[1], a * rhs[1] - b * rhs[0]]) / det
-        x = gxs[-1] - np.einsum("i,ik->k", gamma, dg)
+        x = gxs[-1] - _cheb._einsum("i,ik->k", gamma, dg)
     else:
         x = gxs[-1] - (rhs[-1] / d if d > 0.0 else 0.0) * dg[-1]
     return Geometry.from_rows(OrientedInterval(x[0], x[1], "+"), x[2:].reshape(-1, 4))

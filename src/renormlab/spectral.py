@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cheb
 from .decompspace import Decomposition
 from .diffspace import _integer
 from .errors import BracketError, ConfigError, NonConvergence
@@ -219,11 +220,11 @@ def unstable_eigenvalue(report: FixedPointReport) -> float:
     for _ in range(_EIG_MAX_STEPS):
         jv = (step(x0 + _EIG_EPS * v, not v[:-1].any()) - f0) / _EIG_EPS
         # einsum, not BLAS: a threaded BLAS dot splits its sum by thread count
-        lam = float(np.einsum("i,i->", v, jv))
+        lam = float(_cheb._einsum("i,i->", v, jv))
         trace.append(lam)
         if lam_prev is not None and abs(lam - lam_prev) <= _EIG_TOL * max(1.0, abs(lam)):
             return lam
-        norm = float(np.sqrt(np.einsum("i,i->", jv, jv)))
+        norm = float(np.sqrt(_cheb._einsum("i,i->", jv, jv)))
         if norm == 0.0:
             raise NonConvergence(
                 "differential annihilated the probe direction", tuple(trace))

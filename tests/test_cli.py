@@ -587,7 +587,8 @@ def test_window_composes_nothing(monkeypatch, capsys):
 
 
 def test_window_warns_of_a_second_window_and_skips_samples_without_rho(monkeypatch, capsys):
-    # past the bare fold's top at 0.9196 rho leaves [0, 1]: the last three samples
+    # past the bare fold's top at 0.9196 rho leaves [0, 1]: the last three samples;
+    # at t = 0.5 the peak image is at rounding level: NoFixedPoint, the first sample
     found = renorm.WindowResult(0.5, 0.95, ((0.5, 0.95), (0.96, 0.97)))
     monkeypatch.setattr(cli, "_window", lambda obs, alpha: found)
     assert main(["window", "--alpha", "2"]) == 0
@@ -596,7 +597,7 @@ def test_window_warns_of_a_second_window_and_skips_samples_without_rho(monkeypat
                          "# warning: 2 disjoint renormalizable windows; sweeping the first",
                          "t,rho"]
     ts = [float(line.split(",")[0]) for line in lines[3:]]
-    assert len(ts) == 30 and ts[0] == 0.5 and ts[-1] < 0.9196433776
+    assert len(ts) == 29 and ts[0] == 0.5140625 and ts[-1] < 0.9196433776
 
 
 # ----------------------------------------------------------------- cascade

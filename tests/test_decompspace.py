@@ -120,6 +120,12 @@ def test_nodes_are_read_only_views_of_the_rows(rng):
         dec.nodes[ROOT] = dec.nodes["1"]
 
 
+def test_nodes_are_built_on_the_first_read_once_in_row_order(rng):
+    dec = random_decomposition(rng, 3)
+    assert dec._nodes is None and dec.nodes is dec.nodes
+    assert list(dec.nodes) == list(dec.times.indices_descending())
+
+
 def test_node_cache_alone_equals_its_row_of_the_batch(rng):
     dec = random_decomposition(rng, 8)
     batch = dec._batch()  # the evaluation data of all 511 rows, 64 rows a call

@@ -1,9 +1,13 @@
+import ast
 import json
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core.multiarray import c_einsum
 from numpy.polynomial import chebyshev
 
 from renormlab import (
@@ -384,6 +388,49 @@ def test_interior_point_data_is_built_once_and_read_only():
     assert hit is None and not k.flags.writeable
     fresh = _cheb.bary_points(_cheb.interior_nodes(64)[None, :], 64)
     assert np.array_equal(k, fresh[0]) and fresh[1] is None
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_bary_points_equal_the_broadcast_quotient_bit_for_bit(n):
+    xs, w = _cheb.nodes(n), _cheb.bary_weights(n)
+    node_tile, weight_tile = _cheb._bary_tiles(n)
+    assert _cheb._bary_tiles(n)[0] is node_tile
+    assert not node_tile.flags.writeable and not weight_tile.flags.writeable
+    assert node_tile.nbytes == weight_tile.nbytes <= _cheb._TILE_BYTES
+    per_tile = node_tile.size // n
+    rng = np.random.default_rng(n)
+    on_nodes = xs[[0, 1, n // 2, -2, -1]]  # both ends among them
+    # the fold's and the zooms' shapes, and one shared row over several tiles
+    for shape in ((9, 2 * n), (9, n), (1, 3 * per_tile + 5)):
+        x = rng.uniform(-1.0, 1.0, shape)
+        x.flat[rng.choice(x.size, on_nodes.size, replace=False)] = on_nodes
+        k, hit = _cheb.bary_points(x, n)
+        d = x[..., None] - xs
+        want_hit = np.nonzero(d == 0.0)
+        d[want_hit] = 1.0
+        assert k.shape == shape + (n,)
+        assert np.array_equal(k, w / d)
+        assert all(np.array_equal(a, b) for a, b in zip(hit, want_hit))
+    assert _cheb.bary_points(rng.uniform(-0.9, 0.9, (2, n)), n)[1] is None
+
+
+def test_einsum_is_numpys_c_entry_point_on_every_subscript_the_package_uses():
+    package = Path(_cheb.__file__).parent
+    sources = [path.read_text() for path in package.glob("*.py")]
+    assert _cheb._einsum is c_einsum and not any("np.einsum" in s for s in sources)
+    subscript = re.compile(r"[\w.]+(,[\w.]+)*->[\w.]*")
+    used = {node.value for s in sources for node in ast.walk(ast.parse(s))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and subscript.fullmatch(node.value)}
+    rng = np.random.default_rng(3)
+    shapes = {"ij,jk->ik": [(5, 6), (6, 7)], "...j,kj->...k": [(3, 4, 6), (5, 6)],
+              "...j,kj->k...": [(3, 4, 6), (2, 6)], "...j,j->...": [(3, 4, 6), (6,)],
+              "rpj,rcj->rcp": [(1, 9, 6), (1, 2, 6)], "ik,jk->ij": [(2, 9), (2, 9)],
+              "ik,k->i": [(2, 9), (9,)], "i,ik->k": [(2,), (2, 9)], "i,i->": [(9,), (9,)]}
+    assert used == shapes.keys()
+    for spec, operand_shapes in shapes.items():
+        operands = [rng.standard_normal(shape) for shape in operand_shapes]
+        assert np.array_equal(_cheb._einsum(spec, *operands), np.einsum(spec, *operands)), spec
 
 
 @pytest.mark.parametrize("points", [0, 1, 4, 32, 33, 249, _cheb._CHUNK + 1])

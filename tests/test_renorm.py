@@ -176,6 +176,17 @@ def test_no_fixed_point_below_half():
             peak_value_rho(_identity_map(t))
 
 
+@pytest.mark.parametrize("grid", [16, 32, 64])
+def test_a_peak_image_at_rounding_level_has_no_fixed_point(grid):
+    # at t = 1/2 the peak image Phi(0) is rounding noise, 5.3e-17 at grid 64, below
+    # the composed profile's rounding floor: it tells no side of the diagonal
+    f = _identity_map(0.5, depth=0, grid=grid)
+    assert abs(observed_eval(f, 0.0)) < f.observed._offgrid()[1]
+    for query in (find_fixed_point_p, peak_value_rho, dynamical_geometry):
+        with pytest.raises(NoFixedPoint, match="does not rise above the diagonal"):
+            query(f)
+
+
 def test_is_renormalizable():
     # renormalize runs where the peak image lands in [p, b] and refuses elsewhere
     for t in (0.55, 0.75):
