@@ -30,9 +30,7 @@ from numpy.polynomial import chebyshev as _C
 
 @lru_cache(maxsize=64)
 def nodes(n: int) -> np.ndarray:
-    """Chebyshev-Lobatto nodes on [-1, 1], ascending, exactly antisymmetric."""
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
+    """Chebyshev-Lobatto nodes on [-1, 1], ascending, exactly antisymmetric; n >= 2."""
     x = -np.cos(np.pi * np.arange(n) / (n - 1))
     x = 0.5 * (x - x[::-1])
     x[0], x[-1] = -1.0, 1.0

@@ -20,17 +20,16 @@ import sys
 import numpy as np
 
 from .decompspace import _MAX_SOLVER_BYTES, _solver_bytes, identity_decomposition
-from .diffspace import identity_profile
 from .errors import ConfigError, DomainError, NoFixedPoint, NonConvergence, RenormlabError
 from .renorm import (
     DecomposedMap,
     FixedPointReport,
     SolverConfig,
-    _window,
     find_fixed_point,
     peak_value_rho,
     random_decomposed_map,
     renormalization_orbit_diagnostics,
+    renormalization_window,
 )
 from .spectral import scaling_ratios, superstable_cascade, unstable_eigenvalue
 
@@ -205,10 +204,9 @@ def _cmd_fixed_point(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    # the bare fold's window: only the observed identity is read, not dec
     cfg = _config(args)
-    dec, obs = identity_decomposition(0, cfg.grid), identity_profile(cfg.grid)
-    result = _window(obs, cfg.alpha)
+    dec = identity_decomposition(0, cfg.grid)  # the bare fold's
+    result = renormalization_window(dec, cfg.alpha)
     lines = [f"# window t_min={result.t_min!r} t_max={result.t_max!r}"]
     if result.multiple:
         lines.append(f"# warning: {len(result.windows)} disjoint renormalizable "
@@ -216,7 +214,7 @@ def _cmd_window(args) -> int:
     lines.append("t,rho")
     for t in np.linspace(result.t_min, result.t_max, _WINDOW_SAMPLES):
         try:
-            rho = peak_value_rho(DecomposedMap(dec, float(t), cfg.alpha, observed=obs))
+            rho = peak_value_rho(DecomposedMap(dec, float(t), cfg.alpha))
         except (DomainError, NoFixedPoint):
             continue
         lines.append(f"{float(t)!r},{rho!r}")

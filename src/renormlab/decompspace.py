@@ -34,6 +34,7 @@ from .diffspace import (
     DEFAULT_DEGREE,
     NonlinearityProfile,
     OrientedInterval,
+    _grid,
     _integer,
     branch_zoom,
     # re-exported for the benchmark alone: perfbench/test_perfbench.py reads it here
@@ -103,10 +104,7 @@ class DecompositionTimes:
     __slots__ = ("depth",)
 
     def __init__(self, depth: int):
-        depth = _integer(depth, "depth", DomainError)
-        if not 0 <= depth <= _MAX_DEPTH:
-            raise DomainError(f"depth must be at least 0 and at most {_MAX_DEPTH}, not {depth}")
-        self.depth = depth
+        self.depth = _integer(depth, "depth", DomainError, 0, _MAX_DEPTH)
 
     @property
     def size(self) -> int:
@@ -220,7 +218,7 @@ class Decomposition:
 
 
 def identity_decomposition(depth: int, grid: int) -> Decomposition:
-    times = DecompositionTimes(depth)
+    grid, times = _grid(grid), DecompositionTimes(depth)
     _check_solver_bytes(times.depth, grid, DomainError)
     return Decomposition(np.zeros((times.size, grid)))
 
@@ -398,7 +396,7 @@ def pure_decomposition(g: Geometry, alpha: float, *, grid: int = DEFAULT_DEGREE)
     one level at a time.  This is bit for bit what depth + 1 steps
     of geometric_renormalize produce from any start on the same grid.
     """
-    times = DecompositionTimes(g.depth)
+    grid, times = _grid(grid), DecompositionTimes(g.depth)
     half = 2 ** g.depth
     out = np.empty((times.size, grid))
     out[half - 1] = branch_zoom(alpha, g.side_root, grid).eta_values

@@ -56,18 +56,36 @@ def _check_unit(x, what="argument"):
     return np.clip(xv, -1.0, 1.0)
 
 
-def _integer(value, what: str, error: type) -> int:
-    """value as an int; anything but an integral number, a bool included, raises error.
+def _integer(value, what: str, error: type, least: int | None = None,
+             most: int | None = None) -> int:
+    """value as an int in [least, most]; anything else, a bool or a fraction too, raises error.
 
-    The one integrality rule for counts: stored ones (depth, grid,
-    iterations) and those the Python API takes.  numpy integers pass.
+    The one rule for counts: stored ones (depth, grid, iterations) and those
+    the Python API takes.  numpy integers pass; an unset bound does not bind.
     """
     try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
+        count = int(value) if not isinstance(value, bool) and int(value) == value else None
     except (TypeError, ValueError, OverflowError):  # no number, nan or inf
-        pass
-    raise error(f"{what} must be an integer, not {value!r}")
+        count = None
+    if count is None:
+        raise error(f"{what} must be an integer, not {value!r}")
+    if least is not None and count < least or most is not None and count > most:
+        span = f"at least {least}" + ("" if most is None else f" and at most {most}")
+        raise error(f"{what} must be {span}, not {count}")
+    return count
+
+
+def _grid(value) -> int:
+    """value as a grid: an integer of at least 4, the fewest samples a profile takes."""
+    return _integer(value, "grid", DomainError, 4)
+
+
+def _reals(values: list, what: str, error: type) -> list:
+    """values if each is a JSON number, an int or a float (a bool is not); else error."""
+    if not set(map(type, values)) <= {int, float}:  # a type test, no conversion
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise error(f"{what} must be a real number, not {bad!r}")
+    return values
 
 
 def quad_rows(eta: np.ndarray):
@@ -473,7 +491,7 @@ def branch_zoom(alpha: float, s1: OrientedInterval, degree: int = DEFAULT_DEGREE
         raise DomainError("branch interval must stay inside (0, 1)")
     if s1.flag != "+":
         raise DomainError("branch interval carries flag '+' on the domain side")
-    s = s1.identify(_cheb.nodes(degree))
+    s = s1.identify(_cheb.nodes(_grid(degree)))
     return NonlinearityProfile(s1.half_length * (alpha - 1.0) / s)
 
 

@@ -39,7 +39,9 @@ from .diffspace import (
     FoldingMap,
     NonlinearityProfile,
     OrientedInterval,
+    _grid,
     _integer,
+    _reals,
     bracketed_newton,
     identity_profile,
 )
@@ -345,11 +347,7 @@ def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
     predicate bisection to _WINDOW_EDGE_TOL.  All windows are reported; the
     first one fills t_min/t_max.
     """
-    return _window(compose_all(phi), alpha)
-
-
-def _window(obs: NonlinearityProfile, alpha: float) -> WindowResult:
-    """renormalization_window of the diffeomorphism whose composed profile is obs."""
+    obs = compose_all(phi)
     ts, _, _, runs = _scan_window(obs, alpha, _WINDOW_SCAN_STEP)
 
     def renormalizable_at(t):
@@ -433,17 +431,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha < np.inf:
             raise ConfigError("alpha must exceed 1 and be finite")
-        for name in ("depth", "grid", "max_iter"):
-            # the counts are kept as plain ints (the instance is frozen)
-            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
-        if self.depth < 1:
-            raise ConfigError("depth must be at least 1")
-        if self.grid < 16:
-            raise ConfigError("grid must be at least 16")
+        # the counts are kept as plain ints (the instance is frozen)
+        for name, *span in (("depth", 1), ("grid", 16), ("max_iter", 1, _MAX_OUTER_PASSES)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError, *span))
         if not 0.0 < self.tol < np.inf:
             raise ConfigError("tol must be positive and finite")
-        if not 1 <= self.max_iter <= _MAX_OUTER_PASSES:
-            raise ConfigError(f"max_iter must be at least 1 and at most {_MAX_OUTER_PASSES}")
         _check_solver_bytes(self.depth, self.grid, ConfigError)
 
 
@@ -538,7 +530,8 @@ class FixedPointReport:
     def from_dict(cls, data: dict) -> "FixedPointReport":
         """Rebuild a stored report; a malformed or inconsistent one raises ConfigError.
 
-        depth, grid and iterations must be integers, not bools or fractions;
+        depth, grid and iterations must be integers, not bools or fractions, and the
+        other numbers ints or floats, not bools or strings (diffspace._integer, _reals);
         alpha, depth and grid must be ones SolverConfig accepts, so a stored
         report is never larger than a solve may be; the decomposition must
         have the report's depth, grid and alpha, the geometry its depth.  Each
@@ -552,9 +545,9 @@ class FixedPointReport:
             if not isinstance(data, dict):
                 raise ConfigError("a report is one JSON object")
             depth, grid = (_integer(data[key], key, ConfigError) for key in ("depth", "grid"))
-            alpha, t_star = float(data["alpha"]), float(data["t_star"])
+            alpha, t_star, *residuals = (float(_reals([data[key]], key, ConfigError)[0]) for key in
+                                         ("alpha", "t_star", "residual_geometry", "residual_peak"))
             SolverConfig(alpha=alpha, depth=depth, grid=grid)
-            residuals = float(data["residual_geometry"]), float(data["residual_peak"])
             iterations = _integer(data["iterations"], "iterations", ConfigError)
             if not (0.0 <= t_star <= 1.0 and iterations >= 1
                     and all(0.0 <= r < np.inf for r in residuals)):
@@ -564,16 +557,17 @@ class FixedPointReport:
             if {_integer(part["depth"], "depth", ConfigError) for part in (dec, geo)} != {depth}:
                 raise ConfigError(f"report depth {depth} disagrees with its decomposition "
                                   "or geometry")
-            if float(dec["alpha"]) != alpha:
+            if _reals([dec["alpha"]], "decomposition alpha", ConfigError)[0] != alpha:
                 raise ConfigError(f"report alpha {alpha!r} disagrees with its decomposition's "
                                   f"{dec['alpha']!r}")
             rows = _in_row_order([(str(node["path"]), node["eta"]) for node in dec["nodes"]],
                                  depth, "nodes", ConfigError)
-            if any(len(row) != grid for row in rows):
+            if any(len(_reals(row, "eta", ConfigError)) != grid for row in rows):
                 raise ConfigError(f"report grid {grid} disagrees with its decomposition")
 
             def interval(entry):
-                return OrientedInterval(float(entry["lo"]), float(entry["hi"]), str(entry["flag"]))
+                lo, hi = _reals([entry["lo"], entry["hi"]], "an interval end", ConfigError)
+                return OrientedInterval(float(lo), float(hi), str(entry["flag"]))
 
             def intervals(key):
                 return [(str(entry["path"]), interval(entry)) for entry in geo[key]]
@@ -581,7 +575,6 @@ class FixedPointReport:
             return cls(
                 alpha=alpha,
                 t_star=t_star,
-                # the intervals go before the node views are made, which reuse their memory
                 geometry_star=Geometry(interval(geo["side_root"]), intervals("s1"),
                                        intervals("s2"), depth),
                 pure_star=Decomposition(rows),
@@ -655,7 +648,7 @@ def _outer_solve(config: SolverConfig, initial_geometry: Geometry | None):
         raise DepthMismatch(
             f"initial geometry depth {g.depth} differs from configured depth {config.depth}")
     grid = min(config.grid, _COARSE_GRID)
-    t_prev = closure_prev = None
+    t_prev = None
     trace, history = [], []
     for it in range(1, config.max_iter + 1):
         try:
@@ -676,15 +669,12 @@ def _outer_solve(config: SolverConfig, initial_geometry: Geometry | None):
                     continue  # certify: rerun this pass from the same g at the configured grid
         elif resid <= config.tol:
             return dm, g, closure, it
-        # a closure that grew restarts the mixing from this pass alone
-        if history and closure > closure_prev:
-            history = []
         history = history[-_ANDERSON_HISTORY:] + [(_packed(g), _packed(g_img))]
         try:
             g = _anderson_mix(history) if len(history) > 1 else g_img
         except (GeometryError, DomainError):
             g = g_img
-        t_prev, closure_prev = dm.t, closure
+        t_prev = dm.t
     raise NonConvergence(
         f"outer iteration stuck at residual {trace[-1]:.3e} after {config.max_iter} steps, "
         f"the last at grid {dm.decomposition.grid} (tol {config.tol:.1e})", tuple(trace))
@@ -699,10 +689,11 @@ def find_fixed_point(config: SolverConfig,
     re-solves the invariant peak value, and takes the resulting dynamical
     geometry T(g), Anderson-mixed with the residual differences of the last
     two passes (_anderson_mix), as the next g; T(g) itself where the mixed
-    geometry is inadmissible, and the mixing restarts when |T(g) - g| grew.
+    geometry is inadmissible.  The history is never dropped: it carries the
+    solve past the geometry map's eigenvalue beyond -1 at large alpha.
     Convergence is declared when the geometry movement plus the peak-value
-    movement drops below tol.  The passes run at grid min(config.grid, 32)
-    until one comes within 100 tol; from then on they run at config.grid.  A coarse
+    movement drops below tol.  The passes run at grid min(config.grid, 32) until
+    one comes within 100 tol; from then on they run at config.grid.  A coarse
     pass that meets tol, or that raises ResolutionError, is rerun from the
     same g at config.grid, so only a pass at config.grid returns; the
     geometry does not depend on the grid, and the mixing history carries
@@ -735,9 +726,7 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
     record's, so only the last record pulls back on its own.  Raises
     ConfigError unless 1 <= steps <= 32.
     """
-    steps = _integer(steps, "steps", ConfigError)
-    if not 1 <= steps <= _MAX_DIAGNOSTIC_STEPS:
-        raise ConfigError(f"steps must be at least 1 and at most {_MAX_DIAGNOSTIC_STEPS}")
+    steps = _integer(steps, "steps", ConfigError, 1, _MAX_DIAGNOSTIC_STEPS)
 
     def record(step, g, geom):
         pure = pure_decomposition(geom, g.alpha, grid=g.decomposition.grid)
@@ -765,7 +754,7 @@ def random_decomposed_map(alpha: float, depth: int, grid: int, seed: int) -> Dec
     decaying coefficients, shrunk per level so the total nonlinearity stays
     resolvable on the grid and a renormalization window exists.
     """
-    times = DecompositionTimes(depth)
+    grid, times = _grid(grid), DecompositionTimes(depth)
     _check_solver_bytes(times.depth, grid, DomainError)
     rng = np.random.default_rng(seed)
     decay = 0.6 ** np.arange(8)

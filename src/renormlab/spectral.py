@@ -247,9 +247,7 @@ def scaling_ratios(report: FixedPointReport, levels: int) -> list:
     bit for bit those of renormalizing the report's map afresh.  Raises
     ConfigError unless 1 <= levels <= 12.
     """
-    levels = _integer(levels, "scaling levels", ConfigError)
-    if not 1 <= levels <= _MAX_SCALING_LEVELS:
-        raise ConfigError(f"scaling levels must be at least 1 and at most {_MAX_SCALING_LEVELS}")
+    levels = _integer(levels, "scaling levels", ConfigError, 1, _MAX_SCALING_LEVELS)
     outcome = report._renormalized[0]
     ratios = [outcome.p]
     if levels == 1:

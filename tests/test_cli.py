@@ -502,6 +502,34 @@ def _decomposition_alpha(data):
     return data
 
 
+# a number written as a string, or a bool, is no JSON number: float() and
+# numpy would read "0.88" and true as reals
+def _stringified(key):
+    def corrupt(data):
+        data[key] = str(data[key])
+        return data
+    return corrupt
+
+
+def _alpha_string(data):
+    data["alpha"] = data["decomposition"]["alpha"] = str(data["alpha"])
+    return data
+
+
+def _eta_as(convert):
+    def corrupt(data):
+        node = data["decomposition"]["nodes"][0]
+        node["eta"] = [convert(v) for v in node["eta"]]
+        return data
+    return corrupt
+
+
+def _s1_lo_string(data):
+    entry = data["geometry"]["s1"][0]
+    entry["lo"] = str(entry["lo"])
+    return data
+
+
 SCALAR_CORRUPTIONS = {
     "alpha-below-1": _setting("alpha", 0.5),
     "alpha-nan": _setting("alpha", float("nan")),
@@ -516,6 +544,12 @@ SCALAR_CORRUPTIONS = {
     "iterations-fractional": _setting("iterations", 2.7),
     "iterations-bool": _setting("iterations", True),
     "decomposition-alpha-differs": _decomposition_alpha,
+    "t-star-string": _stringified("t_star"),
+    "alpha-string": _alpha_string,
+    "residual-peak-bool": _setting("residual_peak", True),
+    "eta-strings": _eta_as(str),
+    "eta-bools": _eta_as(lambda v: True),
+    "s1-lo-string": _s1_lo_string,
 }
 
 
@@ -530,7 +564,7 @@ def test_spectrum_rejects_malformed_report(report_file, tmp_path, capsys, corrup
     for argv in (["spectrum", "--alpha", "2", "--in", str(bad)], ["spectrum", "--in", str(bad)]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: malformed report: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,8 +604,8 @@ def test_window_csv(capsys):
         assert 0.5 <= float(t_str) <= float(head["t_max"]) + 1e-12
 
 
-def test_window_composes_nothing(monkeypatch, capsys):
-    # the scan and the rho sweep read the identity profile itself
+def test_window_composes_only_the_bare_folds_depth_0_tree(monkeypatch, capsys):
+    # the scan and the rho sweep compose the one-node identity, never a deeper tree
     original, calls = decompspace.compose_all, []
 
     def counted(dec):
@@ -583,14 +617,14 @@ def test_window_composes_nothing(monkeypatch, capsys):
             monkeypatch.setattr(module, "compose_all", counted)
     assert main(["window", "--alpha", "2", "--grid", "48"]) == 0
     assert capsys.readouterr().out.startswith("# window t_min=")
-    assert calls == []
+    assert calls and all(dec.depth == 0 and not dec.eta.any() for dec in calls)
 
 
 def test_window_warns_of_a_second_window_and_skips_samples_without_rho(monkeypatch, capsys):
     # past the bare fold's top at 0.9196 rho leaves [0, 1]: the last three samples;
     # at t = 0.5 the peak image is at rounding level: NoFixedPoint, the first sample
     found = renorm.WindowResult(0.5, 0.95, ((0.5, 0.95), (0.96, 0.97)))
-    monkeypatch.setattr(cli, "_window", lambda obs, alpha: found)
+    monkeypatch.setattr(cli, "renormalization_window", lambda phi, alpha: found)
     assert main(["window", "--alpha", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["# window t_min=0.5 t_max=0.95",

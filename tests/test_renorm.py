@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from renormlab import decompspace, renorm
+from renormlab import _cheb, decompspace, renorm
 from renormlab.decompspace import (
     DecompositionTimes,
     decomposition_distance,
@@ -282,7 +282,8 @@ def test_peak_solve_closes_its_bracket_past_the_windows_top():
     ts, _, _, runs = renorm._scan_window(obs, 12.0, renorm._PEAK_SCAN_STEP)
     last = runs[0][1]
     t_star = solve_peak_value(identity_decomposition(1, 64), 12.0)
-    assert ts[last] < t_star < renorm._window(obs, 12.0).t_max < ts[last + 1]
+    top = renormalization_window(identity_decomposition(0, 64), 12.0).t_max
+    assert ts[last] < t_star < top < ts[last + 1]
     rho = peak_value_rho(_identity_map(t_star, alpha=12.0, grid=64))
     assert abs(rho - t_star) <= 1e-12
 
@@ -295,7 +296,8 @@ def test_peak_solve_closes_its_bracket_at_the_scans_end():
     rho = peak_value_rho(_identity_map(t_star, alpha=24.0, grid=64))
     assert abs(rho - t_star) <= 1e-12
     obs = identity_profile(64)
-    assert 0.998 < t_star < renorm._window(obs, 24.0).t_max < 1.0
+    top = renormalization_window(identity_decomposition(0, 64), 24.0).t_max
+    assert 0.998 < t_star < top < 1.0
     ts, _, _, runs = renorm._scan_window(obs, 24.0, renorm._PEAK_SCAN_STEP)
     assert runs.tolist() == [[0, ts.size - 2]] and ts[-2:].tolist() == [0.998, 1.0]
 
@@ -381,6 +383,27 @@ def test_peak_solve_solves_each_level_once(alpha, monkeypatch):
     find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert solves and all(len(levels) <= 5 for levels in solves)
     assert all(len(set(levels)) == len(levels) for levels in solves)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, grid: branch_zoom(2.0, OrientedInterval(0.2, 0.5), grid),
+    lambda g, grid: identity_decomposition(2, grid),
+    lambda g, grid: random_decomposed_map(2.0, 2, grid, 0),
+    lambda g, grid: decompspace.pure_decomposition(g, 2.0, grid=grid),
+], ids=["branch_zoom", "identity_decomposition", "random_decomposed_map", "pure_decomposition"])
+def test_a_grid_no_profile_takes_is_a_domain_error_before_anything_is_built(build, monkeypatch):
+    def built(*args):
+        raise AssertionError("a tree or a grid was built")
+
+    g = renorm._seed_geometry(2.0, 2, 16)
+    for module, name in ((decompspace, "DecompositionTimes"), (renorm, "DecompositionTimes"),
+                         (_cheb, "nodes")):
+        monkeypatch.setattr(module, name, built)
+    for grid, message in ((1, "at least 4, not 1"), (3, "at least 4, not 3"),
+                          (2.5, "an integer, not 2.5"), (True, "an integer, not True"),
+                          ("64", "an integer, not '64'")):
+        with pytest.raises(DomainError, match=f"^grid must be {message}$"):
+            build(g, grid)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.0, 0.5])
@@ -565,6 +588,15 @@ def test_mixed_outer_iteration_takes_fewer_passes(alpha, passes):
     # the plain iteration takes 7, 8 and 10 passes
     report = find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert report.iterations <= passes and report.residual_geometry <= 1e-8
+
+
+@pytest.mark.parametrize("alpha, depth", [(72.0, 6), (64.0, 8)])
+def test_large_alpha_solves_keep_their_mixing_history(alpha, depth):
+    # the geometry map has an eigenvalue beyond -1 here (-1.19 at alpha 64);
+    # dropping the history whenever the closure grew never converged at depth
+    # 6 and took 101 passes at depth 8; with both differences kept they take 12 and 14
+    report = find_fixed_point(SolverConfig(alpha=alpha, depth=depth))
+    assert report.iterations <= 16 and report.residual_geometry <= 1e-8
 
 
 def test_outer_iteration_without_mixing_is_the_plain_iteration(monkeypatch):
