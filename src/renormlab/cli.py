@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .decompspace import _MAX_SOLVER_BYTES, _solver_bytes, identity_decomposition
+from .decompspace import _MAX_SOLVER_BYTES, _solver_bytes, compose_all, identity_decomposition
 from .errors import ConfigError, DomainError, NoFixedPoint, NonConvergence, RenormlabError
 from .renorm import (
     DecomposedMap,
@@ -207,6 +207,7 @@ def _cmd_window(args) -> int:
     cfg = _config(args)
     dec = identity_decomposition(0, cfg.grid)  # the bare fold's
     result = renormalization_window(dec, cfg.alpha)
+    obs = compose_all(dec)  # one composition for every sample map
     lines = [f"# window t_min={result.t_min!r} t_max={result.t_max!r}"]
     if result.multiple:
         lines.append(f"# warning: {len(result.windows)} disjoint renormalizable "
@@ -214,7 +215,7 @@ def _cmd_window(args) -> int:
     lines.append("t,rho")
     for t in np.linspace(result.t_min, result.t_max, _WINDOW_SAMPLES):
         try:
-            rho = peak_value_rho(DecomposedMap(dec, float(t), cfg.alpha))
+            rho = peak_value_rho(DecomposedMap(dec, float(t), cfg.alpha, observed=obs))
         except (DomainError, NoFixedPoint):
             continue
         lines.append(f"{float(t)!r},{rho!r}")

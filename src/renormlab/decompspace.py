@@ -239,15 +239,15 @@ def compose_all(dec: Decomposition) -> NonlinearityProfile:
     in one batch of _batch_rows(grid) rows at a time, so a batch's weights
     take the same bytes at every grid; only the resample of the running
     result and the chain rule stay sequential (compose_rows), which is bit
-    for bit the fold of compose() over the same nodes.
+    for bit the fold of compose() over the same nodes.  A depth-0 tree folds
+    nothing, so it builds no evaluation batch.
     """
-    series = dec._batch()[0]
     result = dec.eta[0]
     rows = _batch_rows(dec.grid)
     for start in range(1, dec.times.size, rows):
         chunk = slice(start, start + rows)
         inner = dec.eta[chunk]
-        result = compose_rows(result, inner, *inner_side(inner, series[chunk]))[-1]
+        result = compose_rows(result, inner, *inner_side(inner, dec._batch()[0][chunk]))[-1]
     return NonlinearityProfile(result)
 
 

@@ -64,6 +64,14 @@ _WINDOW_SCAN_STEP = 1e-3
 _WINDOW_EDGE_TOL = 1e-10
 _PEAK_SCAN_STEP = 2e-3
 
+# Half-width, in peak-scan levels, of the band a warm-started peak solve scans
+# around the last t (_solve_peak).  At depth 8 a pass's t moves from the last
+# pass's by less than one level up to alpha 6, and by up to 3.7 levels at alpha
+# 24 and 7.2 at alpha 48; pass 1 lies 2.3-4.7 levels below the seed's t0 at
+# alpha 1.45-24 and 7.5 at alpha 48.  Early passes at alpha 72 move up to 10.8
+# levels and fall back to the full scan.
+_PEAK_BAND = 8
+
 # Most outer passes SolverConfig allows.  A tol below the rounding floor (a
 # residual of about 3e-15 at depth 8) never converges, and a depth-8 pass takes
 # about 35 ms at grid 32 and 62 ms at grid 64 (alpha 2, one BLAS thread, a
@@ -303,6 +311,17 @@ def _renormalizable(f0: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (f0 > 0.0) & (f0 <= b)
 
 
+def _scan_levels(alpha: float, scan_step: float) -> np.ndarray:
+    """The scan grid over (1/2, 1]: 1/2 + k scan_step below 1, then 1.
+
+    Raises DomainError unless 1 < alpha < inf, so no level is solved for
+    such an alpha.
+    """
+    if not 1.0 < alpha < np.inf:
+        raise DomainError("alpha must exceed 1 and be finite")
+    return np.append(0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step))), 1.0)
+
+
 def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
     """Scan grid over (1/2, 1], its side structure and renormalizable runs.
 
@@ -314,9 +333,7 @@ def _scan_window(obs: NonlinearityProfile, alpha: float, scan_step: float):
     t = 1.  Raises DomainError unless 1 < alpha < inf, before any level is
     solved.
     """
-    if not 1.0 < alpha < np.inf:
-        raise DomainError("alpha must exceed 1 and be finite")
-    ts = np.append(0.5 + scan_step * np.arange(1, int(round(0.5 / scan_step))), 1.0)
+    ts = _scan_levels(alpha, scan_step)
     f0, p, b = _side_structure(obs, alpha, ts)
     edges = np.flatnonzero(np.diff(np.concatenate(([False], _renormalizable(f0, b), [False]))))
     if not edges.size:
@@ -364,7 +381,39 @@ def renormalization_window(phi: Decomposition, alpha: float) -> WindowResult:
     return WindowResult(windows[0][0], windows[0][1], tuple(windows))
 
 
-def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
+def _first_crossing(ts: np.ndarray, gap: np.ndarray):
+    """(lo, hi, gap at lo, gap at hi) of the first gap[i] <= 0 <= gap[i + 1], or None."""
+    cross = np.flatnonzero((gap[:-1] <= 0.0) & (gap[1:] >= 0.0))
+    if cross.size == 0:
+        return None
+    i = int(cross[0])
+    return float(ts[i]), float(ts[i + 1]), float(gap[i]), float(gap[i + 1])
+
+
+def _band_bracket(obs: NonlinearityProfile, alpha: float, near: float):
+    """The crossing bracket from the peak-scan levels within _PEAK_BAND of near, or None.
+
+    The band is a slice of the full scan's levels.  It yields a bracket only
+    when its bottom level is renormalizable with gap < 0, and the levels from
+    there to the crossing are one renormalizable run, plus at most the one
+    level past its top; and not when that run reaches t = 1, which the full
+    scan refuses.  Otherwise it returns None.
+    """
+    ts = _scan_levels(alpha, _PEAK_SCAN_STEP)
+    centre = min(max(int(round((near - 0.5) / _PEAK_SCAN_STEP)) - 1, 0), ts.size - 1)
+    first = max(centre - _PEAK_BAND, 0)
+    band = ts[first:centre + _PEAK_BAND + 1]
+    f0, p, b = _side_structure(obs, alpha, band)
+    inside = _renormalizable(f0, b)
+    run = int(np.argmin(inside)) if not inside.all() else band.size
+    if run == 0 or first + run == ts.size:
+        return None
+    end = min(run + 1, band.size)
+    gap = _peak_rho(obs, band[:end], p[:end], b[:end]) - band[:end]
+    return _first_crossing(band[:end], gap) if gap[0] < 0.0 else None
+
+
+def _solve_peak(obs: NonlinearityProfile, alpha: float, near: float | None = None) -> float:
     """Invariant fold level: t with rho(t) = t, bracketed on the scan grid.
 
     f0 = Phi(2t - 1) rises with t, so the levels with f0 above the rounding
@@ -380,18 +429,25 @@ def _solve_peak(obs: NonlinearityProfile, alpha: float) -> float:
     previous probe (at first the top end) as the slope: its first step is
     the false-position point, and a repeated probe, of slope 0, bisects.
     Each level is solved once; the ends keep their gaps from the scan.
+
+    With near, a t the caller expects close by (the last outer pass's), the
+    scan first solves only the 2 _PEAK_BAND + 1 levels around it
+    (_band_bracket), and falls back to the full scan when the band proves no
+    bracket.  Each level's side structure and each inverse point do not
+    depend on the others of the call, so the band's bracket ends and gaps
+    are the full scan's bits, and so is t, whenever the first crossing at or
+    above the band's bottom is the full scan's first crossing; levels below
+    the band are not solved, so that is the scope of the warm start.
     """
-    ts, p, b, runs = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
-    first, last = runs[0]
-    run = slice(first, last + 2)
-    t_run = ts[run]
-    gap = _peak_rho(obs, t_run, p[run], b[run]) - t_run
-    cross = np.flatnonzero((gap[:-1] <= 0.0) & (gap[1:] >= 0.0))
-    if cross.size == 0:
-        raise NoFixedPoint("the rescaled peak value never crosses the diagonal in the window")
-    i = int(cross[0])
-    lo, hi = float(t_run[i]), float(t_run[i + 1])
-    gaps = {lo: float(gap[i]), hi: float(gap[i + 1])}
+    bracket = None if near is None else _band_bracket(obs, alpha, near)
+    if bracket is None:
+        ts, p, b, runs = _scan_window(obs, alpha, _PEAK_SCAN_STEP)
+        run = slice(runs[0][0], runs[0][1] + 2)
+        bracket = _first_crossing(ts[run], _peak_rho(obs, ts[run], p[run], b[run]) - ts[run])
+        if bracket is None:
+            raise NoFixedPoint("the rescaled peak value never crosses the diagonal in the window")
+    lo, hi, gap_lo, gap_hi = bracket
+    gaps = {lo: gap_lo, hi: gap_hi}
     prev = [hi]
 
     def step(_, x):
@@ -602,11 +658,11 @@ def _seed_geometry(alpha: float, depth: int, grid: int) -> Geometry:
                               np.tile([p, b, -p, p], (2 ** (depth + 1) - 1, 1)))
 
 
-def _undamped_step(g: Geometry, alpha: float, grid: int):
-    """geometry -> (pure decomposition, its map, peak value, image geometry)."""
+def _undamped_step(g: Geometry, alpha: float, grid: int, near: float | None):
+    """geometry -> (its pure decomposition's map, image geometry); near as in _solve_peak."""
     phi = pure_decomposition(g, alpha, grid=grid)
     obs = compose_all(phi)
-    t = _solve_peak(obs, alpha)
+    t = _solve_peak(obs, alpha, near)
     dm = DecomposedMap(phi, t, alpha, observed=obs)
     return dm, dynamical_geometry(dm)
 
@@ -641,9 +697,19 @@ def _anderson_mix(history) -> Geometry:
 
 
 def _outer_solve(config: SolverConfig, initial_geometry: Geometry | None):
-    """(the last pass's map, the geometry it starts from, its closure, the pass count)."""
-    g = (_seed_geometry(config.alpha, config.depth, config.grid)
-         if initial_geometry is None else initial_geometry)
+    """(the last pass's map, the geometry it starts from, its closure, the pass count).
+
+    Each pass's peak solve is warm-started (_solve_peak) from the last pass's
+    t, and pass 1 of a default solve from the seed's t0.
+    """
+    near = None
+    if initial_geometry is None:
+        g = _seed_geometry(config.alpha, config.depth, config.grid)
+        # the seed's t0 to rounding: p is the bare fold's fixed point, 2 t0 (1 - p^alpha) - 1 = p
+        p = g.side_root.lo
+        near = (1.0 + p) / (2.0 * (1.0 - p ** config.alpha))
+    else:
+        g = initial_geometry
     if g.depth != config.depth:
         raise DepthMismatch(
             f"initial geometry depth {g.depth} differs from configured depth {config.depth}")
@@ -652,13 +718,14 @@ def _outer_solve(config: SolverConfig, initial_geometry: Geometry | None):
     trace, history = [], []
     for it in range(1, config.max_iter + 1):
         try:
-            dm, g_img = _undamped_step(g, config.alpha, grid)
+            dm, g_img = _undamped_step(g, config.alpha, grid, near)
         except ResolutionError:
             if grid == config.grid:
                 raise
             # the coarse grid cannot resolve this geometry: rerun at the configured one
             grid = config.grid
-            dm, g_img = _undamped_step(g, config.alpha, grid)
+            dm, g_img = _undamped_step(g, config.alpha, grid, near)
+        near = dm.t
         closure = geometry_distance(g_img, g)
         resid = closure + (1.0 if t_prev is None else abs(dm.t - t_prev))
         trace.append(resid)
@@ -701,6 +768,12 @@ def find_fixed_point(config: SolverConfig,
     returned g: t* and the pure decomposition come from it,
     residual_geometry is |T(g) - g| and residual_peak is recomputed through
     peak_value_rho.  NonConvergence names the grid of the last pass.
+
+    Each pass's peak solve starts from a band of scan levels around the last
+    pass's t (pass 1 of a default solve: the seed's t0) and gives the full
+    scan's t, bit for bit, within the scope _solve_peak states; that held in
+    every solve from the default seed at depths 3-8, alpha 1.001-72 and tol
+    1e-8 and 1e-13.
     """
     dm, g, closure, iterations = _outer_solve(config, initial_geometry)
     return FixedPointReport(
@@ -741,7 +814,7 @@ def renormalization_orbit_diagnostics(f: DecomposedMap, steps: int):
         records.append(record(step, current, out.geometry_used))
         new_dec = out.renormalized.decomposition
         obs = compose_all(new_dec)
-        current = DecomposedMap(new_dec, _solve_peak(obs, current.alpha),
+        current = DecomposedMap(new_dec, _solve_peak(obs, current.alpha, current.t),
                                 current.alpha, observed=obs)
     records.append(record(steps - 1, current, dynamical_geometry(current)))
     return records

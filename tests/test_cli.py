@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renormlab import _cheb, cli, decompspace, errors, renorm, spectral
+from renormlab import _cheb, cli, decompspace, diffspace, errors, renorm, spectral
 from renormlab.cli import _build_parser, main
 
 FAST = ["--depth", "3", "--grid", "48", "--tol", "1e-8"]
@@ -158,7 +158,7 @@ def test_unresolved_pass_at_the_configured_grid_exits_2(monkeypatch, capsys):
     # the coarse pass is rerun at grid 48, and that pass's error is the run's
     grids = []
 
-    def unresolved(g, alpha, grid):
+    def unresolved(g, alpha, grid, near):
         grids.append(grid)
         raise errors.ResolutionError(f"grid {grid} cannot resolve the composition")
 
@@ -172,9 +172,9 @@ def test_an_unresolved_pass_at_a_configured_grid_of_32_is_not_rerun(monkeypatch,
     # the first pass already runs at the configured grid: its error is the run's
     grids, step = [], renorm._undamped_step
 
-    def spied(g, alpha, grid):
+    def spied(g, alpha, grid, near):
         grids.append(grid)
-        return step(g, alpha, grid)
+        return step(g, alpha, grid, near)
 
     monkeypatch.setattr(renorm, "_undamped_step", spied)
     assert main(["fixed-point", "--alpha", "48", "--depth", "8", "--grid", "32"]) == 2
@@ -618,6 +618,21 @@ def test_window_composes_only_the_bare_folds_depth_0_tree(monkeypatch, capsys):
     assert main(["window", "--alpha", "2", "--grid", "48"]) == 0
     assert capsys.readouterr().out.startswith("# window t_min=")
     assert calls and all(dec.depth == 0 and not dec.eta.any() for dec in calls)
+
+
+def test_window_builds_the_bare_folds_evaluation_data_at_most_twice(monkeypatch, capsys):
+    # one composition for the scan and one shared by the 33 sample maps
+    original, calls = diffspace.quad_rows, []
+
+    def counted(eta):
+        calls.append(eta.shape)
+        return original(eta)
+
+    monkeypatch.setattr(diffspace, "quad_rows", counted)
+    monkeypatch.setattr(decompspace, "quad_rows", counted)
+    assert main(["window", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out.count("\n") == 35
+    assert 1 <= len(calls) <= 2
 
 
 def test_window_warns_of_a_second_window_and_skips_samples_without_rho(monkeypatch, capsys):

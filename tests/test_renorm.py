@@ -370,11 +370,11 @@ def test_peak_solve_solves_each_level_once(alpha, monkeypatch):
             solves[-1].append(float(np.ravel(t_values)[0]))
         return side(obs, a, t_values)
 
-    def counted_solve(obs, a):
+    def counted_solve(obs, a, near=None):
         solves.append([])
         inside[0] = True
         try:
-            return solve(obs, a)
+            return solve(obs, a, near)
         finally:
             inside[0] = False
 
@@ -383,6 +383,67 @@ def test_peak_solve_solves_each_level_once(alpha, monkeypatch):
     find_fixed_point(SolverConfig(alpha=alpha, depth=5))
     assert solves and all(len(levels) <= 5 for levels in solves)
     assert all(len(set(levels)) == len(levels) for levels in solves)
+
+
+def _peak_solves(monkeypatch, config):
+    """(obs, near) of every peak solve of find_fixed_point(config), in order."""
+    calls, solve = [], renorm._solve_peak
+
+    def spied(obs, a, near=None):
+        calls.append((obs, near))
+        return solve(obs, a, near)
+
+    monkeypatch.setattr(renorm, "_solve_peak", spied)
+    find_fixed_point(config)
+    monkeypatch.setattr(renorm, "_solve_peak", solve)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, depth", [
+    *((a, d) for d in (3, 5) for a in (1.5, 2.0, 3.0, 10.0, 48.0, 72.0)), (2.0, 8)])
+def test_a_warm_started_peak_solve_equals_the_full_scan(alpha, depth, monkeypatch):
+    # the seed's own solve scans in full; every pass starts from the last
+    # pass's t, and pass 1 from the seed's t0
+    seed, *calls = _peak_solves(monkeypatch, SolverConfig(alpha=alpha, depth=depth))
+    assert seed[1] is None and calls and all(near is not None for _, near in calls)
+    for obs, near in calls:
+        assert renorm._solve_peak(obs, alpha, near) == renorm._solve_peak(obs, alpha)
+
+
+@pytest.mark.parametrize("near", [0.51, 0.95, 0.999])
+@pytest.mark.parametrize("which", ["identity", "random"])
+def test_a_band_without_a_crossing_falls_back_to_the_full_scan(near, which):
+    # the crossing lies near 0.89 and the window's top near 0.92: a band
+    # around 0.51 holds no crossing, and one around 0.95 or 0.999 starts past the top
+    obs = (identity_profile(64) if which == "identity"
+           else random_decomposed_map(2.0, 3, 64, seed=5).observed)
+    assert renorm._band_bracket(obs, 2.0, near) is None
+    assert renorm._solve_peak(obs, 2.0, near) == renorm._solve_peak(obs, 2.0)
+
+
+def test_a_warm_started_peak_solve_scans_a_band(monkeypatch):
+    # past the seed's full scan, each pass scans the band's 2 K + 1 levels and
+    # the 3-5 single-level probes of the refinement, in place of 250 levels
+    levels, inside = [], [False]
+    side, solve = renorm._side_structure, renorm._solve_peak
+
+    def counted_side(obs, a, t_values):
+        if inside[0]:
+            levels[-1] += np.size(t_values)
+        return side(obs, a, t_values)
+
+    def counted_solve(obs, a, near=None):
+        levels.append(0)
+        inside[0] = True
+        try:
+            return solve(obs, a, near)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(renorm, "_side_structure", counted_side)
+    monkeypatch.setattr(renorm, "_solve_peak", counted_solve)
+    find_fixed_point(SolverConfig(alpha=2.0, depth=5))
+    assert levels[0] > 250 and max(levels[1:]) <= 2 * renorm._PEAK_BAND + 1 + 5
 
 
 @pytest.mark.parametrize("build", [
@@ -516,11 +577,11 @@ def _spy_on_steps(monkeypatch, fail=lambda grid, calls: False):
     calls = []
     step = renorm._undamped_step
 
-    def spied(g, alpha, grid):
+    def spied(g, alpha, grid, near):
         calls.append((g, grid))
         if fail(grid, calls):
             raise ResolutionError("composition not resolved (injected)")
-        return step(g, alpha, grid)
+        return step(g, alpha, grid, near)
 
     monkeypatch.setattr(renorm, "_undamped_step", spied)
     return calls
